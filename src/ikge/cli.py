@@ -143,7 +143,8 @@ def _sample_negatives(
     positives, vocab: rdf.Vocab, known: rdf.Graph, seed_stream
 ) -> list[rdf.Triple]:
     rng = np.random.default_rng(seed_stream)
-    return [training.sample_negative(t, vocab, known, rng) for t in positives]
+    sampler = training.NegativeSampler(vocab, known)
+    return [sampler.sample_triple(t, rng) for t in positives]
 
 
 def _cmd_gen_ikg(args) -> int:
@@ -319,16 +320,12 @@ def _cmd_verify(args) -> int:
     classified_count = 0
     for triple in intent_graph.triples:
         try:
-            ok = evaluation.classify(model, triple, model.thresholds)
-            score = kg2e.score(
-                model,
-                model.vocab.entity_id(triple.head),
-                model.vocab.relation_id(triple.relation),
-                model.vocab.entity_id(triple.tail),
-            )
+            h, r, t = model.vocab.triple_ids(triple)
         except rdf.VocabError as exc:
             rows.append({"triple": str(triple), "skipped": str(exc)})
             continue
+        score = kg2e.score(model, h, r, t)
+        ok = score >= model.thresholds.lookup(r)
         rows.append({"triple": str(triple), "score": score, "classified": ok})
         classified_count += 1
         if not ok:
@@ -399,8 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="write train/valid/test Turtle files")
     p.add_argument("--ikg", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--fractions", type=_fractions, default=(0.8, 0.1, 0.1))
+    # Defaults write the split that train and evaluate derive at the default config.
+    p.add_argument("--seed", type=int, default=training.TrainConfig().seed)
+    p.add_argument("--fractions", type=_fractions, default=training.TrainConfig().split)
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("train", help="train a model and select thresholds")

@@ -3,9 +3,13 @@
 Ranking scores every entity as a replacement for the missing side of a
 test triple and reports the rank of the true entity, averaging positions
 over exact score ties. The filtered protocol drops candidates that form
-other known-true triples (never the true entity itself). Classification
-applies per-relation score thresholds chosen on validation data by
-maximizing accuracy over midpoints of adjacent scores.
+other known-true triples (never the true entity itself). The known graph
+is indexed once per ranking run, in its id form ``(h, r, t)``: tail ids
+by ``(h, r)`` and head ids by ``(r, t)``; known triples with a term outside
+the model vocabulary are skipped, since no candidate can complete them.
+Classification applies per-relation score thresholds chosen on validation
+data by maximizing accuracy over midpoints of adjacent scores; the triples
+of one call are scored in one batch over their id array.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as kg2e
-from .rdf import Graph, Triple, VocabError
+from .rdf import Graph, Triple
 
 RIGHT = "right"  # (h, r, ?): predict the tail
 LEFT = "left"  # (?, r, t): predict the head
@@ -133,24 +137,30 @@ def rank_from_scores(scores: np.ndarray, true_index: int, keep: np.ndarray | Non
     return better + (tied + 1) / 2.0
 
 
-def _known_mask(model, known: Graph, h: int, r: int, t: int, side: str) -> np.ndarray:
-    """True where a candidate does NOT complete another known triple."""
-    vocab = model.vocab
-    keep = np.ones(vocab.n_entities, dtype=bool)
-    for triple in known.triples:
-        try:
-            kh = vocab.entity_id(triple.head)
-            kr = vocab.relation_id(triple.relation)
-            kt = vocab.entity_id(triple.tail)
-        except VocabError:
-            continue
-        if kr != r:
-            continue
-        if side == RIGHT and kh == h:
-            keep[kt] = False
-        elif side == LEFT and kt == t:
-            keep[kh] = False
-    return keep
+def _filter_index(model: kg2e.Kg2eModel, known: Graph) -> dict[tuple, list[int]]:
+    """Known completions by query: ``(RIGHT, h, r)`` -> tail ids and
+    ``(LEFT, r, t)`` -> head ids."""
+    index: dict[tuple, list[int]] = {}
+    for h, r, t in model.vocab.known_ids(known.triples):
+        index.setdefault((RIGHT, h, r), []).append(t)
+        index.setdefault((LEFT, r, t), []).append(h)
+    return index
+
+
+def _rank_ids(model: kg2e.Kg2eModel, h: int, r: int, t: int, side: str, index) -> float:
+    """Rank of one id triple's true completion; ``index`` is a filter
+    index, or None for the raw protocol."""
+    if side == RIGHT:
+        scores = kg2e.score_candidates(model, h, r, t, position="tail")
+        true_index, query = t, (RIGHT, h, r)
+    else:
+        scores = kg2e.score_candidates(model, h, r, t, position="head")
+        true_index, query = h, (LEFT, r, t)
+    keep = None
+    if index is not None:
+        keep = np.ones(len(scores), dtype=bool)
+        keep[index.get(query, [])] = False
+    return rank_from_scores(scores, true_index, keep)
 
 
 def rank_triple(
@@ -163,18 +173,9 @@ def rank_triple(
     """Rank of the true completion among all entities for one side."""
     if side not in (RIGHT, LEFT):
         raise ValueError(f"side must be '{RIGHT}' or '{LEFT}', got {side!r}")
-    vocab = model.vocab
-    h = vocab.entity_id(triple.head)
-    r = vocab.relation_id(triple.relation)
-    t = vocab.entity_id(triple.tail)
-    if side == RIGHT:
-        scores = kg2e.score_candidates(model, h, r, t, position="tail")
-        true_index = t
-    else:
-        scores = kg2e.score_candidates(model, h, r, t, position="head")
-        true_index = h
-    keep = _known_mask(model, known, h, r, t, side) if filtered else None
-    return rank_from_scores(scores, true_index, keep)
+    h, r, t = model.vocab.triple_ids(triple)
+    index = _filter_index(model, known) if filtered else None
+    return _rank_ids(model, h, r, t, side, index)
 
 
 def evaluate_ranks(
@@ -187,10 +188,12 @@ def evaluate_ranks(
     """Aggregate right-side and left-side ranks over a test graph."""
     if len(test) == 0:
         raise ValueError("test graph is empty")
+    index = _filter_index(model, known) if filtered else None
     ranks = []
     for triple in test.triples:
-        ranks.append(rank_triple(model, triple, RIGHT, known, filtered))
-        ranks.append(rank_triple(model, triple, LEFT, known, filtered))
+        h, r, t = model.vocab.triple_ids(triple)
+        ranks.append(_rank_ids(model, h, r, t, RIGHT, index))
+        ranks.append(_rank_ids(model, h, r, t, LEFT, index))
     arr = np.array(ranks)
     return RankMetrics(
         mean_rank=float(arr.mean()),
@@ -206,25 +209,38 @@ def best_threshold(pos_scores, neg_scores) -> float:
 
     Candidates are the midpoints of adjacent distinct scores plus one
     sentinel below the minimum and one above the maximum; ties on accuracy
-    resolve to the lowest candidate.
+    resolve to the lowest candidate. Each candidate's count of positives
+    >= it and negatives below it comes from a binary search of the sorted
+    scores, so the cost is O(n log n).
     """
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
     values = np.unique(np.concatenate([pos, neg]))
     if len(values) == 0:
         raise ValueError("no scores to threshold")
-    candidates = [values[0] - 1.0]
-    candidates.extend((values[:-1] + values[1:]) / 2.0)
-    candidates.append(values[-1] + 1.0)
-    best_t = None
-    best_acc = -1.0
-    total = len(pos) + len(neg)
-    for theta in candidates:
-        acc = (int((pos >= theta).sum()) + int((neg < theta).sum())) / total
-        if acc > best_acc:
-            best_acc = acc
-            best_t = float(theta)
-    return best_t
+    candidates = np.concatenate(
+        [[values[0] - 1.0], (values[:-1] + values[1:]) / 2.0, [values[-1] + 1.0]]
+    )
+    # NaN compares false either way: a NaN score is never counted correct,
+    # and a NaN candidate counts nothing correct.
+    pos = np.sort(pos[~np.isnan(pos)])
+    neg = np.sort(neg[~np.isnan(neg)])
+    correct = len(pos) - np.searchsorted(pos, candidates) + np.searchsorted(neg, candidates)
+    correct[np.isnan(candidates)] = 0
+    return float(candidates[int(np.argmax(correct))])
+
+
+def _classifiable_ids(model: kg2e.Kg2eModel, triple: Triple) -> tuple[int, int, int]:
+    """Id form of a complete triple; a placeholder raises ValueError."""
+    if triple.placeholder_count:
+        raise ValueError("cannot classify a triple containing a placeholder")
+    return model.vocab.triple_ids(triple)
+
+
+def _id_array(model: kg2e.Kg2eModel, triples) -> np.ndarray:
+    """``(n, 3)`` id array of complete triples (a Graph or any iterable)."""
+    rows = [_classifiable_ids(model, triple) for triple in triples]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
 def select_thresholds(
@@ -237,40 +253,29 @@ def select_thresholds(
     """
     if len(valid_pos) == 0:
         raise ValueError("validation positives are empty")
-    vocab = model.vocab
-    pos_by_rel: dict[int, list[float]] = {}
-    neg_by_rel: dict[int, list[float]] = {}
-
-    def scored(triple: Triple) -> tuple[int, float]:
-        h = vocab.entity_id(triple.head)
-        r = vocab.relation_id(triple.relation)
-        t = vocab.entity_id(triple.tail)
-        return r, kg2e.score(model, h, r, t)
-
-    for triple in valid_pos.triples:
-        r, s = scored(triple)
-        pos_by_rel.setdefault(r, []).append(s)
-    for triple in valid_neg:
-        r, s = scored(triple)
-        neg_by_rel.setdefault(r, []).append(s)
+    pos_ids = _id_array(model, valid_pos)
+    neg_ids = _id_array(model, valid_neg)
+    scores = kg2e.score_triples(model, np.concatenate([pos_ids, neg_ids]))
+    pos_scores, neg_scores = scores[: len(pos_ids)], scores[len(pos_ids) :]
+    pos_rel, neg_rel = pos_ids[:, 1], neg_ids[:, 1]
 
     table = ThresholdTable()
-    for r in sorted(set(pos_by_rel) | set(neg_by_rel)):
-        table.per_relation[r] = best_threshold(pos_by_rel.get(r, []), neg_by_rel.get(r, []))
-    all_pos = [s for scores in pos_by_rel.values() for s in scores]
-    all_neg = [s for scores in neg_by_rel.values() for s in scores]
-    table.fallback = best_threshold(all_pos, all_neg)
+    for r in sorted(set(pos_rel.tolist()) | set(neg_rel.tolist())):
+        table.per_relation[r] = best_threshold(pos_scores[pos_rel == r], neg_scores[neg_rel == r])
+    table.fallback = best_threshold(pos_scores, neg_scores)
     return table
+
+
+def _verdicts(model: kg2e.Kg2eModel, triples, thresholds: ThresholdTable) -> np.ndarray:
+    """Per-triple 'score reaches its relation's threshold', scored in one batch."""
+    ids = _id_array(model, triples)
+    limits = np.array([thresholds.lookup(r) for r in ids[:, 1].tolist()], dtype=np.float64)
+    return kg2e.score_triples(model, ids) >= limits
 
 
 def classify(model: kg2e.Kg2eModel, triple: Triple, thresholds: ThresholdTable) -> bool:
     """Valid iff the triple's score reaches its relation's threshold."""
-    if triple.placeholder_count:
-        raise ValueError("cannot classify a triple containing a placeholder")
-    vocab = model.vocab
-    h = vocab.entity_id(triple.head)
-    r = vocab.relation_id(triple.relation)
-    t = vocab.entity_id(triple.tail)
+    h, r, t = _classifiable_ids(model, triple)
     return kg2e.score(model, h, r, t) >= thresholds.lookup(r)
 
 
@@ -281,17 +286,7 @@ def evaluate_classification(
     thresholds: ThresholdTable,
 ) -> ClassificationMetrics:
     """Confusion counts and rates over positive and negative test triples."""
-    pos_triples = list(test_pos.triples if isinstance(test_pos, Graph) else test_pos)
-    neg_triples = list(test_neg.triples if isinstance(test_neg, Graph) else test_neg)
-    tp = fn = tn = fp = 0
-    for triple in pos_triples:
-        if classify(model, triple, thresholds):
-            tp += 1
-        else:
-            fn += 1
-    for triple in neg_triples:
-        if classify(model, triple, thresholds):
-            fp += 1
-        else:
-            tn += 1
-    return ClassificationMetrics.from_counts(tp=tp, tn=tn, fp=fp, fn=fn)
+    pos = _verdicts(model, test_pos, thresholds)
+    neg = _verdicts(model, test_neg, thresholds)
+    tp, fp = int(pos.sum()), int(neg.sum())
+    return ClassificationMetrics.from_counts(tp=tp, tn=len(neg) - fp, fp=fp, fn=len(pos) - tp)

@@ -262,6 +262,25 @@ def score_grad(
     )
 
 
+def score_triples(model: Kg2eModel, ids) -> np.ndarray:
+    """Scores of an ``(n, 3)`` array of ``(h, r, t)`` id rows in one batch.
+
+    Summation order matches the scalar path, so entry i is bit-identical
+    to ``score(model, *ids[i])``.
+    """
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1, 3)
+    h, r, t = ids[:, 0], ids[:, 1], ids[:, 2]
+    if len(ids) and (
+        min(h.min(), r.min(), t.min()) < 0
+        or max(h.max(), t.max()) >= model.vocab.n_entities
+        or r.max() >= model.vocab.n_relations
+    ):
+        raise IndexError("triple id out of range")
+    em, ec = model.entity_means, model.entity_covs
+    rm, rc = model.relation_means, model.relation_covs
+    return _SCORE_FNS[model.score_kind](em[h], ec[h], rm[r], rc[r], em[t], ec[t])
+
+
 def score_candidates(model: Kg2eModel, h: int, r: int, t: int, position: str) -> np.ndarray:
     """Scores of all entities substituted at ``position`` ('head' or 'tail').
 

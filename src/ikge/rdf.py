@@ -482,6 +482,26 @@ class Vocab:
         except KeyError:
             raise VocabError(f"unknown relation {term_to_text(term)}") from None
 
+    def triple_ids(self, triple: Triple) -> tuple[int, int, int]:
+        """The id form ``(h, r, t)`` of a triple; the VocabError names the
+        first unknown term in head, relation, tail order."""
+        return (
+            self.entity_id(triple.head),
+            self.relation_id(triple.relation),
+            self.entity_id(triple.tail),
+        )
+
+    def known_ids(self, triples) -> list[tuple[int, int, int]]:
+        """Id forms of the triples whose three terms are all in the vocabulary;
+        the others can never match a triple built from it and are skipped."""
+        out = []
+        for triple in triples:
+            try:
+                out.append(self.triple_ids(triple))
+            except VocabError:
+                continue
+        return out
+
     def __contains__(self, term: Term) -> bool:
         return term in self._entity_ids or term in self._relation_ids
 

@@ -1,9 +1,12 @@
 """Margin-ranking training with RMS-scaled updates under the open-world assumption.
 
-Training triples are positives; negatives are sampled per positive by
-corrupting the head or the tail (coin flip) with a uniformly random
-replacement entity, rejecting corruptions present anywhere in the full
-graph for up to 100 attempts. Updates follow the RMS rule
+Training triples are positives, held in their id form ``(h, r, t)``;
+negatives are sampled per positive by corrupting the head or the tail
+(coin flip) with a uniformly random replacement entity, rejecting
+corruptions present anywhere in the full graph for up to 100 attempts.
+Membership is one set lookup of the packed key ``(h * R + r) * E + t``
+(E entities, R relations), the set built once per vocabulary and known
+graph. Updates follow the RMS rule
 
     s <- rho * s + (1 - rho) * g^2
     theta <- theta + lr * g / sqrt(s + eps)
@@ -147,33 +150,71 @@ def split_dataset(
     )
 
 
-class _CorruptionPools:
-    """Replacement-entity pools, precomputed once per vocabulary.
+class NegativeSampler:
+    """Corruptions of id triples, rejecting those in one known graph.
 
     Head replacements exclude literal entities because literals cannot
-    stand in subject position.
+    stand in subject position; tail replacements range over all entities.
+    Known triples with a term outside the vocabulary are skipped: no
+    corruption built from the vocabulary can equal them.
     """
 
-    def __init__(self, vocab: Vocab):
-        self.heads = np.array(
-            [i for i, t in enumerate(vocab.entities) if not t.is_literal], dtype=np.int64
-        )
-        self.tails = np.arange(vocab.n_entities, dtype=np.int64)
+    def __init__(self, vocab: Vocab, known: Graph):
+        if vocab.n_entities < 2:
+            raise ValueError("need at least two entities to corrupt a triple")
+        self.vocab = vocab
+        self.n_entities = vocab.n_entities
+        self.n_relations = vocab.n_relations
+        self.heads = [i for i, t in enumerate(vocab.entities) if not t.is_literal]
+        # Position of each entity in the head pool, -1 for literals.
+        self.head_pos = [-1] * self.n_entities
+        for k, e in enumerate(self.heads):
+            self.head_pos[e] = k
+        self.known = {self.key(h, r, t) for h, r, t in vocab.known_ids(known.triples)}
 
+    def key(self, h: int, r: int, t: int) -> int:
+        return (h * self.n_relations + r) * self.n_entities + t
 
-def _draw_excluding(pool: np.ndarray, exclude: int, rng: np.random.Generator) -> int:
-    """Uniform draw from pool minus one id; the pool is sorted."""
-    k = int(np.searchsorted(pool, exclude))
-    if k < len(pool) and pool[k] == exclude:
-        if len(pool) == 1:
-            raise ValueError("no replacement entity available")
-        i = int(rng.integers(len(pool) - 1))
-        if i >= k:
-            i += 1
-        return int(pool[i])
-    if len(pool) == 0:
-        raise ValueError("no replacement entity available")
-    return int(pool[rng.integers(len(pool))])
+    def sample(
+        self, h: int, r: int, t: int, rng: np.random.Generator, max_attempts: int = 100
+    ) -> tuple[int, int]:
+        """Head and tail ids of a corruption of ``(h, r, t)``.
+
+        The replacement always differs from the original entity, so the
+        result differs from the input in exactly one position. Known
+        corruptions are redrawn; after ``max_attempts`` the last draw is
+        accepted even if it is a known triple.
+        """
+        heads = self.heads
+        corrupt_head = rng.random() < 0.5
+        if corrupt_head and len(heads) < 2 and (len(heads) == 0 or heads[0] == h):
+            corrupt_head = False
+        if corrupt_head:
+            size, skip = len(heads), self.head_pos[h]
+        else:
+            size, skip = self.n_entities, t
+        known, key = self.known, self.key
+        nh, nt = h, t
+        for _ in range(max_attempts):
+            # Uniform over the pool minus the original entity.
+            if skip >= 0:
+                i = int(rng.integers(size - 1))
+                if i >= skip:
+                    i += 1
+            else:
+                i = int(rng.integers(size))
+            nh, nt = (heads[i], t) if corrupt_head else (h, i)
+            if key(nh, r, nt) not in known:
+                break
+        return nh, nt
+
+    def sample_triple(
+        self, positive: Triple, rng: np.random.Generator, max_attempts: int = 100
+    ) -> Triple:
+        """:meth:`sample` on the id form of a Term-level triple."""
+        nh, nt = self.sample(*self.vocab.triple_ids(positive), rng, max_attempts)
+        entities = self.vocab.entities
+        return Triple(entities[nh], positive.relation, entities[nt])
 
 
 def sample_negative(
@@ -182,41 +223,10 @@ def sample_negative(
     graph: Graph,
     rng: np.random.Generator,
     max_attempts: int = 100,
-    _pools: _CorruptionPools | None = None,
 ) -> Triple:
-    """Corrupt one side of a positive triple.
-
-    The replacement always differs from the original entity, so the result
-    differs from the input in exactly one position. Corruptions found in
-    ``graph`` are rejected and redrawn; after ``max_attempts`` the last
-    sample is accepted even if it is a known triple.
-    """
-    if vocab.n_entities < 2:
-        raise ValueError("need at least two entities to corrupt a triple")
-    pools = _pools or _CorruptionPools(vocab)
-    corrupt_head = rng.random() < 0.5
-    if corrupt_head and len(pools.heads) < 2 and (
-        len(pools.heads) == 0 or pools.heads[0] == vocab.entity_id(positive.head)
-    ):
-        corrupt_head = False
-
-    if corrupt_head:
-        original = vocab.entity_id(positive.head)
-        pool = pools.heads
-    else:
-        original = vocab.entity_id(positive.tail)
-        pool = pools.tails
-
-    candidate = positive
-    for _ in range(max_attempts):
-        replacement = vocab.entities[_draw_excluding(pool, original, rng)]
-        if corrupt_head:
-            candidate = Triple(replacement, positive.relation, positive.tail)
-        else:
-            candidate = Triple(positive.head, positive.relation, replacement)
-        if candidate not in graph:
-            return candidate
-    return candidate
+    """One corruption of ``positive`` that is not in ``graph``; see
+    :class:`NegativeSampler`, which callers drawing many should build once."""
+    return NegativeSampler(vocab, graph).sample_triple(positive, rng, max_attempts)
 
 
 def margin_loss(positive_score: float, negative_score: float, margin: float = 1.0) -> float:
@@ -249,15 +259,6 @@ def convergence_epoch(
     return None
 
 
-def _triple_ids(graph: Graph, vocab: Vocab) -> np.ndarray:
-    ids = np.empty((len(graph), 3), dtype=np.int64)
-    for i, t in enumerate(graph.triples):
-        ids[i, 0] = vocab.entity_id(t.head)
-        ids[i, 1] = vocab.relation_id(t.relation)
-        ids[i, 2] = vocab.entity_id(t.tail)
-    return ids
-
-
 def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> TrainReport:
     """Run margin-ranking training in place and report per-epoch losses.
 
@@ -271,11 +272,10 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
 
     rng = np.random.default_rng(config.seed)
     vocab = split.vocab
-    full = split.full_graph()
-    pools = _CorruptionPools(vocab)
-    pos_ids = _triple_ids(split.train, vocab)
-    train_triples = split.train.triples
-    n = len(train_triples)
+    sampler = NegativeSampler(vocab, split.full_graph())
+    positives = [vocab.triple_ids(t) for t in split.train.triples]
+    pos_ids = np.array(positives, dtype=np.int64)
+    n = len(positives)
     npp = config.negatives_per_positive
 
     em, ec = model.entity_means, model.entity_covs
@@ -299,12 +299,8 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
             ph = np.repeat(pos_ids[batch, 0], npp)
             pr = np.repeat(pos_ids[batch, 1], npp)
             pt = np.repeat(pos_ids[batch, 2], npp)
-            nh = np.empty_like(ph)
-            nt = np.empty_like(pt)
-            for j, idx in enumerate(np.repeat(batch, npp)):
-                neg = sample_negative(train_triples[idx], vocab, full, rng, _pools=pools)
-                nh[j] = vocab.entity_id(neg.head)
-                nt[j] = vocab.entity_id(neg.tail)
+            negs = [sampler.sample(*positives[i], rng) for i in np.repeat(batch, npp).tolist()]
+            nh, nt = np.array(negs, dtype=np.int64).T
 
             pos_scores = score_fn(em[ph], ec[ph], rm[pr], rc[pr], em[pt], ec[pt])
             neg_scores = score_fn(em[nh], ec[nh], rm[pr], rc[pr], em[nt], ec[nt])

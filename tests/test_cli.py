@@ -23,7 +23,7 @@ from ikge.cli import (
 from ikge.model import load_model
 from ikge.pipeline import UnresolvedSlotError, VerificationFailedError, NetworkIntent
 from ikge.rdf import ParseError, PrefixError, VocabError, parse
-from ikge.training import TrainingDivergedError
+from ikge.training import TrainConfig, TrainingDivergedError, split_dataset
 
 INTENT_PREFIXES = (
     "@prefix icm: <http://intent.example/icm#> .\n"
@@ -142,6 +142,17 @@ def test_split_writes_partition(tmp_path, capsys, desk_paths, desk_ikg):
     assert len(parts["test"]) == 157
     union = set(parts["train"]) | set(parts["valid"]) | set(parts["test"])
     assert union == set(desk_ikg.triples)
+
+
+def test_split_defaults_to_the_split_train_uses(tmp_path, capsys, desk_paths, desk_ikg):
+    out_dir = tmp_path / "splits"
+    rc, _, _ = run(capsys, ["split", "--ikg", str(desk_paths["ikg"]), "--out-dir", str(out_dir)])
+    assert rc == EXIT_OK
+    config = TrainConfig()
+    expected = split_dataset(desk_ikg, config.split, config.seed)
+    for name in ("train", "valid", "test"):
+        written = (out_dir / f"{name}.ttl").read_text(encoding="utf-8")
+        assert written == rdf.serialize(getattr(expected, name))
 
 
 def test_split_missing_input(tmp_path, capsys):

@@ -6,6 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ikge import model as kg2e
 
 from ikge.evaluation import (
     LEFT,
@@ -178,6 +182,83 @@ def test_rank_metrics_document():
     assert set(doc["hits"]) == {"1", "3", "10"}  # json-friendly keys
 
 
+def brute_force_rank(model, triple, side, known, filtered):
+    """Rank over scalar scores, filtering by Term-level membership in ``known``."""
+    vocab = model.vocab
+    h, r, t = vocab.triple_ids(triple)
+    true_index = t if side == RIGHT else h
+    scores, keep = [], []
+    for e, term in enumerate(vocab.entities):
+        if side == RIGHT:
+            scores.append(kg2e.score(model, h, r, e))
+            other = Triple(triple.head, triple.relation, term)
+        else:
+            scores.append(kg2e.score(model, e, r, t))
+            other = None if term.is_literal else Triple(term, triple.relation, triple.tail)
+        known_other = other is not None and other in known
+        keep.append(e == true_index or not (filtered and known_other))
+    true_score = scores[true_index]
+    kept = [s for s, k in zip(scores, keep) if k]
+    better = sum(s > true_score for s in kept)
+    tied = sum(s == true_score for s in kept)
+    return better + (tied + 1) / 2.0
+
+
+def filter_fixtures():
+    """(model, test, known) cases for the indexed filter."""
+    cases = []
+    for seed in range(4):
+        model, g = random_eval_fixture(seed)
+        cases.append((model, Graph(g.triples[:20], g.prefix_map), g))
+    # known triples outside the model vocabulary: unknown entities, an
+    # unknown relation and a literal are all skipped by the filter
+    model, g = random_eval_fixture(5)
+    extra = [
+        Triple(Term.iri("ex:e1"), Term.iri("ex:r0"), Term.iri("ex:outside")),
+        Triple(Term.iri("ex:outside"), Term.iri("ex:r1"), Term.iri("ex:e2")),
+        Triple(Term.iri("ex:e1"), Term.iri("ex:rx"), Term.iri("ex:e3")),
+        Triple(Term.iri("ex:e1"), Term.iri("ex:r0"), Term.literal("v")),
+    ]
+    cases.append((model, Graph(g.triples[:20], g.prefix_map), Graph(g.triples + tuple(extra), g.prefix_map)))
+    # many tails per (h, r) and many heads per (r, t), with tied scores
+    lines = ["@prefix ex: <http://e.example/ns#> ."]
+    for i in range(12):
+        lines.append(f"ex:hub ex:r ex:e{i} .")
+        lines.append(f"ex:e{i} ex:s ex:sink .")
+        lines.append(f"ex:e{i} ex:r ex:e{(i * 5) % 12} .")
+    g = parse("\n".join(lines))
+    model = init_model(build_vocab(g), dim=2, seed=1)
+    model.entity_means[:] = np.round(model.entity_means * 2) / 4  # few distinct values
+    test = Graph(g.triples[::3] + g.triples[1::9], g.prefix_map)
+    cases.append((model, test, g))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_indexed_filter_matches_brute_force(case):
+    model, test, known = filter_fixtures()[case]
+    for filtered in (False, True):
+        expected = []
+        for triple in test.triples:
+            for side in (RIGHT, LEFT):
+                want = brute_force_rank(model, triple, side, known, filtered)
+                assert rank_triple(model, triple, side, known, filtered=filtered) == want
+                expected.append(want)
+        arr = np.array(expected)
+        m = evaluate_ranks(model, test, known, filtered=filtered)
+        assert m.mean_rank == float(arr.mean())
+        assert m.hits == {p: float((arr <= p).mean()) for p in (1, 3, 10)}
+        assert m.n_ranks == 2 * len(test)
+
+
+def test_filtered_ranks_differ_from_raw_on_dense_fixture():
+    # the dense fixture must exercise the filter, or the oracle test proves little
+    model, test, known = filter_fixtures()[-1]
+    raw = evaluate_ranks(model, test, known, filtered=False)
+    filt = evaluate_ranks(model, test, known, filtered=True)
+    assert filt.mean_rank < raw.mean_rank
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 
@@ -221,6 +302,53 @@ def test_best_threshold_shift_invariance():
         assert best_threshold(pos + c, neg + c) == pytest.approx(
             best_threshold(pos, neg) + c, abs=1e-9
         )
+
+
+def loop_best_threshold(pos_scores, neg_scores) -> float:
+    """The O(n^2) candidate loop ``best_threshold`` replaced, kept as its oracle."""
+    pos = np.asarray(pos_scores, dtype=np.float64)
+    neg = np.asarray(neg_scores, dtype=np.float64)
+    values = np.unique(np.concatenate([pos, neg]))
+    if len(values) == 0:
+        raise ValueError("no scores to threshold")
+    candidates = [values[0] - 1.0]
+    candidates.extend((values[:-1] + values[1:]) / 2.0)
+    candidates.append(values[-1] + 1.0)
+    best_t = None
+    best_acc = -1.0
+    total = len(pos) + len(neg)
+    for theta in candidates:
+        acc = (int((pos >= theta).sum()) + int((neg < theta).sum())) / total
+        if acc > best_acc:
+            best_acc = acc
+            best_t = float(theta)
+    return best_t
+
+
+def same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+tie_heavy = st.lists(st.integers(-3, 3).map(lambda i: i / 2.0), max_size=25)
+any_float = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=25)
+close_floats = st.lists(
+    st.sampled_from([1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1e308, -1e308, 0.0, -0.0]),
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tie_heavy, any_float, close_floats), st.one_of(tie_heavy, any_float, close_floats))
+@example([math.nan], [0.0])
+@example([math.inf, 1.0], [-math.inf, math.nan])
+@example([1e308, 1.7e308], [-1e308])
+def test_best_threshold_matches_loop_oracle(pos, neg):
+    if not pos and not neg:
+        with pytest.raises(ValueError):
+            best_threshold(pos, neg)
+        return
+    with np.errstate(over="ignore", invalid="ignore"):  # midpoints of huge or infinite scores
+        assert same_float(best_threshold(pos, neg), loop_best_threshold(pos, neg))
 
 
 def separable_fixture():
@@ -341,3 +469,46 @@ def test_evaluate_classification_counts():
     assert m.accuracy == pytest.approx((tp + tn) / (len(pos) + len(neg)))
     doc = m.to_document()
     assert doc["tp"] == tp and "accuracy" in doc and "f1" in doc
+
+
+def scalar_verdict(model, triple, table) -> bool:
+    h, r, t = model.vocab.triple_ids(triple)
+    return kg2e.score(model, h, r, t) >= table.lookup(r)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_classification_matches_scalar_path(seed):
+    model, g = random_eval_fixture(seed)
+    rng = np.random.default_rng(seed)
+    pos = Graph(g.triples[:30], g.prefix_map)
+    neg = [
+        Triple(t.head, t.relation, model.vocab.entities[int(rng.integers(model.vocab.n_entities))])
+        for t in g.triples[30:]
+    ]
+    table = select_thresholds(model, pos, neg)
+
+    # the thresholds the scalar path picks, relation by relation
+    by_rel: dict[int, tuple[list, list]] = {}
+    for triples, slot in ((pos.triples, 0), (neg, 1)):
+        for triple in triples:
+            h, r, t = model.vocab.triple_ids(triple)
+            by_rel.setdefault(r, ([], []))[slot].append(kg2e.score(model, h, r, t))
+    assert table.per_relation == {r: loop_best_threshold(*by_rel[r]) for r in sorted(by_rel)}
+    assert table.fallback == loop_best_threshold(
+        [s for p, _ in by_rel.values() for s in p], [s for _, n in by_rel.values() for s in n]
+    )
+
+    m = evaluate_classification(model, pos, neg, table)
+    tp = sum(scalar_verdict(model, t, table) for t in pos.triples)
+    fp = sum(scalar_verdict(model, t, table) for t in neg)
+    assert (m.tp, m.fn, m.fp, m.tn) == (tp, len(pos) - tp, fp, len(neg) - fp)
+    for t in list(pos.triples) + neg:
+        assert classify(model, t, table) is scalar_verdict(model, t, table)
+
+
+def test_evaluate_classification_rejects_placeholder():
+    model, pos, neg = separable_fixture()
+    table = select_thresholds(model, pos, neg)
+    bad = Triple(Term.iri("ex:p0"), Term.iri("ex:r0"), Term.placeholder(0))
+    with pytest.raises(ValueError):
+        evaluate_classification(model, pos, neg + [bad], table)

@@ -27,6 +27,7 @@ from ikge.model import (
     score_grad,
     score_grad_params,
     score_kl_params,
+    score_triples,
 )
 from ikge.evaluation import ThresholdTable
 
@@ -270,6 +271,30 @@ def test_score_candidates_bit_identical_to_scalar():
             for e in range(v.n_entities):
                 assert tails[e] == score(m, 2, r, e)
                 assert heads[e] == score(m, e, r, 2)
+
+
+def test_score_triples_bit_identical_to_scalar():
+    v = small_vocab(12, 3)
+    rng = np.random.default_rng(4)
+    ids = np.stack(
+        [rng.integers(12, size=200), rng.integers(3, size=200), rng.integers(12, size=200)],
+        axis=1,
+    )
+    for kind in (EXPECTED_LIKELIHOOD, KL_DIVERGENCE):
+        m = init_model(v, dim=7, seed=9, score_kind=kind)
+        batch = score_triples(m, ids)
+        assert batch.shape == (200,)
+        for row, s in zip(ids.tolist(), batch):
+            assert s == score(m, *row)
+        assert score_triples(m, ids[:1])[0] == score(m, *ids[0].tolist())
+        assert score_triples(m, np.empty((0, 3), dtype=np.int64)).shape == (0,)
+
+
+@pytest.mark.parametrize("row", [(-1, 0, 0), (0, 0, 12), (12, 0, 0), (0, 3, 0), (0, -1, 0)])
+def test_score_triples_rejects_out_of_range_ids(row):
+    m = init_model(small_vocab(12, 3), dim=3, seed=0)
+    with pytest.raises(IndexError):
+        score_triples(m, [row])
 
 
 def test_score_candidates_rejects_bad_position():

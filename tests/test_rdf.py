@@ -339,6 +339,25 @@ def test_vocab_errors():
         v.relation_id(Term.iri("ex:unknown"))
 
 
+def test_vocab_triple_ids_and_known_ids():
+    g = parse(
+        "@prefix ex: <http://e.example/ns#> .\n"
+        "ex:a ex:r ex:b .\n"
+        'ex:b ex:s "lit" .\n'
+    )
+    v = build_vocab(g)
+    assert [v.triple_ids(t) for t in g.triples] == [(0, 0, 1), (1, 1, 2)]
+    # the first unknown term in head, relation, tail order is named
+    with pytest.raises(VocabError, match="ex:zzz"):
+        v.triple_ids(Triple(Term.iri("ex:a"), Term.iri("ex:zzz"), Term.iri("ex:yyy")))
+    outside = [
+        Triple(Term.iri("ex:zzz"), Term.iri("ex:r"), Term.iri("ex:a")),
+        Triple(Term.iri("ex:a"), Term.iri("ex:zzz"), Term.iri("ex:a")),
+        Triple(Term.iri("ex:a"), Term.iri("ex:r"), Term.literal("zzz")),
+    ]
+    assert v.known_ids(list(g.triples) + outside) == [(0, 0, 1), (1, 1, 2)]
+
+
 def test_vocab_equality():
     g = parse("<http://e/a> <http://e/r> <http://e/b> .")
     assert build_vocab(g) == build_vocab(g)

@@ -10,6 +10,7 @@ from ikge.model import init_model
 from ikge.rdf import Graph, Term, Triple, VocabError, build_vocab, parse
 from ikge.training import (
     DatasetSplit,
+    NegativeSampler,
     TrainConfig,
     TrainingDivergedError,
     convergence_epoch,
@@ -227,6 +228,133 @@ def test_sample_negative_exhausted_graph_still_terminates():
     v = build_vocab(g)
     neg = sample_negative(g.triples[0], v, g, np.random.default_rng(5))
     assert neg.relation == g.triples[0].relation
+
+
+# Reference copy of the Term-level sampler the id-level NegativeSampler
+# replaced; the new sampler must reproduce its output stream exactly.
+
+
+class _ReferencePools:
+    def __init__(self, vocab):
+        self.heads = np.array(
+            [i for i, t in enumerate(vocab.entities) if not t.is_literal], dtype=np.int64
+        )
+        self.tails = np.arange(vocab.n_entities, dtype=np.int64)
+
+
+def _reference_draw_excluding(pool, exclude, rng):
+    k = int(np.searchsorted(pool, exclude))
+    if k < len(pool) and pool[k] == exclude:
+        if len(pool) == 1:
+            raise ValueError("no replacement entity available")
+        i = int(rng.integers(len(pool) - 1))
+        if i >= k:
+            i += 1
+        return int(pool[i])
+    if len(pool) == 0:
+        raise ValueError("no replacement entity available")
+    return int(pool[rng.integers(len(pool))])
+
+
+def _reference_sample_negative(positive, vocab, graph, rng, pools, max_attempts=100):
+    corrupt_head = rng.random() < 0.5
+    if corrupt_head and len(pools.heads) < 2 and (
+        len(pools.heads) == 0 or pools.heads[0] == vocab.entity_id(positive.head)
+    ):
+        corrupt_head = False
+    if corrupt_head:
+        original, pool = vocab.entity_id(positive.head), pools.heads
+    else:
+        original, pool = vocab.entity_id(positive.tail), pools.tails
+    candidate = positive
+    for _ in range(max_attempts):
+        replacement = vocab.entities[_reference_draw_excluding(pool, original, rng)]
+        if corrupt_head:
+            candidate = Triple(replacement, positive.relation, positive.tail)
+        else:
+            candidate = Triple(positive.head, positive.relation, replacement)
+        if candidate not in graph:
+            return candidate
+    return candidate
+
+
+def assert_same_stream(positives, vocab, known, seed, rounds=1, wrapper=True):
+    """Reference, sampler and (optionally, as it rebuilds the sampler per
+    call) the Term-level wrapper, each from its own generator of one seed."""
+    ref_rng = np.random.default_rng(seed)
+    new_rng = np.random.default_rng(seed)
+    wrapper_rng = np.random.default_rng(seed)
+    pools = _ReferencePools(vocab)
+    sampler = NegativeSampler(vocab, known)
+    forced = 0
+    for _ in range(rounds):
+        for positive in positives:
+            want = _reference_sample_negative(positive, vocab, known, ref_rng, pools)
+            assert sampler.sample_triple(positive, new_rng) == want
+            if wrapper:
+                assert sample_negative(positive, vocab, known, wrapper_rng) == want
+            forced += want in known
+    # the same number of draws was consumed, not only the same results
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    if wrapper:
+        assert wrapper_rng.bit_generator.state == ref_rng.bit_generator.state
+    return forced
+
+
+def test_sampler_stream_matches_reference_on_desk_split(desk_split):
+    full = desk_split.full_graph()
+    forced = assert_same_stream(
+        desk_split.train.triples, desk_split.vocab, full, seed=27, wrapper=False
+    )
+    assert forced == 0
+
+
+def test_sampler_stream_matches_reference_with_literal_tails():
+    g = parse(
+        "@prefix ex: <http://e.example/ns#> .\n"
+        'ex:a ex:r "v1" .\n'
+        'ex:a ex:r "v2" .\n'
+        'ex:b ex:s "v1" .\n'
+        "ex:a ex:s ex:b .\n"
+        "ex:b ex:r ex:c .\n"
+        'ex:c ex:s "v3" .\n'
+    )
+    v = build_vocab(g)
+    assert_same_stream(g.triples, v, g, seed=11, rounds=200)
+    rng = np.random.default_rng(12)
+    sampler = NegativeSampler(v, g)
+    for _ in range(500):
+        for positive in g.triples:
+            assert not sampler.sample_triple(positive, rng).head.is_literal
+    # a single IRI head: head corruption is impossible, so the tail is corrupted
+    one_head = parse('@prefix ex: <http://e.example/ns#> .\nex:a ex:r "v1" .\nex:a ex:r "v2" .\n')
+    assert_same_stream(one_head.triples, build_vocab(one_head), one_head, seed=13, rounds=100)
+
+
+def test_sampler_stream_matches_reference_on_exhausted_graph():
+    g = parse(
+        "@prefix ex: <http://e.example/ns#> .\n"
+        "ex:a ex:r ex:a .\n"
+        "ex:a ex:r ex:b .\n"
+        "ex:b ex:r ex:a .\n"
+        "ex:b ex:r ex:b .\n"
+    )
+    forced = assert_same_stream(g.triples, build_vocab(g), g, seed=14, rounds=5)
+    assert forced == 4 * 5  # every draw ends in a forced accept
+
+
+def test_sampler_skips_known_triples_outside_vocab():
+    g = line_graph(6)
+    v = build_vocab(line_graph(6, n_relations=1))  # knows ex:r0 only
+    sampler = NegativeSampler(v, g)
+    assert len(sampler.known) == 5
+    assert sampler.known == {sampler.key(*ids) for ids in v.known_ids(g.triples)}
+
+
+def test_sampler_needs_two_entities():
+    g = parse("<http://e/a> <http://e/r> <http://e/a> .")
+    with pytest.raises(ValueError, match="two entities"):
+        NegativeSampler(build_vocab(g), g)
 
 
 # ---------------------------------------------------------------------------
