@@ -5,8 +5,9 @@ test triple and reports the rank of the true entity, averaging positions
 over exact score ties. The filtered protocol drops candidates that form
 other known-true triples (never the true entity itself). The known graph
 is indexed once per ranking run, in its id form ``(h, r, t)``: tail ids
-by ``(h, r)`` and head ids by ``(r, t)``; known triples with a term outside
-the model vocabulary are skipped, since no candidate can complete them.
+by ``(h, r)`` and head ids by ``(r, t)``; a single ``rank_triple`` collects
+only the entry of its own query. Known triples with a term outside the
+model vocabulary are skipped, since no candidate can complete them.
 Classification applies per-relation score thresholds chosen on validation
 data by maximizing accuracy over midpoints of adjacent scores; the triples
 of one call are scored in one batch over their id array.
@@ -170,11 +171,23 @@ def rank_triple(
     known: Graph,
     filtered: bool = False,
 ) -> float:
-    """Rank of the true completion among all entities for one side."""
+    """Rank of the true completion among all entities for one side.
+
+    The filtered protocol collects only the known completions of this
+    triple's own query, which is the one entry of ``_filter_index`` it reads.
+    """
     if side not in (RIGHT, LEFT):
         raise ValueError(f"side must be '{RIGHT}' or '{LEFT}', got {side!r}")
     h, r, t = model.vocab.triple_ids(triple)
-    index = _filter_index(model, known) if filtered else None
+    index = None
+    if filtered:
+        head, relation, tail = triple.head, triple.relation, triple.tail
+        if side == RIGHT:
+            same = (k for k in known.triples if k.head == head and k.relation == relation)
+            index = {(RIGHT, h, r): [kt for _, _, kt in model.vocab.known_ids(same)]}
+        else:
+            same = (k for k in known.triples if k.tail == tail and k.relation == relation)
+            index = {(LEFT, r, t): [kh for kh, _, _ in model.vocab.known_ids(same)]}
     return _rank_ids(model, h, r, t, side, index)
 
 

@@ -6,6 +6,13 @@ terminators). Blank nodes, collections and language tags are out of scope.
 The three-byte token ``???`` is accepted as a whole term and denotes an
 unfilled slot in an intent template; slot ids are assigned in document
 order starting at 0.
+
+Parsing scans the whole document in one regex pass into ``(kind, value,
+offset)`` tokens, then reads statements from them. Within one parse every
+distinct IRI token and every distinct ``(lexical, datatype)`` literal is a
+single shared Term, checked when first read. Line and column are worked out
+from the offset only when a ParseError is raised. Terms and triples hash
+once, at construction, and compare by identity before their fields.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ class TermKind(Enum):
     PLACEHOLDER = "placeholder"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Term:
     """One node of a triple.
 
@@ -50,8 +57,9 @@ class Term:
     lexical form for literals. ``datatype`` keeps the datatype token
     exactly as written (``xsd:string`` or ``<...>``). ``slot`` is only
     meaningful for placeholders. ``prefixed`` records whether an IRI was
-    written as a prefixed name; equality is lexical, so ``icm:X`` and its
-    expansion are distinct terms.
+    written as a prefixed name; equality is lexical over all five fields,
+    so ``icm:X`` and its expansion are distinct terms. The hash is
+    computed once, at construction.
     """
 
     kind: TermKind
@@ -59,6 +67,34 @@ class Term:
     datatype: str | None = None
     slot: int = -1
     prefixed: bool = False
+
+    def __post_init__(self):
+        # An attribute, not a lazy lookup in ``__dict__``: dict-heavy callers
+        # pay for every extra step in ``__hash__``.
+        object.__setattr__(
+            self, "_hash", hash((self.kind, self.text, self.datatype, self.slot, self.prefixed))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Term:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.kind is other.kind
+            and self.text == other.text
+            and self.datatype == other.datatype
+            and self.slot == other.slot
+            and self.prefixed == other.prefixed
+        )
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy, ``_hash``.
+        return (Term, (self.kind, self.text, self.datatype, self.slot, self.prefixed))
 
     @classmethod
     def iri(cls, text: str, prefixed: bool | None = None) -> "Term":
@@ -92,21 +128,45 @@ class Term:
         return term_to_text(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Triple:
+    """Three terms; equal when the terms are equal, hashed once at construction."""
+
     head: Term
     relation: Term
     tail: Term
 
     def __post_init__(self):
-        if not self.relation.is_iri:
+        if self.relation.kind is not TermKind.IRI:
             raise ValueError("relation must be an IRI term")
-        if self.head.is_literal:
+        if self.head.kind is TermKind.LITERAL:
             raise ValueError("literal not allowed in subject position")
+        object.__setattr__(
+            self, "_hash", hash((self.head._hash, self.relation._hash, self.tail._hash))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Triple:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.head == other.head
+            and self.relation == other.relation
+            and self.tail == other.tail
+        )
+
+    def __reduce__(self):
+        return (Triple, (self.head, self.relation, self.tail))
 
     @property
     def placeholder_count(self) -> int:
-        return sum(1 for t in (self.head, self.tail) if t.is_placeholder)
+        placeholder = TermKind.PLACEHOLDER
+        return (self.head.kind is placeholder) + (self.tail.kind is placeholder)
 
     def __str__(self) -> str:
         return f"{self.head} {self.relation} {self.tail} ."
@@ -120,7 +180,11 @@ def escape_literal(text: str) -> str:
     return "".join(_LITERAL_ESCAPES.get(ch, ch) for ch in text)
 
 
-def _unescape_literal(raw: str, line: int, col: int) -> str:
+def _unescape_literal(raw: str, where) -> str:
+    """Decode the escapes of a literal body; ``where()`` gives the ``(line, col)``
+    a ParseError reports, and is called only on failure."""
+    if "\\" not in raw:
+        return raw
     out = []
     i = 0
     while i < len(raw):
@@ -130,7 +194,7 @@ def _unescape_literal(raw: str, line: int, col: int) -> str:
             i += 1
             continue
         if i + 1 >= len(raw):
-            raise ParseError("dangling escape in literal", line, col)
+            raise ParseError("dangling escape in literal", *where())
         nxt = raw[i + 1]
         if nxt in _LITERAL_UNESCAPES:
             out.append(_LITERAL_UNESCAPES[nxt])
@@ -139,11 +203,11 @@ def _unescape_literal(raw: str, line: int, col: int) -> str:
             width = 4 if nxt == "u" else 8
             hexpart = raw[i + 2 : i + 2 + width]
             if len(hexpart) != width or not re.fullmatch(r"[0-9A-Fa-f]+", hexpart):
-                raise ParseError("malformed unicode escape in literal", line, col)
+                raise ParseError("malformed unicode escape in literal", *where())
             out.append(chr(int(hexpart, 16)))
             i += 2 + width
         else:
-            raise ParseError(f"unsupported escape '\\{nxt}' in literal", line, col)
+            raise ParseError(f"unsupported escape '\\{nxt}' in literal", *where())
     return "".join(out)
 
 
@@ -168,7 +232,7 @@ def term_from_text(token: str) -> Term:
         m = re.fullmatch(r'"((?:[^"\\]|\\.)*)"(?:\^\^(\S+))?', token, re.S)
         if m is None:
             raise ValueError(f"malformed literal token: {token!r}")
-        return Term.literal(_unescape_literal(m.group(1), 0, 0), m.group(2))
+        return Term.literal(_unescape_literal(m.group(1), lambda: (0, 0)), m.group(2))
     return Term.iri(token, prefixed=True)
 
 
@@ -193,9 +257,12 @@ class Graph:
                 continue
             seen.add(t)
             kept.append(t)
+        checked: set[Term] = set()
         for t in kept:
             for term in (t.head, t.relation, t.tail):
-                _check_resolvable(term, prefix_map)
+                if term not in checked:
+                    _check_resolvable(term, prefix_map)
+                    checked.add(term)
         object.__setattr__(self, "triples", tuple(kept))
         object.__setattr__(self, "prefix_map", prefix_map)
         object.__setattr__(self, "duplicates_collapsed", dropped)
@@ -251,74 +318,56 @@ def _check_resolvable(term: Term, prefix_map: dict[str, str]) -> None:
             raise PrefixError(f"unresolved prefix '{prefix}:' in datatype {term.datatype}")
 
 
+# One match per token: the whitespace and comments before a token fold into
+# its match, ``eof`` ends the input and ``bad`` catches any other character.
+# The token alternatives start with distinct characters, so their order only
+# decides how soon the common ones (prefixed names, dots) are tried.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<prefix_kw>@prefix\b)
-    | (?P<iriref><[^<>\n]*>)
-    | (?P<placeholder>\?\?\?)
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:
+      (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?)
+    | (?P<dot>\.)
     | (?P<string>"(?:[^"\\\n]|\\.)*")
     | (?P<dtsep>\^\^)
-    | (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?)
-    | (?P<dot>\.)
+    | (?P<iriref><[^<>\n]*>)
+    | (?P<prefix_kw>@prefix\b)
+    | (?P<placeholder>\?\?\?)
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a character offset."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = list(self._scan())
-        self.pos = 0
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, value, offset)`` of every token, ending with one ``eof``.
 
-    def _scan(self):
-        line = 1
-        line_start = 0
-        offset = 0
-        n = len(self.text)
-        while offset < n:
-            m = _TOKEN_RE.match(self.text, offset)
-            if m is None:
-                raise ParseError(
-                    f"unexpected character {self.text[offset]!r}",
-                    line,
-                    offset - line_start + 1,
-                )
-            kind = m.lastgroup
-            value = m.group()
-            col = offset - line_start + 1
-            if kind not in ("ws", "comment"):
-                yield _Token(kind, value, line, col)
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                line_start = offset + value.rindex("\n") + 1
-            offset = m.end()
-        yield _Token("eof", "", line, n - line_start + 1)
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    The whole input is scanned before parsing starts, so a bad character
+    anywhere is reported ahead of any grammar error.
+    """
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        offset = m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", *_line_col(text, offset))
+        tokens.append((kind, m[kind], offset))
+        if kind == "eof":
+            break
+    return tokens
 
 
 NTRIPLES = "ntriples"
 TURTLE = "turtle"
-_FORMATS = (NTRIPLES, TURTLE, "turtle_subset")
+_FORMATS = (NTRIPLES, TURTLE)
 
 
 def parse(text: str, format: str = TURTLE) -> Graph:
@@ -326,89 +375,107 @@ def parse(text: str, format: str = TURTLE) -> Graph:
 
     Placeholders receive slot ids in document order. Prefixed names must
     resolve against a previously seen ``@prefix`` directive; N-Triples
-    input allows neither directives nor prefixed names.
+    input allows neither directives nor prefixed names. Each distinct IRI
+    token and each distinct ``(lexical, datatype)`` literal becomes one
+    shared Term; its checks run the first time it is read, which is enough
+    because the prefix map only grows.
     """
     if format not in _FORMATS:
         raise ValueError(f"unknown format {format!r}")
     allow_prefixes = format != NTRIPLES
-    scanner = _Scanner(text)
+    tokens = _tokens(text)
     prefix_map: dict[str, str] = {}
+    iris: dict[str, Term] = {}
+    literals: dict[tuple[str, str | None], Term] = {}
     triples: list[Triple] = []
     next_slot = 0
+    pos = 0
 
-    def fail(tok: _Token, message: str):
-        raise ParseError(message, tok.line, tok.col)
+    def fail(tok, message: str):
+        raise ParseError(message, *_line_col(text, tok[2]))
 
-    def read_iri(tok: _Token) -> Term:
-        if tok.kind == "iriref":
-            return Term.iri(tok.value[1:-1], prefixed=False)
-        if tok.kind == "pname":
+    def check_prefix(tok) -> None:
+        prefix = tok[1].partition(":")[0]
+        if prefix not in prefix_map:
+            fail(tok, f"unresolved prefix '{prefix}:'")
+
+    def new_iri(tok) -> Term:
+        if tok[0] == "iriref":
+            term = Term.iri(tok[1][1:-1], prefixed=False)
+        else:
             if not allow_prefixes:
                 fail(tok, "prefixed names are not allowed in N-Triples")
-            prefix = tok.value.partition(":")[0]
-            if prefix not in prefix_map:
-                fail(tok, f"unresolved prefix '{prefix}:'")
-            return Term.iri(tok.value, prefixed=True)
-        fail(tok, f"expected an IRI, got {tok.value!r}")
+            check_prefix(tok)
+            term = Term.iri(tok[1], prefixed=True)
+        iris[tok[1]] = term
+        return term
+
+    def read_literal(tok) -> Term:
+        nonlocal pos
+        raw = _unescape_literal(tok[1][1:-1], lambda: _line_col(text, tok[2]))
+        datatype = dtok = None
+        if tokens[pos][0] == "dtsep":
+            dtok = tokens[pos + 1]
+            pos += 2
+            if dtok[0] != "iriref" and (dtok[0] != "pname" or not allow_prefixes):
+                fail(dtok, "expected a datatype IRI after '^^'")
+            datatype = dtok[1]
+        term = literals.get((raw, datatype))
+        if term is None:
+            if dtok is not None and dtok[0] == "pname":
+                check_prefix(dtok)
+            term = literals[raw, datatype] = Term.literal(raw, datatype)
+        return term
 
     def read_term(position: str) -> Term:
-        nonlocal next_slot
-        tok = scanner.next()
-        if tok.kind == "eof":
+        nonlocal pos, next_slot
+        tok = tokens[pos]
+        pos += 1
+        kind = tok[0]
+        if kind == "iriref" or kind == "pname":
+            return iris.get(tok[1]) or new_iri(tok)
+        if kind == "eof":
             fail(tok, "unexpected end of input inside statement")
-        if tok.kind == "placeholder":
+        if kind == "placeholder":
             if position == "relation":
                 fail(tok, "placeholder not allowed in relation position")
             term = Term.placeholder(next_slot)
             next_slot += 1
             return term
-        if tok.kind == "string":
+        if kind == "string":
             if position == "head":
                 fail(tok, "literal not allowed in subject position")
             if position == "relation":
                 fail(tok, "literal not allowed in relation position")
-            lexical = _unescape_literal(tok.value[1:-1], tok.line, tok.col)
-            datatype = None
-            if scanner.peek().kind == "dtsep":
-                scanner.next()
-                dtok = scanner.next()
-                if dtok.kind == "iriref":
-                    datatype = dtok.value
-                elif dtok.kind == "pname" and allow_prefixes:
-                    prefix = dtok.value.partition(":")[0]
-                    if prefix not in prefix_map:
-                        fail(dtok, f"unresolved prefix '{prefix}:'")
-                    datatype = dtok.value
-                else:
-                    fail(dtok, "expected a datatype IRI after '^^'")
-            return Term.literal(lexical, datatype)
-        return read_iri(tok)
+            return read_literal(tok)
+        fail(tok, f"expected an IRI, got {tok[1]!r}")
 
     while True:
-        tok = scanner.peek()
-        if tok.kind == "eof":
+        tok = tokens[pos]
+        if tok[0] == "eof":
             break
-        if tok.kind == "prefix_kw":
+        if tok[0] == "prefix_kw":
             if not allow_prefixes:
                 fail(tok, "@prefix is not allowed in N-Triples")
-            scanner.next()
-            ptok = scanner.next()
-            if ptok.kind != "pname" or ptok.value.partition(":")[2]:
+            ptok = tokens[pos + 1]
+            if ptok[0] != "pname" or ptok[1].partition(":")[2]:
                 fail(ptok, "expected a 'prefix:' label after @prefix")
-            itok = scanner.next()
-            if itok.kind != "iriref":
+            itok = tokens[pos + 2]
+            if itok[0] != "iriref":
                 fail(itok, "expected an <IRI> in @prefix directive")
-            dot = scanner.next()
-            if dot.kind != "dot":
+            dot = tokens[pos + 3]
+            if dot[0] != "dot":
                 fail(dot, "expected '.' after @prefix directive")
-            prefix_map[ptok.value[:-1]] = itok.value[1:-1]
+            prefix_map[ptok[1][:-1]] = itok[1][1:-1]
+            pos += 4
             continue
         head = read_term("head")
         relation = read_term("relation")
         tail = read_term("tail")
-        dot = scanner.next()
-        if dot.kind != "dot":
+        dot = tokens[pos]
+        if dot[0] != "dot":
             fail(dot, "expected '.' after triple")
+        pos += 1
         triples.append(Triple(head, relation, tail))
 
     return Graph(triples, prefix_map)

@@ -15,6 +15,8 @@ from ikge.evaluation import (
     LEFT,
     RIGHT,
     ClassificationMetrics,
+    _filter_index,
+    _rank_ids,
     ThresholdTable,
     best_threshold,
     classify,
@@ -512,3 +514,25 @@ def test_evaluate_classification_rejects_placeholder():
     bad = Triple(Term.iri("ex:p0"), Term.iri("ex:r0"), Term.placeholder(0))
     with pytest.raises(ValueError):
         evaluate_classification(model, pos, neg + [bad], table)
+
+
+def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split):
+    # rank_triple collects only its own query's known completions; each rank
+    # must equal the one evaluate_ranks takes from the index of the whole graph
+    known = desk_split.full_graph()
+    index = _filter_index(desk_model, known)
+    for filtered in (False, True):
+        ranks = []
+        for triple in desk_split.test:
+            h, r, t = desk_model.vocab.triple_ids(triple)
+            for side in (RIGHT, LEFT):
+                got = rank_triple(desk_model, triple, side, known, filtered=filtered)
+                assert got == _rank_ids(desk_model, h, r, t, side, index if filtered else None)
+                ranks.append(got)
+        arr = np.array(ranks)
+        m = evaluate_ranks(desk_model, desk_split.test, known, filtered=filtered)
+        assert m.mean_rank == float(arr.mean())
+        assert m.hits == {p: float((arr <= p).mean()) for p in (1, 3, 10)}
+        assert m.n_ranks == len(ranks)
+    raw = evaluate_ranks(desk_model, desk_split.test, known, filtered=False)
+    assert m.mean_rank < raw.mean_rank  # the filter removed candidates

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import re
+import subprocess
+import sys
+from dataclasses import astuple, dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +17,13 @@ from hypothesis import strategies as st
 
 from ikge import rdf
 from ikge.rdf import (
+    NTRIPLES,
+    TURTLE,
     Graph,
     ParseError,
     PrefixError,
     Term,
+    TermKind,
     Triple,
     Vocab,
     VocabError,
@@ -235,6 +246,74 @@ def test_triple_validation():
     assert str(Triple(a, r, lit)) == 'ex:a ex:r "v" .'
 
 
+def _fresh(term: Term) -> Term:
+    return Term(term.kind, term.text, term.datatype, term.slot, term.prefixed)
+
+
+def test_parsed_terms_are_shared_and_equal_fresh_ones():
+    g = parse(
+        "@prefix ex: <http://e.example/ns#> .\n"
+        'ex:a ex:r ex:b .\nex:b ex:r "v" .\nex:a ex:s "v" .\n'
+        "<http://e/x> ex:r <http://e/x> .\nex:a ex:r ??? .\n"
+    )
+    a, r, b, v = g.triples[0].head, g.triples[0].relation, g.triples[0].tail, g.triples[1].tail
+    assert g.triples[2].head is a and g.triples[1].relation is r and g.triples[1].head is b
+    assert g.triples[2].tail is v and g.triples[3].head is g.triples[3].tail
+    for t in g.triples:
+        for term in (t.head, t.relation, t.tail):
+            fresh = _fresh(term)
+            assert fresh is not term and fresh == term and hash(fresh) == hash(term)
+        fresh = Triple(*(_fresh(term) for term in (t.head, t.relation, t.tail)))
+        assert fresh == t and hash(fresh) == hash(t) and fresh in g
+    assert Term.iri("ex:a") == a and Term.literal("v") == v
+
+
+def test_term_and_triple_equality_is_over_every_field():
+    base = Term(TermKind.IRI, "ex:a", None, -1, True)
+    variants = [
+        Term(TermKind.LITERAL, "ex:a", None, -1, True),
+        Term(TermKind.IRI, "ex:b", None, -1, True),
+        Term(TermKind.IRI, "ex:a", "xsd:string", -1, True),
+        Term(TermKind.IRI, "ex:a", None, 0, True),
+        Term(TermKind.IRI, "ex:a", None, -1, False),
+    ]
+    for other in variants:
+        assert other != base and base != other and not other == base
+    assert len({base, _fresh(base), *variants}) == 1 + len(variants)
+    assert (base == "x") is False and (base != "x") is True and base != ("ex:a",)
+    r, x = Term.iri("ex:r"), Term.iri("ex:x")
+    t = Triple(base, r, base)
+    assert t != Triple(x, r, base) and t != Triple(base, Term.iri("ex:s"), base)
+    assert t != Triple(base, r, x) and t == Triple(_fresh(base), _fresh(r), _fresh(base))
+    assert (t == (base, r, base)) is False
+
+
+def test_pickled_terms_rehash_in_another_process(tmp_path):
+    # a Term or Triple pickled where string hashes differ must not carry
+    # that process's hash along
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    out = tmp_path / "terms.pickle"
+    code = (
+        "import pickle, sys\n"
+        "from ikge.rdf import parse\n"
+        "g = parse(sys.argv[1])\n"
+        "terms = [term for t in g.triples for term in (t.head, t.relation, t.tail)]\n"
+        "with open(sys.argv[2], 'wb') as fh:\n"
+        "    pickle.dump((hash('ex:a'), terms, list(g.triples)), fh)\n"
+    )
+    text = '@prefix ex: <http://e.example/ns#> .\nex:a ex:r "v"^^ex:dt .\n<http://e/x> ex:r ??? .\n'
+    src = str(Path(rdf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code, text, str(out)], env=env, check=True, timeout=60)
+    with open(out, "rb") as fh:
+        their_hash, terms, triples = pickle.load(fh)
+    assert their_hash != hash("ex:a")  # the two processes hash strings differently
+    g = parse(text)
+    fresh_terms = {_fresh(term) for t in g.triples for term in (t.head, t.relation, t.tail)}
+    assert all(term in fresh_terms for term in terms)
+    assert all(t in set(g.triples) for t in triples) and all(t in g for t in triples)
+
+
 def test_escape_literal_round_trip():
     text = 'a\\b "c" \n\r\t end'
     g = parse(f'<http://e/a> <http://e/r> "{escape_literal(text)}" .')
@@ -391,3 +470,358 @@ _triples = st.builds(
 def test_round_trip_property(triples):
     g = Graph(triples, _PM)
     assert parse(serialize(g)) == g
+
+
+# ---------------------------------------------------------------------------
+# differential test: the parser against the line-tracking scanner it replaced
+#
+# The code from here to ``reference_parse`` is a verbatim copy of the
+# previous scanner and parser (entry point renamed, format constants taken
+# from ikge.rdf). It is the oracle for the triples, prefix map, duplicate
+# count and every error's type, message, line and column.
+
+_LITERAL_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+
+
+def _unescape_literal(raw: str, line: int, col: int) -> str:
+    out = []
+    i = 0
+    while i < len(raw):
+        ch = raw[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        if i + 1 >= len(raw):
+            raise ParseError("dangling escape in literal", line, col)
+        nxt = raw[i + 1]
+        if nxt in _LITERAL_UNESCAPES:
+            out.append(_LITERAL_UNESCAPES[nxt])
+            i += 2
+        elif nxt in ("u", "U"):
+            width = 4 if nxt == "u" else 8
+            hexpart = raw[i + 2 : i + 2 + width]
+            if len(hexpart) != width or not re.fullmatch(r"[0-9A-Fa-f]+", hexpart):
+                raise ParseError("malformed unicode escape in literal", line, col)
+            out.append(chr(int(hexpart, 16)))
+            i += 2 + width
+        else:
+            raise ParseError(f"unsupported escape '\\{nxt}' in literal", line, col)
+    return "".join(out)
+
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[ \t\r\n]+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<prefix_kw>@prefix\b)
+    | (?P<iriref><[^<>\n]*>)
+    | (?P<placeholder>\?\?\?)
+    | (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<dtsep>\^\^)
+    | (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?)
+    | (?P<dot>\.)
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    value: str
+    line: int
+    col: int
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = list(self._scan())
+        self.pos = 0
+
+    def _scan(self):
+        line = 1
+        line_start = 0
+        offset = 0
+        n = len(self.text)
+        while offset < n:
+            m = _TOKEN_RE.match(self.text, offset)
+            if m is None:
+                raise ParseError(
+                    f"unexpected character {self.text[offset]!r}",
+                    line,
+                    offset - line_start + 1,
+                )
+            kind = m.lastgroup
+            value = m.group()
+            col = offset - line_start + 1
+            if kind not in ("ws", "comment"):
+                yield _Token(kind, value, line, col)
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = offset + value.rindex("\n") + 1
+            offset = m.end()
+        yield _Token("eof", "", line, n - line_start + 1)
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+
+_FORMATS = (NTRIPLES, TURTLE, "turtle_subset")
+
+
+def reference_parse(text: str, format: str = TURTLE) -> Graph:
+    """Parse a document into a Graph.
+
+    Placeholders receive slot ids in document order. Prefixed names must
+    resolve against a previously seen ``@prefix`` directive; N-Triples
+    input allows neither directives nor prefixed names.
+    """
+    if format not in _FORMATS:
+        raise ValueError(f"unknown format {format!r}")
+    allow_prefixes = format != NTRIPLES
+    scanner = _Scanner(text)
+    prefix_map: dict[str, str] = {}
+    triples: list[Triple] = []
+    next_slot = 0
+
+    def fail(tok: _Token, message: str):
+        raise ParseError(message, tok.line, tok.col)
+
+    def read_iri(tok: _Token) -> Term:
+        if tok.kind == "iriref":
+            return Term.iri(tok.value[1:-1], prefixed=False)
+        if tok.kind == "pname":
+            if not allow_prefixes:
+                fail(tok, "prefixed names are not allowed in N-Triples")
+            prefix = tok.value.partition(":")[0]
+            if prefix not in prefix_map:
+                fail(tok, f"unresolved prefix '{prefix}:'")
+            return Term.iri(tok.value, prefixed=True)
+        fail(tok, f"expected an IRI, got {tok.value!r}")
+
+    def read_term(position: str) -> Term:
+        nonlocal next_slot
+        tok = scanner.next()
+        if tok.kind == "eof":
+            fail(tok, "unexpected end of input inside statement")
+        if tok.kind == "placeholder":
+            if position == "relation":
+                fail(tok, "placeholder not allowed in relation position")
+            term = Term.placeholder(next_slot)
+            next_slot += 1
+            return term
+        if tok.kind == "string":
+            if position == "head":
+                fail(tok, "literal not allowed in subject position")
+            if position == "relation":
+                fail(tok, "literal not allowed in relation position")
+            lexical = _unescape_literal(tok.value[1:-1], tok.line, tok.col)
+            datatype = None
+            if scanner.peek().kind == "dtsep":
+                scanner.next()
+                dtok = scanner.next()
+                if dtok.kind == "iriref":
+                    datatype = dtok.value
+                elif dtok.kind == "pname" and allow_prefixes:
+                    prefix = dtok.value.partition(":")[0]
+                    if prefix not in prefix_map:
+                        fail(dtok, f"unresolved prefix '{prefix}:'")
+                    datatype = dtok.value
+                else:
+                    fail(dtok, "expected a datatype IRI after '^^'")
+            return Term.literal(lexical, datatype)
+        return read_iri(tok)
+
+    while True:
+        tok = scanner.peek()
+        if tok.kind == "eof":
+            break
+        if tok.kind == "prefix_kw":
+            if not allow_prefixes:
+                fail(tok, "@prefix is not allowed in N-Triples")
+            scanner.next()
+            ptok = scanner.next()
+            if ptok.kind != "pname" or ptok.value.partition(":")[2]:
+                fail(ptok, "expected a 'prefix:' label after @prefix")
+            itok = scanner.next()
+            if itok.kind != "iriref":
+                fail(itok, "expected an <IRI> in @prefix directive")
+            dot = scanner.next()
+            if dot.kind != "dot":
+                fail(dot, "expected '.' after @prefix directive")
+            prefix_map[ptok.value[:-1]] = itok.value[1:-1]
+            continue
+        head = read_term("head")
+        relation = read_term("relation")
+        tail = read_term("tail")
+        dot = scanner.next()
+        if dot.kind != "dot":
+            fail(dot, "expected '.' after triple")
+        triples.append(Triple(head, relation, tail))
+
+    return Graph(triples, prefix_map)
+
+
+def _outcome(parser, text: str, fmt: str):
+    try:
+        g = parser(text, fmt)
+    except (rdf.RdfError, ValueError) as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None))
+    return ("parsed", [astuple(t) for t in g.triples], g.prefix_map, g.duplicates_collapsed)
+
+
+def assert_same_as_reference(text: str, fmt: str = TURTLE):
+    expected = _outcome(reference_parse, text, fmt)
+    assert _outcome(parse, text, fmt) == expected
+    return expected
+
+
+_sep = st.lists(
+    st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\n\n", " # note: ??? \"q\" .\n", "#\r\n"]),
+    min_size=1,
+    max_size=3,
+).map("".join)
+_opt_sep = st.one_of(st.just(""), _sep)
+_label = st.sampled_from(["ex", "icm", "xsd", ""])
+_local = st.sampled_from(["a", "b", "", "B1", "a.b", "x-y", "_9", "a..z-", "R_0.1"])
+_pname_tok = st.builds("{}:{}".format, st.sampled_from(["ex", "icm", ""]), _local)
+_iriref_tok = st.builds(
+    "<http://e.example/{}>".format, st.sampled_from(["a", "", "b#c", "x/y.z"])
+)
+_escape = st.sampled_from(["\\n", "\\t", '\\"', "\\\\", "\\r", "\\u00e9", "\\U0001F600"])
+_lit_body = st.lists(st.one_of(st.sampled_from(list("ab .:#<>?@^'")), _escape), max_size=5)
+
+
+@st.composite
+def _statement(draw, prefixed: bool):
+    """One directive or triple; ``prefixed=False`` keeps to N-Triples."""
+    iri = st.one_of(_pname_tok, _pname_tok, _iriref_tok) if prefixed else _iriref_tok
+    if prefixed and draw(st.integers(0, 5)) == 0:
+        label = draw(_label)
+        target = f"<http://{label or 'base'}.example/{draw(_local)}>"
+        return f"@prefix{draw(_sep)}{label}:{draw(_sep)}{target}{draw(_opt_sep)}."
+    head = draw(st.one_of(iri, st.just("???")))
+    relation = draw(iri)
+    datatypes = ["", "^^<http://w3/dt>"] + (["^^xsd:string", "^^ex:dt"] if prefixed else [])
+    literal = f'"{"".join(draw(_lit_body))}"{draw(st.sampled_from(datatypes))}'
+    tail = draw(st.one_of(iri, st.just(literal), st.just("???")))
+    return f"{head}{draw(_sep)}{relation}{draw(_sep)}{tail}{draw(_opt_sep)}."
+
+
+@st.composite
+def _document(draw, prefixed: bool = True):
+    parts = []
+    if prefixed and draw(st.booleans()):
+        parts += [f"@prefix {p}: <http://{p or 'base'}.example/> ." for p in ("ex", "icm", "xsd", "")]
+    parts += draw(st.lists(_statement(prefixed), max_size=8))
+    seps = [draw(_sep) for _ in parts]
+    return draw(_opt_sep) + "".join(p + s for p, s in zip(parts, seps))
+
+
+# a document and the format it is parsed as: Turtle documents as either
+# format, N-Triples documents mostly as N-Triples
+_documents = st.one_of(
+    st.tuples(_document(True), st.sampled_from([TURTLE, TURTLE, NTRIPLES])),
+    st.tuples(_document(False), st.sampled_from([NTRIPLES, NTRIPLES, TURTLE])),
+)
+
+
+# Hypothesis leans towards the first entries, so the bad characters come last.
+_BAD_SNIPPETS = [
+    "zz:a ex:r ex:b .",
+    '"lit" ex:r ex:b .',
+    'ex:a "lit" ex:b .',
+    "ex:a ??? ex:b .",
+    'ex:a ex:r "bad\\q" .',
+    'ex:a ex:r "\\u12" .',
+    'ex:a ex:r "dangling\\" .',
+    'ex:a ex:r "\\U00110000" .',
+    'ex:a ex:r "v"^^zz:dt .',
+    'ex:a ex:r "v"^^"x" .',
+    'ex:a ex:r "v"^^',
+    '<http://e/a> <http://e/r> "x\\q" .',
+    '<http://e/a> "lit" <http://e/b> .',
+    "<http://e/a> ??? <http://e/b> .",
+    "<http://e/a> <http://e/r> .",
+    "@prefix zz <http://z/> .",
+    '@prefix zz: "x" .',
+    "@prefix zz: <http://z/>",
+    "ex:a ex:r",
+    "@prefixes",
+    "{",
+    "%",
+]
+_SNIPPETS = _BAD_SNIPPETS + ["@prefix zz: <http://z/> .", "<http://e/a> <http://e/r> <http://e/a> ."]
+
+
+@st.composite
+def _mutated(draw):
+    text, fmt = draw(_documents)
+    for _ in range(draw(st.sampled_from([1, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        choice = draw(st.integers(0, 4))
+        if choice <= 2:  # splice in a snippet, mostly an invalid one, often between lines
+            lines = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+            if choice < 2:
+                at = draw(st.sampled_from(lines))
+            text = text[:at] + draw(st.sampled_from(_SNIPPETS)) + text[at:]
+        elif choice == 3:  # drop one character, often a '.'
+            dots = [i for i, ch in enumerate(text) if ch == "."]
+            if dots and draw(st.booleans()):
+                at = draw(st.sampled_from(dots))
+            text = text[:at] + text[at + 1 :]
+        else:  # insert one character the grammar may not allow there
+            text = text[:at] + draw(st.sampled_from(list(".^\"<>?:\\\n#%"))) + text[at:]
+    return text, fmt
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_documents)
+def test_parse_matches_reference_on_generated_documents(case):
+    assert_same_as_reference(*case)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_mutated())
+def test_parse_matches_reference_on_mutated_documents(case):
+    assert_same_as_reference(*case)
+
+
+_VALID = (
+    "@prefix ex: <http://e.example/ns#> .\r\n"
+    "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+    "ex:a ex:r ex:b . # comment\n"
+    'ex:a ex:r "v\\n\\u00e9" .\n'
+    'ex:a ex:r "v\\n\\u00e9"^^xsd:string .\n'
+    "??? ex:r ??? .\n"
+    "@prefix ex: <http://elsewhere/> .\n"
+    "ex:a ex:r ex:b .\n"
+)
+
+
+def test_parse_matches_reference_on_valid_document():
+    outcome = assert_same_as_reference(_VALID)
+    assert outcome[0] == "parsed" and len(outcome[1]) == 4 and outcome[3] == 1
+
+
+@pytest.mark.parametrize(
+    "text, fmt",
+    [(_VALID + snippet + "\n", TURTLE) for snippet in _BAD_SNIPPETS]
+    + [
+        (_VALID.replace("ex:b .\n", "ex:b\n", 1), TURTLE),  # a dropped '.'
+        (_VALID, NTRIPLES),  # @prefix in N-Triples
+        ("<http://e/a> <http://e/r> ex:b .", NTRIPLES),
+        ('<http://e/a> <http://e/r> "v"^^xsd:string .', NTRIPLES),
+    ],
+)
+def test_parse_matches_reference_on_each_mutation(text, fmt):
+    assert assert_same_as_reference(text, fmt)[0] == "raised"
