@@ -264,13 +264,19 @@ def _cmd_evaluate(args) -> int:
 
 
 def _parse_slot_triple(text: str, graph: rdf.Graph) -> rdf.Triple:
+    """The one triple of ``--triple``, read under the IKG's prefixes; a
+    ParseError gives its line and column within the argument."""
     header = "".join(
         f"@prefix {p}: <{iri}> .\n" for p, iri in sorted(graph.prefix_map.items())
     )
-    statement = text.strip()
+    statement = text.rstrip()
     if not statement.endswith("."):
         statement += " ."
-    parsed = rdf.parse(header + statement, format=rdf.TURTLE)
+    try:
+        parsed = rdf.parse(header + statement, format=rdf.TURTLE)
+    except rdf.ParseError as exc:
+        # The header is one line per prefix and always parses.
+        raise rdf.ParseError(exc.message, exc.line - len(graph.prefix_map), exc.col) from None
     if len(parsed.triples) != 1:
         raise CliError("config", "--triple must contain exactly one statement")
     return parsed.triples[0]

@@ -11,6 +11,13 @@ service, ``icm:targetResource`` a resource and ``icm:valueBy`` a literal
 value. A later slotted triple may reference an earlier slot through the
 role's anchor class (for example ``icm:Target`` in head position), which
 is substituted with the entity chosen for that slot before prediction.
+
+Per request, ``translate`` and ``predict_candidates`` each build one
+OntologyIndex: a single O(n) pass over the IKG's n triples. After it, a
+value slot's membership test is an O(1) dict lookup, the value pool costs
+one vocabulary lookup per observed literal, and every other pool is the
+vocabulary's cached array of non-literal entity ids. No index or pool is
+kept across calls.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .rdf import (
     Graph,
     ParseError,
     Term,
+    TermKind,
     Triple,
     VocabError,
     build_vocab,
@@ -279,21 +287,37 @@ def find_incomplete(template: IntentTemplate) -> list[Slot]:
 
 
 class OntologyIndex:
-    """Subclass closure, type assertions and literal pools of one IKG."""
+    """Subclass closure, type assertions and literal pools of one IKG.
+
+    Built in one pass over the triples: each distinct relation is classified
+    once, and literal tails are deduplicated through a dict that keeps
+    first-seen order and doubles as the O(1) membership test of value slots.
+    """
 
     def __init__(self, ikg: Graph):
         self.children: dict[Term, list[Term]] = {}
         self.types: dict[Term, set[Term]] = {}
-        self.literal_tails: dict[str, list[Term]] = {}
+        # relation text -> its literal tails, as dict keys in first-seen order
+        self._literal_sets: dict[str, dict[Term, None]] = {}
+        # relation -> 1 for subclass edges, 2 for type assertions, 0 otherwise
+        kinds: dict[Term, int] = {}
+        literal = TermKind.LITERAL
         for t in ikg.triples:
-            if t.relation == RDFS_SUBCLASS:
+            relation = t.relation
+            kind = kinds.get(relation)
+            if kind is None:
+                kind = kinds[relation] = (
+                    1 if relation == RDFS_SUBCLASS else 2 if relation == RDF_TYPE else 0
+                )
+            if kind == 1:
                 self.children.setdefault(t.head, []).append(t.tail)
-            elif t.relation == RDF_TYPE:
+            elif kind == 2:
                 self.types.setdefault(t.head, set()).add(t.tail)
-            if t.tail.is_literal:
-                bucket = self.literal_tails.setdefault(t.relation.text, [])
-                if t.tail not in bucket:
-                    bucket.append(t.tail)
+            if t.tail.kind is literal:
+                self._literal_sets.setdefault(relation.text, {})[t.tail] = None
+        self.literal_tails: dict[str, list[Term]] = {
+            text: list(tails) for text, tails in self._literal_sets.items()
+        }
         self._closures: dict[Term, frozenset[Term]] = {}
 
     def closure(self, root: Term) -> frozenset[Term]:
@@ -322,7 +346,7 @@ class OntologyIndex:
         observed as objects of the slot's relation.
         """
         if role == ROLE_VALUE:
-            return candidate.is_literal and candidate in self.literal_tails.get(
+            return candidate.is_literal and candidate in self._literal_sets.get(
                 relation.text, ()
             )
         anchor = ROLE_ANCHORS.get(role)
@@ -331,7 +355,7 @@ class OntologyIndex:
         closure = self.closure(anchor)
         if candidate in closure and candidate != anchor:
             return True
-        return bool(self.types.get(candidate, set()) & closure)
+        return not closure.isdisjoint(self.types.get(candidate, ()))
 
     def hint_consistent(self, candidate: Term, hint_terms) -> bool:
         return any(candidate in self.closure(h) for h in hint_terms)
@@ -364,17 +388,15 @@ def predict_candidates(
         scores = kg2e.score_candidates(model, 0, r, t, position="head")
 
     if slot.role == ROLE_VALUE:
-        pool = [
-            vocab.entity_id(lit)
-            for lit in index.literal_tails.get(triple.relation.text, ())
-            if lit in vocab
-        ]
+        pool = []
+        for lit in index.literal_tails.get(triple.relation.text, ()):
+            try:
+                pool.append(vocab.entity_id(lit))
+            except VocabError:
+                continue  # a literal the model was not trained on
         pool = np.array(sorted(pool), dtype=np.int64)
     else:
-        pool = np.array(
-            [i for i, term in enumerate(vocab.entities) if not term.is_literal],
-            dtype=np.int64,
-        )
+        pool = vocab.non_literal_ids
     if len(pool) == 0:
         return []
     pool_scores = scores[pool]

@@ -18,8 +18,12 @@ once, at construction, and compare by identity before their fields.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 
 class RdfError(Exception):
@@ -31,6 +35,7 @@ class ParseError(RdfError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -204,7 +209,10 @@ def _unescape_literal(raw: str, where) -> str:
             hexpart = raw[i + 2 : i + 2 + width]
             if len(hexpart) != width or not re.fullmatch(r"[0-9A-Fa-f]+", hexpart):
                 raise ParseError("malformed unicode escape in literal", *where())
-            out.append(chr(int(hexpart, 16)))
+            code = int(hexpart, 16)
+            if code > sys.maxunicode:
+                raise ParseError("unicode escape past U+10FFFF in literal", *where())
+            out.append(chr(code))
             i += 2 + width
         else:
             raise ParseError(f"unsupported escape '\\{nxt}' in literal", *where())
@@ -532,6 +540,17 @@ class Vocab:
     @property
     def n_entities(self) -> int:
         return len(self.entities)
+
+    @cached_property
+    def non_literal_ids(self) -> np.ndarray:
+        """Ascending ids of the entities that are not literals: the terms that
+        can stand in subject position. Read-only, built on first use."""
+        ids = np.array(
+            [i for i, t in enumerate(self.entities) if t.kind is not TermKind.LITERAL],
+            dtype=np.int64,
+        )
+        ids.flags.writeable = False
+        return ids
 
     @property
     def n_relations(self) -> int:

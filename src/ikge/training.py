@@ -165,7 +165,7 @@ class NegativeSampler:
         self.vocab = vocab
         self.n_entities = vocab.n_entities
         self.n_relations = vocab.n_relations
-        self.heads = [i for i, t in enumerate(vocab.entities) if not t.is_literal]
+        self.heads = vocab.non_literal_ids.tolist()
         # Position of each entity in the head pool, -1 for literals.
         self.head_pos = [-1] * self.n_entities
         for k, e in enumerate(self.heads):

@@ -163,6 +163,14 @@ def test_split_missing_input(tmp_path, capsys):
     assert rc == EXIT_IO and err.startswith("error: io:")
 
 
+def test_split_out_of_range_escape_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ttl"
+    bad.write_text('@prefix ex: <http://e.example/ns#> .\nex:a ex:r "\\U00110000" .\n')
+    rc, _, err = run(capsys, ["split", "--ikg", str(bad), "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_PARSE
+    assert err == "error: parse: line 2, col 11: unicode escape past U+10FFFF in literal\n"
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -357,6 +365,24 @@ def test_predict_requires_exactly_one_placeholder(capsys, desk_paths, triple):
          "--ikg", str(desk_paths["ikg"]), "--triple", triple],
     )
     assert rc == EXIT_CONFIG and "placeholder" in err
+
+
+@pytest.mark.parametrize(
+    "triple, position",
+    [
+        ('icm:Target icm:targetResource "\\q"', "line 1, col 31: unsupported escape"),
+        ('\n  icm:Target icm:targetResource "\\q"', "line 2, col 33: unsupported escape"),
+        ("zz:Target icm:targetResource ???", "line 1, col 1: unresolved prefix 'zz:'"),
+        ("icm:Target icm:targetResource", "line 1, col 31: expected an IRI, got '.'"),
+    ],
+)
+def test_predict_triple_errors_are_placed_within_the_argument(capsys, desk_paths, triple, position):
+    rc, _, err = run(
+        capsys,
+        ["predict", "--model", str(desk_paths["model"]),
+         "--ikg", str(desk_paths["ikg"]), "--triple", triple],
+    )
+    assert rc == EXIT_PARSE and err.startswith(f"error: parse: {position}")
 
 
 def test_predict_rejects_bad_k(capsys, desk_paths):

@@ -9,13 +9,18 @@ import numpy as np
 import pytest
 
 from ikge.evaluation import ThresholdTable
-from ikge.model import init_model, score
+from ikge.ikggen import IkgGenSpec, gen_ikg
+from ikge.model import init_model, score, score_candidates
 from ikge.pipeline import (
     BlueprintError,
     CorpusHint,
     KeywordMatch,
     NetworkIntent,
+    RDF_TYPE,
+    RDFS_SUBCLASS,
     OntologyIndex,
+    Prediction,
+    ROLE_ANCHORS,
     ROLE_RESOURCE,
     ROLE_SERVICE,
     ROLE_VALUE,
@@ -641,3 +646,194 @@ def test_translate_verification_failure_carries_intent(
     assert err.intent.verified is False
     assert len(err.failing) == 3
     assert all(r.classified is False for r in err.intent.resolutions)
+
+
+# ---------------------------------------------------------------------------
+# differential test: OntologyIndex and the candidate pools against the
+# list-scanning versions they replaced
+#
+# The code from here to the end of ``_reference_predict`` is a verbatim copy
+# of the previous OntologyIndex and predict_candidates (renamed, with the
+# model module's names imported directly). It is the oracle for the index's
+# tables, every admissibility and hint verdict, and the candidate pools.
+
+class _ReferenceIndex:
+    """Subclass closure, type assertions and literal pools of one IKG."""
+
+    def __init__(self, ikg: Graph):
+        self.children: dict[Term, list[Term]] = {}
+        self.types: dict[Term, set[Term]] = {}
+        self.literal_tails: dict[str, list[Term]] = {}
+        for t in ikg.triples:
+            if t.relation == RDFS_SUBCLASS:
+                self.children.setdefault(t.head, []).append(t.tail)
+            elif t.relation == RDF_TYPE:
+                self.types.setdefault(t.head, set()).add(t.tail)
+            if t.tail.is_literal:
+                bucket = self.literal_tails.setdefault(t.relation.text, [])
+                if t.tail not in bucket:
+                    bucket.append(t.tail)
+        self._closures: dict[Term, frozenset[Term]] = {}
+
+    def closure(self, root: Term) -> frozenset[Term]:
+        """``root`` plus everything reachable along subclass edges."""
+        cached = self._closures.get(root)
+        if cached is not None:
+            return cached
+        out = {root}
+        frontier = [root]
+        while frontier:
+            node = frontier.pop()
+            for child in self.children.get(node, ()):
+                if child not in out:
+                    out.add(child)
+                    frontier.append(child)
+        result = frozenset(out)
+        self._closures[root] = result
+        return result
+
+    def admissible(self, candidate: Term, role: str, relation: Term) -> bool:
+        """Ontology admissibility of a candidate for a slot role.
+
+        Service and resource candidates must sit strictly below the role's
+        anchor class in the subclass hierarchy or be typed (rdf:type) with
+        a class from that closure. Value candidates must be literals
+        observed as objects of the slot's relation.
+        """
+        if role == ROLE_VALUE:
+            return candidate.is_literal and candidate in self.literal_tails.get(
+                relation.text, ()
+            )
+        anchor = ROLE_ANCHORS.get(role)
+        if anchor is None:
+            return not candidate.is_literal
+        closure = self.closure(anchor)
+        if candidate in closure and candidate != anchor:
+            return True
+        return bool(self.types.get(candidate, set()) & closure)
+
+    def hint_consistent(self, candidate: Term, hint_terms) -> bool:
+        return any(candidate in self.closure(h) for h in hint_terms)
+
+
+def _reference_predict(
+    model,
+    slot: Slot,
+    k: int,
+    ikg: Graph,
+    index: _ReferenceIndex | None = None,
+) -> list[Prediction]:
+    """Top-k completions for one slot, scores non-increasing, ranks 1..k.
+
+    Value-role slots draw candidates only from the literals observed for
+    the slot's relation in the IKG; other roles draw from all non-literal
+    entities. Ties order by entity id.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    index = index or _ReferenceIndex(ikg)
+    vocab = model.vocab
+    triple = slot.triple
+    r = vocab.relation_id(triple.relation)
+    if slot.position == "tail":
+        h = vocab.entity_id(triple.head)
+        scores = score_candidates(model, h, r, 0, position="tail")
+    else:
+        t = vocab.entity_id(triple.tail)
+        scores = score_candidates(model, 0, r, t, position="head")
+
+    if slot.role == ROLE_VALUE:
+        pool = [
+            vocab.entity_id(lit)
+            for lit in index.literal_tails.get(triple.relation.text, ())
+            if lit in vocab
+        ]
+        pool = np.array(sorted(pool), dtype=np.int64)
+    else:
+        pool = np.array(
+            [i for i, term in enumerate(vocab.entities) if not term.is_literal],
+            dtype=np.int64,
+        )
+    if len(pool) == 0:
+        return []
+    pool_scores = scores[pool]
+    order = np.lexsort((pool, -pool_scores))
+    top = order[:k]
+    return [
+        Prediction(candidate=vocab.entities[pool[i]], score=float(pool_scores[i]), rank=rank)
+        for rank, i in enumerate(top, start=1)
+    ]
+
+
+_SPEC_GRAPH = IkgGenSpec(seed=9, n_services=25, n_resources=8, n_kpis=6, target_triples=500)
+
+
+@pytest.fixture(params=["toy", "desk", "spec"])
+def any_ikg(request):
+    if request.param == "spec":
+        return gen_ikg(_SPEC_GRAPH)
+    return request.getfixturevalue(f"{request.param}_ikg")
+
+
+def test_ontology_index_matches_reference(any_ikg):
+    g = any_ikg
+    new, old = OntologyIndex(g), _ReferenceIndex(g)
+    assert list(new.children.items()) == list(old.children.items())
+    assert list(new.types.items()) == list(old.types.items())
+    assert list(new.literal_tails.items()) == list(old.literal_tails.items())
+    assert any(old.literal_tails.values())
+
+    vocab = build_vocab(g)
+    classes = list(old.children)
+    for root in list(ROLE_ANCHORS.values()) + classes:
+        assert new.closure(root) == old.closure(root)
+    hint_sets = [[a] for a in ROLE_ANCHORS.values()] + [[c] for c in classes[:20]] + [classes, []]
+    verdicts = 0
+    for candidate in vocab.entities + (Term.literal("never seen"), iri("icm:NeverSeen")):
+        for relation in vocab.relations:
+            assert new.admissible(candidate, ROLE_VALUE, relation) == old.admissible(
+                candidate, ROLE_VALUE, relation
+            )
+            verdicts += old.admissible(candidate, ROLE_VALUE, relation)
+        for role in (ROLE_SERVICE, ROLE_RESOURCE, "kpi"):
+            assert new.admissible(candidate, role, vocab.relations[0]) == old.admissible(
+                candidate, role, vocab.relations[0]
+            )
+            verdicts += old.admissible(candidate, role, vocab.relations[0])
+        for hints in hint_sets:
+            assert new.hint_consistent(candidate, hints) == old.hint_consistent(candidate, hints)
+    assert verdicts > 0
+
+
+def test_candidate_pools_match_reference(any_ikg):
+    g = any_ikg
+    old = _ReferenceIndex(g)
+    # One literal of the graph is left out of the model's vocabulary; both
+    # pools must skip it.
+    missing = next(t.tail for t in g.triples if t.tail.is_literal)
+    vocab = build_vocab(Graph([t for t in g.triples if t.tail != missing], g.prefix_map))
+    assert missing not in vocab
+    model = init_model(vocab, dim=4, seed=3)
+    assert vocab.non_literal_ids.tolist() == [
+        i for i, term in enumerate(vocab.entities) if not term.is_literal
+    ]
+    head = vocab.entities[0]
+    slots = [
+        Slot(Triple(head, relation, Term.placeholder(0)), 0, role, "tail")
+        for relation in vocab.relations
+        for role in (ROLE_VALUE, ROLE_SERVICE)
+    ] + [Slot(Triple(Term.placeholder(0), relation, head), 0, ROLE_RESOURCE, "head")
+         for relation in vocab.relations]
+    value_slots = 0
+    for slot in slots:
+        for k in (1, 10, vocab.n_entities):
+            got = predict_candidates(model, slot, k, g)
+            assert got == _reference_predict(model, slot, k, g, index=old)
+        if slot.role == ROLE_VALUE:
+            pool = sorted(vocab.entity_id(p.candidate) for p in got)
+            tails = old.literal_tails.get(slot.triple.relation.text, ())
+            assert pool == sorted(vocab.entity_id(lit) for lit in tails if lit in vocab)
+            value_slots += missing in tails
+        else:
+            assert len(got) == len(vocab.non_literal_ids)
+    assert value_slots > 0
