@@ -372,11 +372,11 @@ def predict_candidates(
 
     Value-role slots draw candidates only from the literals observed for
     the slot's relation in the IKG; other roles draw from all non-literal
-    entities. Ties order by entity id.
+    entities. Ties order by entity id. Only a value slot reads ``index``,
+    built from ``ikg`` when not given.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    index = index or OntologyIndex(ikg)
     vocab = model.vocab
     triple = slot.triple
     r = vocab.relation_id(triple.relation)
@@ -388,6 +388,8 @@ def predict_candidates(
         scores = kg2e.score_candidates(model, 0, r, t, position="head")
 
     if slot.role == ROLE_VALUE:
+        if index is None:
+            index = OntologyIndex(ikg)
         pool = []
         for lit in index.literal_tails.get(triple.relation.text, ()):
             try:

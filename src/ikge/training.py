@@ -12,7 +12,31 @@ graph. Updates follow the RMS rule
     theta <- theta + lr * g / sqrt(s + eps)
 
 with g the ascent gradient of the batch margin objective, applied
-sequentially batch by batch; constraints are re-applied after every batch.
+sequentially batch by batch, each batch followed by the model constraints.
+
+A batch step is one pass over stacked id rows. Each part gives the bytes
+that drawing, scoring and updating pair by pair would:
+
+* Draws. An epoch's negatives are drawn in one call straight after the
+  epoch's permutation, making per triple the generator calls a single
+  draw makes. Nothing else draws in between, so the stream is unchanged;
+  a batch is ``batch_size * negatives_per_positive`` consecutive rows.
+* Scores. A batch's b positives and their b negatives form one 2b-row id
+  array: one gather of the six parameter blocks, one score call, and one
+  gradient call on the rows of the active pairs. Both functions are
+  elementwise with per-row reductions, so a row's value does not depend
+  on the rows beside it.
+* Updates. Gradients are summed per touched row with one ``np.add.at``
+  per table, mean and covariance halves side by side, in the order
+  positive heads, positive tails, negative heads, negative tails: each
+  row adds the same terms in the same order from zero. The RMS step reads
+  and writes the touched rows only.
+* Constraints. The whole model is constrained after the first batch;
+  after a later batch, only the rows it updated. The rule acts on each
+  row alone and is idempotent, so a row no batch has updated since the
+  whole-model application is already a fixed point. That holds for a
+  model passed in outside its constraints too, which is why the first
+  application covers every row.
 """
 
 from __future__ import annotations
@@ -178,35 +202,61 @@ class NegativeSampler:
     def sample(
         self, h: int, r: int, t: int, rng: np.random.Generator, max_attempts: int = 100
     ) -> tuple[int, int]:
-        """Head and tail ids of a corruption of ``(h, r, t)``.
+        """Head and tail ids of a corruption of ``(h, r, t)``: the one-triple
+        case of :meth:`sample_many`."""
+        heads, tails = self.sample_many(((h, r, t),), rng, max_attempts)
+        return heads[0], tails[0]
 
-        The replacement always differs from the original entity, so the
-        result differs from the input in exactly one position. Known
-        corruptions are redrawn; after ``max_attempts`` the last draw is
-        accepted even if it is a known triple.
+    def sample_many(
+        self, triples, rng: np.random.Generator, max_attempts: int = 100
+    ) -> tuple[list[int], list[int]]:
+        """Head ids and tail ids of one corruption per ``(h, r, t)`` id triple.
+
+        Triples are corrupted in order, each drawing what :meth:`sample`
+        draws for it, so the generator ends in the same state as after one
+        :meth:`sample` call per triple. A coin picks the side (the head
+        only when the head pool has an entity other than ``h``); the
+        replacement always differs from the original entity, so a result
+        differs from its triple in exactly one position. Known corruptions
+        are redrawn; after ``max_attempts`` the last draw is accepted even
+        if it is a known triple.
         """
-        heads = self.heads
-        corrupt_head = rng.random() < 0.5
-        if corrupt_head and len(heads) < 2 and (len(heads) == 0 or heads[0] == h):
-            corrupt_head = False
-        if corrupt_head:
-            size, skip = len(heads), self.head_pos[h]
-        else:
-            size, skip = self.n_entities, t
-        known, key = self.known, self.key
-        nh, nt = h, t
-        for _ in range(max_attempts):
-            # Uniform over the pool minus the original entity.
-            if skip >= 0:
-                i = int(rng.integers(size - 1))
-                if i >= skip:
-                    i += 1
+        random, integers = rng.random, rng.integers
+        heads, head_pos, known = self.heads, self.head_pos, self.known
+        n_e, n_r = self.n_entities, self.n_relations
+        head_stride, n_heads = n_r * n_e, len(heads)
+        out_h: list[int] = []
+        out_t: list[int] = []
+        for h, r, t in triples:
+            corrupt_head = random() < 0.5
+            if corrupt_head and n_heads < 2 and (n_heads == 0 or heads[0] == h):
+                corrupt_head = False
+            if corrupt_head:
+                size, skip = n_heads, head_pos[h]
             else:
-                i = int(rng.integers(size))
-            nh, nt = (heads[i], t) if corrupt_head else (h, i)
-            if key(nh, r, nt) not in known:
-                break
-        return nh, nt
+                size, skip = n_e, t
+            # Packed key (h * R + r) * E + t with the fixed side folded in.
+            hr, rt = h * n_r + r, r * n_e + t
+            nh, nt = h, t
+            for _ in range(max_attempts):
+                # Uniform over the pool minus the original entity.
+                if skip >= 0:
+                    i = int(integers(size - 1))
+                    if i >= skip:
+                        i += 1
+                else:
+                    i = int(integers(size))
+                if corrupt_head:
+                    nh = heads[i]
+                    if nh * head_stride + rt not in known:
+                        break
+                else:
+                    nt = i
+                    if hr * n_e + i not in known:
+                        break
+            out_h.append(nh)
+            out_t.append(nt)
+        return out_h, out_t
 
     def sample_triple(
         self, positive: Triple, rng: np.random.Generator, max_attempts: int = 100
@@ -271,76 +321,92 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
         raise ValueError("training split is empty")
 
     rng = np.random.default_rng(config.seed)
-    vocab = split.vocab
-    sampler = NegativeSampler(vocab, split.full_graph())
-    positives = [vocab.triple_ids(t) for t in split.train.triples]
-    pos_ids = np.array(positives, dtype=np.int64)
-    n = len(positives)
+    sampler = NegativeSampler(split.vocab, split.full_graph())
+    # Column form (3, n): one contiguous row each of heads, relations, tails.
+    pos_ids = np.array([split.vocab.triple_ids(t) for t in split.train.triples], dtype=np.int64)
+    pos_ids = np.ascontiguousarray(pos_ids.T)
+    n = pos_ids.shape[1]
     npp = config.negatives_per_positive
+    n_rows = n * npp
+    batch_rows = min(config.batch_size, n) * npp
 
     em, ec = model.entity_means, model.entity_covs
     rm, rc = model.relation_means, model.relation_covs
-    state = [np.zeros_like(a) for a in (em, ec, rm, rc)]
+    dim = em.shape[1]
     grad_fn = kg2e._GRAD_FNS[model.score_kind]
     score_fn = kg2e._SCORE_FNS[model.score_kind]
     lr, rho, eps = config.learning_rate, config.rms_decay, config.rms_epsilon
+    # Per table: means, covariances, the RMS state of each row (mean half,
+    # then covariance half) and each id's slot in a batch's accumulator. A
+    # slot is read only where the same batch wrote it, so it is never reset.
+    entities = (em, ec, np.zeros((len(em), 2 * dim)), np.empty(len(em), dtype=np.intp))
+    relations = (rm, rc, np.zeros((len(rm), 2 * dim)), np.empty(len(rm), dtype=np.intp))
+    positions = np.arange(4 * batch_rows)
 
-    def rms_update(theta, s, rows, grad):
-        s[rows] = rho * s[rows] + (1.0 - rho) * grad * grad
-        theta[rows] += lr * grad / np.sqrt(s[rows] + eps)
+    def update(table, ids, grads, b, constrain):
+        """Sum ``grads`` (mean half, then covariance half) per id in order,
+        take the RMS step on the touched rows and, when asked, constrain them."""
+        means, covs, state, slot = table
+        own = positions[: len(ids)]
+        slot[ids] = own
+        inv = slot[ids]
+        first = inv == own
+        acc = np.zeros_like(grads)
+        np.add.at(acc, inv, grads)
+        rows, g = ids[first], acc[first] / b
+        s = rho * state[rows] + (1.0 - rho) * g * g
+        state[rows] = s
+        step = lr * g / np.sqrt(s + eps)
+        m, c = means[rows] + step[:, :dim], covs[rows] + step[:, dim:]
+        if constrain:
+            kg2e.constrain_rows(m, c, model.c_min, model.c_max)
+        means[rows] = m
+        covs[rows] = c
 
+    constrained = False
     epoch_losses: list[float] = []
     for _epoch in range(config.epochs):
-        order = rng.permutation(n)
+        # The epoch's negatives in one draw, straight after the permutation.
+        pos = pos_ids[:, np.repeat(rng.permutation(n), npp)]
+        neg = pos.copy()
+        neg[0], neg[2] = sampler.sample_many(pos.T.tolist(), rng)
         loss_sum = 0.0
-        pair_count = 0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            ph = np.repeat(pos_ids[batch, 0], npp)
-            pr = np.repeat(pos_ids[batch, 1], npp)
-            pt = np.repeat(pos_ids[batch, 2], npp)
-            negs = [sampler.sample(*positives[i], rng) for i in np.repeat(batch, npp).tolist()]
-            nh, nt = np.array(negs, dtype=np.int64).T
-
-            pos_scores = score_fn(em[ph], ec[ph], rm[pr], rc[pr], em[pt], ec[pt])
-            neg_scores = score_fn(em[nh], ec[nh], rm[pr], rc[pr], em[nt], ec[nt])
-            losses = np.maximum(0.0, config.margin - pos_scores + neg_scores)
+        for lo in range(0, n_rows, batch_rows):
+            hi = lo + batch_rows
+            # A batch's positives, then their negatives, as one id array.
+            h, r, t = np.concatenate((pos[:, lo:hi], neg[:, lo:hi]), axis=1)
+            b = len(h) // 2
+            params = (em[h], ec[h], rm[r], rc[r], em[t], ec[t])
+            scores = score_fn(*params)
+            losses = np.maximum(0.0, config.margin - scores[:b] + scores[b:])
             loss_sum += float(losses.sum())
-            b = len(losses)
-            pair_count += b
 
-            active = losses > 0.0
-            if active.any():
-                ah, ar, at = ph[active], pr[active], pt[active]
-                bh, bt = nh[active], nt[active]
-                gp = grad_fn(em[ah], ec[ah], rm[ar], rc[ar], em[at], ec[at])
-                gn = grad_fn(em[bh], ec[bh], rm[ar], rc[ar], em[bt], ec[bt])
+            active = np.flatnonzero(losses > 0.0)
+            a = len(active)
+            if a:
+                # Active pairs: positives, then their negatives.
+                rows = np.concatenate((active, active + b))
+                g_mh, g_mr, g_mt, g_ch, g_cr, g_ct = grad_fn(*(p[rows] for p in params))
+                g_h = np.concatenate((g_mh, g_ch), axis=1)
+                g_t = np.concatenate((g_mt, g_ct), axis=1)
+                g_r = np.concatenate((g_mr, g_cr), axis=1)
+                ha, ta = h[rows], t[rows]
+                # Ascent on positives, descent on negatives, summed per row
+                # in the order positive heads, positive tails, negative
+                # heads, negative tails.
+                update(
+                    entities,
+                    np.concatenate((ha[:a], ta[:a], ha[a:], ta[a:])),
+                    np.concatenate((g_h[:a], g_t[:a], -g_h[a:], -g_t[a:])),
+                    b,
+                    constrained,
+                )
+                update(relations, r[active], g_r[:a] - g_r[a:], b, constrained)
+            if not constrained:
+                kg2e.apply_constraints(model)
+                constrained = True
 
-                g_em = np.zeros_like(em)
-                g_ec = np.zeros_like(ec)
-                g_rm = np.zeros_like(rm)
-                g_rc = np.zeros_like(rc)
-                # Ascent on positives, descent on negatives.
-                np.add.at(g_em, ah, gp[0])
-                np.add.at(g_em, at, gp[2])
-                np.add.at(g_em, bh, -gn[0])
-                np.add.at(g_em, bt, -gn[2])
-                np.add.at(g_ec, ah, gp[3])
-                np.add.at(g_ec, at, gp[5])
-                np.add.at(g_ec, bh, -gn[3])
-                np.add.at(g_ec, bt, -gn[5])
-                np.add.at(g_rm, ar, gp[1] - gn[1])
-                np.add.at(g_rc, ar, gp[4] - gn[4])
-
-                touched_e = np.unique(np.concatenate([ah, at, bh, bt]))
-                touched_r = np.unique(ar)
-                rms_update(em, state[0], touched_e, g_em[touched_e] / b)
-                rms_update(ec, state[1], touched_e, g_ec[touched_e] / b)
-                rms_update(rm, state[2], touched_r, g_rm[touched_r] / b)
-                rms_update(rc, state[3], touched_r, g_rc[touched_r] / b)
-            kg2e.apply_constraints(model)
-
-        mean_loss = loss_sum / pair_count
+        mean_loss = loss_sum / n_rows
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(f"non-finite mean loss at epoch {len(epoch_losses) + 1}")
         epoch_losses.append(mean_loss)

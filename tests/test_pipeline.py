@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ikge import pipeline
 from ikge.evaluation import ThresholdTable
 from ikge.ikggen import IkgGenSpec, gen_ikg
 from ikge.model import init_model, score, score_candidates
@@ -21,6 +22,7 @@ from ikge.pipeline import (
     OntologyIndex,
     Prediction,
     ROLE_ANCHORS,
+    ROLE_BY_RELATION,
     ROLE_RESOURCE,
     ROLE_SERVICE,
     ROLE_VALUE,
@@ -837,3 +839,42 @@ def test_candidate_pools_match_reference(any_ikg):
         else:
             assert len(got) == len(vocab.non_literal_ids)
     assert value_slots > 0
+
+
+# The six slots the intent-requests benchmark predicts, one per role and
+# position it serves.
+_BENCH_PREDICT_SLOTS = (
+    "icm:PropertyExpectation icm:hasTarget ???",
+    "icm:Target icm:targetResource ???",
+    "kpi:latency icm:valueBy ???",
+    "??? icm:targetResource service:NonMcpttGBRService",
+    "nonmcptt:ConvVideo icm:hasParameter ???",
+    "??? icm:hasParameter kpi:throughput",
+)
+
+
+def test_predict_candidates_indexes_only_value_slots(desk_model, desk_ikg, monkeypatch):
+    builds = []
+
+    class CountingIndex(OntologyIndex):
+        def __init__(self, ikg):
+            builds.append(ikg)
+            super().__init__(ikg)
+
+    monkeypatch.setattr(pipeline, "OntologyIndex", CountingIndex)
+    oracle = _ReferenceIndex(desk_ikg)
+    header = "".join(f"@prefix {p}: <{iri}> .\n" for p, iri in sorted(desk_ikg.prefix_map.items()))
+    kinds = set()
+    for text in _BENCH_PREDICT_SLOTS:
+        triple = parse(header + text + " .").triples[0]
+        position = "head" if triple.head.is_placeholder else "tail"
+        role = ROLE_BY_RELATION.get(triple.relation.text, ROLE_SERVICE)
+        slot = Slot(triple=triple, slot_id=0, role=role, position=position)
+        kinds.add((role == ROLE_VALUE, position))
+        for k in (1, 10, 50):
+            builds.clear()
+            got = predict_candidates(desk_model, slot, k, desk_ikg)
+            assert len(builds) == (role == ROLE_VALUE)
+            assert got == _reference_predict(desk_model, slot, k, desk_ikg, index=oracle)
+            assert len(got) == k
+    assert kinds == {(True, "tail"), (False, "tail"), (False, "head")}

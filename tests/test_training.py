@@ -5,14 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ikge import model as kg2e
 from ikge import rdf
-from ikge.model import init_model
+from ikge.ikggen import IkgGenSpec, gen_ikg
+from ikge.model import DEFAULT_DIM, EXPECTED_LIKELIHOOD, KL_DIVERGENCE, init_model
 from ikge.rdf import Graph, Term, Triple, VocabError, build_vocab, parse
 from ikge.training import (
     DatasetSplit,
     NegativeSampler,
     TrainConfig,
     TrainingDivergedError,
+    TrainReport,
     convergence_epoch,
     margin_loss,
     sample_negative,
@@ -343,6 +346,48 @@ def test_sampler_stream_matches_reference_on_exhausted_graph():
     assert forced == 4 * 5  # every draw ends in a forced accept
 
 
+def assert_batched_draw(triples, vocab, known, seed, rounds=1):
+    """``sample_many`` over the triples against one ``sample`` call per
+    triple, each from its own generator of one seed; returns the number of
+    forced accepts."""
+    sampler = NegativeSampler(vocab, known)
+    ids = [vocab.triple_ids(t) for t in triples] * rounds
+    one_rng = np.random.default_rng(seed)
+    many_rng = np.random.default_rng(seed)
+    want = [sampler.sample(h, r, t, one_rng) for h, r, t in ids]
+    heads, tails = sampler.sample_many(ids, many_rng)
+    assert list(zip(heads, tails)) == want
+    assert many_rng.bit_generator.state == one_rng.bit_generator.state
+    return sum(sampler.key(nh, r, nt) in sampler.known for (_, r, _), (nh, nt) in zip(ids, want))
+
+
+def test_batched_draw_matches_one_call_per_triple(desk_split):
+    assert assert_batched_draw(
+        desk_split.train.triples, desk_split.vocab, desk_split.full_graph(), seed=27
+    ) == 0
+    literal_tails = parse(
+        "@prefix ex: <http://e.example/ns#> .\n"
+        'ex:a ex:r "v1" .\n'
+        'ex:a ex:r "v2" .\n'
+        'ex:b ex:s "v1" .\n'
+        "ex:a ex:s ex:b .\n"
+        "ex:b ex:r ex:c .\n"
+        'ex:c ex:s "v3" .\n'
+    )
+    assert_batched_draw(literal_tails.triples, build_vocab(literal_tails), literal_tails, 11, 200)
+    one_head = parse('@prefix ex: <http://e.example/ns#> .\nex:a ex:r "v1" .\nex:a ex:r "v2" .\n')
+    assert_batched_draw(one_head.triples, build_vocab(one_head), one_head, seed=13, rounds=100)
+    exhausted = parse(
+        "@prefix ex: <http://e.example/ns#> .\n"
+        "ex:a ex:r ex:a .\n"
+        "ex:a ex:r ex:b .\n"
+        "ex:b ex:r ex:a .\n"
+        "ex:b ex:r ex:b .\n"
+    )
+    forced = assert_batched_draw(exhausted.triples, build_vocab(exhausted), exhausted, 14, 5)
+    assert forced == 4 * 5
+
+
 def test_sampler_skips_known_triples_outside_vocab():
     g = line_graph(6)
     v = build_vocab(line_graph(6, n_relations=1))  # knows ex:r0 only
@@ -468,3 +513,188 @@ def test_desk_training_improves_and_respects_constraints(desk_report, desk_model
     assert all(np.isfinite(losses))
     assert desk_report.constraint_violations == 0
     assert desk_model.train_config["seed"] == 27
+
+
+# ---------------------------------------------------------------------------
+# differential test: train against the per-batch loop it replaced
+#
+# The code from here to the end of ``_reference_train`` is a verbatim copy
+# of the previous apply_constraints and train (renamed, with the model
+# module imported as ``kg2e``). It is the oracle for every parameter byte,
+# epoch loss and convergence epoch.
+
+
+def _reference_apply_constraints(model):
+    """Rescale over-norm means to the unit ball and clamp covariances.
+
+    Idempotent: a second application leaves every array bit-identical.
+    """
+    for means in (model.entity_means, model.relation_means):
+        norms = np.linalg.norm(means, axis=1, keepdims=True)
+        over = norms > 1.0 + kg2e._NORM_TOL
+        if over.any():
+            np.divide(means, norms, out=means, where=over)
+    np.clip(model.entity_covs, model.c_min, model.c_max, out=model.entity_covs)
+    np.clip(model.relation_covs, model.c_min, model.c_max, out=model.relation_covs)
+    return model
+
+
+def _reference_train(model, split, config):
+    """Run margin-ranking training in place and report per-epoch losses.
+
+    Deterministic for a fixed config seed. Raises TrainingDivergedError as
+    soon as an epoch loss is non-finite.
+    """
+    if model.vocab != split.vocab:
+        raise VocabError("model vocabulary does not match the dataset split")
+    if len(split.train) == 0:
+        raise ValueError("training split is empty")
+
+    rng = np.random.default_rng(config.seed)
+    vocab = split.vocab
+    sampler = NegativeSampler(vocab, split.full_graph())
+    positives = [vocab.triple_ids(t) for t in split.train.triples]
+    pos_ids = np.array(positives, dtype=np.int64)
+    n = len(positives)
+    npp = config.negatives_per_positive
+
+    em, ec = model.entity_means, model.entity_covs
+    rm, rc = model.relation_means, model.relation_covs
+    state = [np.zeros_like(a) for a in (em, ec, rm, rc)]
+    grad_fn = kg2e._GRAD_FNS[model.score_kind]
+    score_fn = kg2e._SCORE_FNS[model.score_kind]
+    lr, rho, eps = config.learning_rate, config.rms_decay, config.rms_epsilon
+
+    def rms_update(theta, s, rows, grad):
+        s[rows] = rho * s[rows] + (1.0 - rho) * grad * grad
+        theta[rows] += lr * grad / np.sqrt(s[rows] + eps)
+
+    epoch_losses: list[float] = []
+    for _epoch in range(config.epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        pair_count = 0
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            ph = np.repeat(pos_ids[batch, 0], npp)
+            pr = np.repeat(pos_ids[batch, 1], npp)
+            pt = np.repeat(pos_ids[batch, 2], npp)
+            negs = [sampler.sample(*positives[i], rng) for i in np.repeat(batch, npp).tolist()]
+            nh, nt = np.array(negs, dtype=np.int64).T
+
+            pos_scores = score_fn(em[ph], ec[ph], rm[pr], rc[pr], em[pt], ec[pt])
+            neg_scores = score_fn(em[nh], ec[nh], rm[pr], rc[pr], em[nt], ec[nt])
+            losses = np.maximum(0.0, config.margin - pos_scores + neg_scores)
+            loss_sum += float(losses.sum())
+            b = len(losses)
+            pair_count += b
+
+            active = losses > 0.0
+            if active.any():
+                ah, ar, at = ph[active], pr[active], pt[active]
+                bh, bt = nh[active], nt[active]
+                gp = grad_fn(em[ah], ec[ah], rm[ar], rc[ar], em[at], ec[at])
+                gn = grad_fn(em[bh], ec[bh], rm[ar], rc[ar], em[bt], ec[bt])
+
+                g_em = np.zeros_like(em)
+                g_ec = np.zeros_like(ec)
+                g_rm = np.zeros_like(rm)
+                g_rc = np.zeros_like(rc)
+                # Ascent on positives, descent on negatives.
+                np.add.at(g_em, ah, gp[0])
+                np.add.at(g_em, at, gp[2])
+                np.add.at(g_em, bh, -gn[0])
+                np.add.at(g_em, bt, -gn[2])
+                np.add.at(g_ec, ah, gp[3])
+                np.add.at(g_ec, at, gp[5])
+                np.add.at(g_ec, bh, -gn[3])
+                np.add.at(g_ec, bt, -gn[5])
+                np.add.at(g_rm, ar, gp[1] - gn[1])
+                np.add.at(g_rc, ar, gp[4] - gn[4])
+
+                touched_e = np.unique(np.concatenate([ah, at, bh, bt]))
+                touched_r = np.unique(ar)
+                rms_update(em, state[0], touched_e, g_em[touched_e] / b)
+                rms_update(ec, state[1], touched_e, g_ec[touched_e] / b)
+                rms_update(rm, state[2], touched_r, g_rm[touched_r] / b)
+                rms_update(rc, state[3], touched_r, g_rc[touched_r] / b)
+            _reference_apply_constraints(model)
+
+        mean_loss = loss_sum / pair_count
+        if not np.isfinite(mean_loss):
+            raise TrainingDivergedError(f"non-finite mean loss at epoch {len(epoch_losses) + 1}")
+        epoch_losses.append(mean_loss)
+
+    return TrainReport(
+        epoch_losses=epoch_losses,
+        convergence_epoch=convergence_epoch(epoch_losses),
+        constraint_violations=kg2e.constraint_violations(model),
+    )
+
+
+_PARAMS = ("entity_means", "entity_covs", "relation_means", "relation_covs")
+_SMALL_SPEC = IkgGenSpec(seed=5, n_services=6, n_resources=3, n_kpis=3, target_triples=120)
+
+
+def assert_train_matches_reference(model, split, config):
+    """Train a copy of ``model`` each way; returns the reference's outcome."""
+    ours, theirs = model.copy(), model.copy()
+    try:
+        want = _reference_train(theirs, split, config)
+    except TrainingDivergedError as exc:
+        with pytest.raises(TrainingDivergedError, match=f"^{exc}$"):
+            train(ours, split, config)
+        want = exc
+    else:
+        assert train(ours, split, config) == want
+    for name in _PARAMS:
+        assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), name
+    return want
+
+
+@pytest.fixture(scope="module")
+def small_split():
+    return split_dataset(gen_ikg(_SMALL_SPEC), seed=3)
+
+
+@pytest.mark.parametrize("score_kind", [KL_DIVERGENCE, EXPECTED_LIKELIHOOD])
+@pytest.mark.parametrize("graph", ["desk", "small"])
+@pytest.mark.parametrize(
+    "npp,batch_size,epochs", [(1, 64, 6), (2, 64, 4), (3, 7, 3), (1, 1, 1), (1, 5000, 5)]
+)
+def test_train_matches_reference(request, graph, score_kind, npp, batch_size, epochs):
+    split = request.getfixturevalue(f"{graph}_split")
+    config = TrainConfig(
+        epochs=epochs, batch_size=batch_size, negatives_per_positive=npp, seed=27
+    )
+    dim = DEFAULT_DIM if graph == "desk" else 8
+    report = assert_train_matches_reference(
+        init_model(split.vocab, dim=dim, seed=config.seed, score_kind=score_kind), split, config
+    )
+    assert len(report.epoch_losses) == epochs
+
+
+@pytest.mark.parametrize("score_kind", [KL_DIVERGENCE, EXPECTED_LIKELIHOOD])
+@pytest.mark.parametrize("batch_size", [1, 7, 64, 5000])
+def test_train_matches_reference_from_outside_constraints(small_split, score_kind, batch_size):
+    # Means of every norm up to ~3 and covariances on both sides of the
+    # box: the first batch's whole-model constraint must reach rows that
+    # batch does not touch.
+    model = init_model(small_split.vocab, dim=8, seed=1, score_kind=score_kind)
+    rng = np.random.default_rng(2)
+    for means, covs in ((model.entity_means, model.entity_covs),
+                        (model.relation_means, model.relation_covs)):
+        means *= rng.uniform(0.5, 3.0, (len(means), 1))
+        covs[:] = rng.uniform(0.01, 8.0, covs.shape)
+    assert kg2e.constraint_violations(model) > 0
+    config = TrainConfig(epochs=2, batch_size=batch_size, seed=4)
+    assert assert_train_matches_reference(model, small_split, config).constraint_violations == 0
+
+
+def test_train_matches_reference_on_divergence():
+    g = line_graph(10)
+    split = split_dataset(g, seed=0)
+    model = init_model(build_vocab(g), dim=4, seed=0)
+    model.entity_means[0, 0] = np.nan
+    outcome = assert_train_matches_reference(model, split, TrainConfig(epochs=2, seed=0))
+    assert isinstance(outcome, TrainingDivergedError)
