@@ -4,157 +4,8 @@ The package covers the full loop: a small RDF toolchain, KG2E-style
 embedding models with expected-likelihood and KL scoring, margin-based
 training with RMSProp, rank and classification evaluation, and the
 keyword-to-verified-intent pipeline, plus a deterministic desk-scale
-IKG generator and a command line front end.
+IKG generator and a command line front end. The package re-exports
+nothing: import from its submodules.
 """
 
-from .evaluation import (
-    ClassificationMetrics,
-    RankMetrics,
-    ThresholdTable,
-    best_threshold,
-    classify,
-    evaluate_classification,
-    evaluate_ranks,
-    rank_triple,
-    select_thresholds,
-)
-from .ikggen import IkgGenSpec, InfeasibleSpecError, gen_ikg
-from .model import (
-    DEFAULT_C_MAX,
-    DEFAULT_C_MIN,
-    DEFAULT_DIM,
-    EXPECTED_LIKELIHOOD,
-    KL_DIVERGENCE,
-    GaussianParams,
-    Kg2eModel,
-    ScoreGradients,
-    apply_constraints,
-    constraint_violations,
-    init_model,
-    load_model,
-    model_from_document,
-    model_to_document,
-    save_model,
-    score,
-    score_candidates,
-    score_el,
-    score_grad,
-    score_kl,
-)
-from .pipeline import (
-    BlueprintError,
-    IntentTemplate,
-    KeywordCorpus,
-    NetworkIntent,
-    PipelineError,
-    Slot,
-    SlotResolution,
-    UnresolvedSlotError,
-    VerificationFailedError,
-    build_template,
-    complete_template,
-    extract_keywords,
-    load_corpus,
-    predict_candidates,
-    translate,
-    verify_intent,
-)
-from .rdf import (
-    Graph,
-    ParseError,
-    PrefixError,
-    RdfError,
-    Term,
-    TermKind,
-    Triple,
-    Vocab,
-    VocabError,
-    build_vocab,
-    parse,
-    serialize,
-)
-from .training import (
-    DatasetSplit,
-    TrainConfig,
-    TrainingDivergedError,
-    TrainReport,
-    convergence_epoch,
-    margin_loss,
-    sample_negative,
-    split_dataset,
-    train,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlueprintError",
-    "ClassificationMetrics",
-    "DEFAULT_C_MAX",
-    "DEFAULT_C_MIN",
-    "DEFAULT_DIM",
-    "DatasetSplit",
-    "EXPECTED_LIKELIHOOD",
-    "GaussianParams",
-    "Graph",
-    "IkgGenSpec",
-    "InfeasibleSpecError",
-    "IntentTemplate",
-    "KL_DIVERGENCE",
-    "Kg2eModel",
-    "KeywordCorpus",
-    "NetworkIntent",
-    "ParseError",
-    "PipelineError",
-    "PrefixError",
-    "RankMetrics",
-    "RdfError",
-    "ScoreGradients",
-    "Slot",
-    "SlotResolution",
-    "Term",
-    "TermKind",
-    "ThresholdTable",
-    "TrainConfig",
-    "TrainReport",
-    "TrainingDivergedError",
-    "Triple",
-    "UnresolvedSlotError",
-    "VerificationFailedError",
-    "Vocab",
-    "VocabError",
-    "apply_constraints",
-    "best_threshold",
-    "build_template",
-    "build_vocab",
-    "classify",
-    "complete_template",
-    "constraint_violations",
-    "convergence_epoch",
-    "evaluate_classification",
-    "evaluate_ranks",
-    "extract_keywords",
-    "gen_ikg",
-    "init_model",
-    "load_corpus",
-    "load_model",
-    "margin_loss",
-    "model_from_document",
-    "model_to_document",
-    "parse",
-    "predict_candidates",
-    "rank_triple",
-    "sample_negative",
-    "save_model",
-    "score",
-    "score_candidates",
-    "score_el",
-    "score_grad",
-    "score_kl",
-    "select_thresholds",
-    "serialize",
-    "split_dataset",
-    "train",
-    "translate",
-    "verify_intent",
-]

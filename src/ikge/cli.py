@@ -197,9 +197,8 @@ def _cmd_train(args) -> int:
     )
     report = training.train(model, split, config)
 
-    negatives = _sample_negatives(
-        split.valid, split.vocab, split.full_graph(), (config.seed, 2)
-    )
+    # The split partitions the graph, so the graph is the full known set.
+    negatives = _sample_negatives(split.valid, split.vocab, graph, (config.seed, 2))
     model.thresholds = evaluation.select_thresholds(
         model, rdf.Graph(split.valid, graph.prefix_map), negatives
     )
@@ -238,11 +237,10 @@ def _cmd_evaluate(args) -> int:
     if model.thresholds is None:
         raise CliError("config", "model carries no thresholds; re-run train")
 
-    known = split.full_graph()
     test = rdf.Graph(split.test, graph.prefix_map)
-    raw = evaluation.evaluate_ranks(model, test, known, filtered=False)
-    filtered = evaluation.evaluate_ranks(model, test, known, filtered=True)
-    negatives = _sample_negatives(split.test, split.vocab, known, (config.seed, 3))
+    raw = evaluation.evaluate_ranks(model, test, graph, filtered=False)
+    filtered = evaluation.evaluate_ranks(model, test, graph, filtered=True)
+    negatives = _sample_negatives(split.test, split.vocab, graph, (config.seed, 3))
     classification = evaluation.evaluate_classification(
         model, split.test, negatives, model.thresholds
     )

@@ -15,7 +15,7 @@ of one call are scored in one batch over their id array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,18 +83,7 @@ class ClassificationMetrics:
         )
 
     def to_document(self) -> dict:
-        return {
-            "tp": self.tp,
-            "tn": self.tn,
-            "fp": self.fp,
-            "fn": self.fn,
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-            "tpr": self.tpr,
-            "tnr": self.tnr,
-            "fpr": self.fpr,
-            "fnr": self.fnr,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -17,7 +17,6 @@ covariance diagonals into [c_min, c_max].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,29 +35,6 @@ MODEL_FORMAT_VERSION = 1
 # Norm slack: rescaling is skipped below it so that re-applying the
 # constraint is an exact no-op despite float rounding.
 _NORM_TOL = 1e-9
-
-TripleScore = float
-
-
-@dataclass
-class GaussianParams:
-    """Mean and covariance diagonal of one embedded element."""
-
-    mean: np.ndarray
-    cov_diag: np.ndarray
-
-
-@dataclass
-class ScoreGradients:
-    """Analytic partials of a triple score w.r.t. all six parameter blocks."""
-
-    mean_h: np.ndarray
-    mean_r: np.ndarray
-    mean_t: np.ndarray
-    cov_h: np.ndarray
-    cov_r: np.ndarray
-    cov_t: np.ndarray
-
 
 class Kg2eModel:
     """Embedding table pair plus scoring configuration.
@@ -108,14 +84,6 @@ class Kg2eModel:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-
-    def entity_params(self, index: int) -> GaussianParams:
-        self._check_entity(index)
-        return GaussianParams(self.entity_means[index], self.entity_covs[index])
-
-    def relation_params(self, index: int) -> GaussianParams:
-        self._check_relation(index)
-        return GaussianParams(self.relation_means[index], self.relation_covs[index])
 
     def _check_entity(self, index: int) -> None:
         if not 0 <= index < self.vocab.n_entities:
@@ -219,47 +187,33 @@ def _kl_grads(mh, ch, mr, cr, mt, ct):
 _GRAD_FNS = {EXPECTED_LIKELIHOOD: _el_grads, KL_DIVERGENCE: _kl_grads}
 
 
-def score_el_params(h: GaussianParams, r: GaussianParams, t: GaussianParams) -> float:
-    return float(_el_scores(h.mean, h.cov_diag, r.mean, r.cov_diag, t.mean, t.cov_diag))
+def _kind_fn(fns: dict, model: Kg2eModel, score_kind: str | None):
+    kind = score_kind or model.score_kind
+    if kind not in fns:
+        raise ValueError(f"unknown score kind {kind!r}")
+    return fns[kind]
 
 
-def score_kl_params(h: GaussianParams, r: GaussianParams, t: GaussianParams) -> float:
-    return float(_kl_scores(h.mean, h.cov_diag, r.mean, r.cov_diag, t.mean, t.cov_diag))
-
-
-def score_grad_params(
-    h: GaussianParams, r: GaussianParams, t: GaussianParams, score_kind: str
-) -> ScoreGradients:
-    grads = _GRAD_FNS[score_kind](h.mean, h.cov_diag, r.mean, r.cov_diag, t.mean, t.cov_diag)
-    return ScoreGradients(*(g.copy() for g in grads))
-
-
-def score_el(model: Kg2eModel, h: int, r: int, t: int) -> float:
-    return score_el_params(model.entity_params(h), model.relation_params(r), model.entity_params(t))
-
-
-def score_kl(model: Kg2eModel, h: int, r: int, t: int) -> float:
-    return score_kl_params(model.entity_params(h), model.relation_params(r), model.entity_params(t))
+def _triple_rows(model: Kg2eModel, h: int, r: int, t: int) -> tuple:
+    """The six parameter rows of one id triple, after range checks."""
+    model._check_entity(h)
+    model._check_relation(r)
+    model._check_entity(t)
+    em, ec = model.entity_means, model.entity_covs
+    rm, rc = model.relation_means, model.relation_covs
+    return em[h], ec[h], rm[r], rc[r], em[t], ec[t]
 
 
 def score(model: Kg2eModel, h: int, r: int, t: int, score_kind: str | None = None) -> float:
-    kind = score_kind or model.score_kind
-    if kind == EXPECTED_LIKELIHOOD:
-        return score_el(model, h, r, t)
-    if kind == KL_DIVERGENCE:
-        return score_kl(model, h, r, t)
-    raise ValueError(f"unknown score kind {kind!r}")
+    """Score of one id triple; bit-identical to its row of :func:`score_triples`."""
+    return float(_kind_fn(_SCORE_FNS, model, score_kind)(*_triple_rows(model, h, r, t)))
 
 
-def score_grad(
-    model: Kg2eModel, h: int, r: int, t: int, score_kind: str | None = None
-) -> ScoreGradients:
-    kind = score_kind or model.score_kind
-    if kind not in SCORE_KINDS:
-        raise ValueError(f"unknown score kind {kind!r}")
-    return score_grad_params(
-        model.entity_params(h), model.relation_params(r), model.entity_params(t), kind
-    )
+def score_grad(model: Kg2eModel, h: int, r: int, t: int, score_kind: str | None = None) -> tuple:
+    """Analytic partials of one id triple's score, as copies in the order
+    ``(mean_h, mean_r, mean_t, cov_h, cov_r, cov_t)``."""
+    grads = _kind_fn(_GRAD_FNS, model, score_kind)(*_triple_rows(model, h, r, t))
+    return tuple(g.copy() for g in grads)
 
 
 def score_triples(model: Kg2eModel, ids) -> np.ndarray:
@@ -357,6 +311,8 @@ def model_to_document(model: Kg2eModel) -> dict:
 
 
 def model_from_document(doc: dict) -> Kg2eModel:
+    """The model a document stores; ValueError if a parameter is not finite
+    or a covariance lies outside ``[c_min, c_max]``."""
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
@@ -369,7 +325,7 @@ def model_from_document(doc: dict) -> Kg2eModel:
         from .evaluation import ThresholdTable
 
         thresholds = ThresholdTable.from_document(doc["thresholds"])
-    return Kg2eModel(
+    model = Kg2eModel(
         vocab,
         doc["dim"],
         np.array(doc["entity_means"], dtype=np.float64),
@@ -382,6 +338,14 @@ def model_from_document(doc: dict) -> Kg2eModel:
         thresholds=thresholds,
         train_config=doc.get("train_config"),
     )
+    for name in ("entity_means", "entity_covs", "relation_means", "relation_covs"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise ValueError(f"{name} holds a non-finite value")
+    for name in ("entity_covs", "relation_covs"):
+        covs = getattr(model, name)
+        if (covs < model.c_min).any() or (covs > model.c_max).any():
+            raise ValueError(f"{name} lies outside [c_min, c_max]")
+    return model
 
 
 def _vocab_term(text: str) -> Term:

@@ -41,12 +41,22 @@ that drawing, scoring and updating pair by pair would:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import model as kg2e
 from .rdf import Graph, Triple, Vocab, VocabError, build_vocab
+
+
+def _split_fractions(fractions) -> tuple[float, float, float]:
+    """Train/valid/test fractions as floats: three in (0, 1) summing to 1."""
+    fractions = tuple(float(f) for f in fractions)
+    if len(fractions) != 3 or any(not 0.0 < f < 1.0 for f in fractions):
+        raise ValueError("split must be three fractions in (0, 1)")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError("split fractions must sum to 1")
+    return fractions
 
 
 class TrainingDivergedError(Exception):
@@ -82,11 +92,7 @@ class TrainConfig:
             raise ValueError("negatives_per_positive must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        self.split = tuple(float(f) for f in self.split)
-        if len(self.split) != 3 or any(not 0.0 < f < 1.0 for f in self.split):
-            raise ValueError("split must be three fractions in (0, 1)")
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+        self.split = _split_fractions(self.split)
 
     @classmethod
     def from_document(cls, doc: dict) -> "TrainConfig":
@@ -97,17 +103,7 @@ class TrainConfig:
         return cls(**doc)
 
     def to_document(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "rms_decay": self.rms_decay,
-            "rms_epsilon": self.rms_epsilon,
-            "margin": self.margin,
-            "negatives_per_positive": self.negatives_per_positive,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "split": list(self.split),
-        }
+        return {**asdict(self), "split": list(self.split)}
 
 
 @dataclass
@@ -152,11 +148,7 @@ def split_dataset(
     n = len(graph)
     if n == 0:
         raise ValueError("cannot split an empty graph")
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(not 0.0 < f < 1.0 for f in fractions):
-        raise ValueError("fractions must be three values in (0, 1)")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+    fractions = _split_fractions(fractions)
     vocab = build_vocab(graph)
     order = np.random.default_rng(seed).permutation(n)
     n_valid = int(n * fractions[1])
@@ -277,13 +269,6 @@ def sample_negative(
     """One corruption of ``positive`` that is not in ``graph``; see
     :class:`NegativeSampler`, which callers drawing many should build once."""
     return NegativeSampler(vocab, graph).sample_triple(positive, rng, max_attempts)
-
-
-def margin_loss(positive_score: float, negative_score: float, margin: float = 1.0) -> float:
-    """Hinge on the score gap: max(0, margin - positive + negative)."""
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    return max(0.0, margin - positive_score + negative_score)
 
 
 def convergence_epoch(

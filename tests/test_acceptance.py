@@ -26,14 +26,12 @@ from ikge.evaluation import (
 from ikge.model import (
     EXPECTED_LIKELIHOOD,
     KL_DIVERGENCE,
-    GaussianParams,
+    Kg2eModel,
     init_model,
     load_model,
     save_model,
     score,
-    score_grad_params,
-    score_el_params,
-    score_kl_params,
+    score_grad,
 )
 from ikge.pipeline import (
     OntologyIndex,
@@ -59,8 +57,26 @@ HITS10_BOUND = 0.80
 DIMS = (1, 2, 4, 8)
 
 
+# Two entities and one relation: the triple (0, 0, 1) is the only one.
+TRIPLE_VOCAB = build_vocab(parse("@prefix ex: <http://e.example/ns#> .\nex:h ex:r ex:t ."))
+
+
 def random_params(rng, d):
-    return GaussianParams(rng.uniform(-1.0, 1.0, d) / math.sqrt(d), rng.uniform(0.05, 5.0, d))
+    """Mean, then covariance diagonal, of one embedded element."""
+    return rng.uniform(-1.0, 1.0, d) / math.sqrt(d), rng.uniform(0.05, 5.0, d)
+
+
+def triple_model(h, r, t, score_kind=KL_DIVERGENCE):
+    """A model whose triple (0, 0, 1) has the ``(mean, cov)`` rows h, r, t."""
+    return Kg2eModel(
+        TRIPLE_VOCAB,
+        len(h[0]),
+        np.stack([h[0], t[0]]),
+        np.stack([h[1], t[1]]),
+        r[0][None],
+        r[1][None],
+        score_kind=score_kind,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -76,30 +92,27 @@ def test_c1_scores_match_density_and_monte_carlo_oracles():
 
     for i in range(500):
         d = DIMS[i % len(DIMS)]
-        h, r, t = (random_params(rng, d) for _ in range(3))
+        (mh, ch), (mr, cr), (mt, ct) = rows = [random_params(rng, d) for _ in range(3)]
+        model = triple_model(*rows)
 
         # expected-likelihood oracle: log-density of (mu_h - mu_t) under a
         # Gaussian at mu_r with the summed diagonal covariance, rescaled
-        logpdf = multivariate_normal.logpdf(
-            h.mean - t.mean, mean=r.mean, cov=np.diag(h.cov_diag + t.cov_diag + r.cov_diag)
-        )
+        logpdf = multivariate_normal.logpdf(mh - mt, mean=mr, cov=np.diag(ch + ct + cr))
         oracle_el = 2.0 * logpdf + d * math.log(2.0 * math.pi)
-        assert abs(score_el_params(h, r, t) - oracle_el) <= EL_ORACLE_ATOL
+        assert abs(score(model, 0, 0, 1, EXPECTED_LIKELIHOOD) - oracle_el) <= EL_ORACLE_ATOL
 
         # KL oracle: Monte Carlo estimate of the divergence between the
         # entity-difference Gaussian and the relation Gaussian, via moments
         # of one shared standard-normal sample
-        ce = h.cov_diag + t.cov_diag
-        mu_e = h.mean - t.mean
-        delta = mu_e - r.mean
-        cr = r.cov_diag
+        ce = ch + ct
+        delta = mh - mt - mr
         est = 0.5 * np.sum(
             np.log(cr / ce)
             + (delta**2 + 2.0 * delta * np.sqrt(ce) * zbar[:d] + ce * m2[:d]) / cr
             - m2[:d]
         )
         np.testing.assert_allclose(
-            est, -score_kl_params(h, r, t), rtol=KL_MC_RTOL, atol=KL_MC_ATOL
+            est, -score(model, 0, 0, 1, KL_DIVERGENCE), rtol=KL_MC_RTOL, atol=KL_MC_ATOL
         )
 
 
@@ -109,35 +122,33 @@ def test_c1_scores_match_density_and_monte_carlo_oracles():
 
 def test_c2_gradients_match_central_finite_differences():
     rng = np.random.default_rng(2002)
-    score_fns = {EXPECTED_LIKELIHOOD: score_el_params, KL_DIVERGENCE: score_kl_params}
 
     def fd_params(rng, d):
         # covariances away from the box edges so +/- h stays in range
-        return GaussianParams(
-            rng.uniform(-1.0, 1.0, d) / math.sqrt(d), rng.uniform(0.1, 4.9, d)
-        )
+        return rng.uniform(-1.0, 1.0, d) / math.sqrt(d), rng.uniform(0.1, 4.9, d)
 
     for i in range(200):
         d = DIMS[i % len(DIMS)]
         kind = (EXPECTED_LIKELIHOOD, KL_DIVERGENCE)[i % 2]
-        fn = score_fns[kind]
-        h, r, t = (fd_params(rng, d) for _ in range(3))
-        grads = score_grad_params(h, r, t, kind)
-        blocks = {
-            "mean_h": (h.mean, grads.mean_h),
-            "mean_r": (r.mean, grads.mean_r),
-            "mean_t": (t.mean, grads.mean_t),
-            "cov_h": (h.cov_diag, grads.cov_h),
-            "cov_r": (r.cov_diag, grads.cov_r),
-            "cov_t": (t.cov_diag, grads.cov_t),
-        }
-        for name, (array, analytic) in blocks.items():
+        model = triple_model(*[fd_params(rng, d) for _ in range(3)], score_kind=kind)
+        grads = score_grad(model, 0, 0, 1)
+        # Parameter rows as views into the model, in score_grad's order.
+        rows = (
+            model.entity_means[0],
+            model.relation_means[0],
+            model.entity_means[1],
+            model.entity_covs[0],
+            model.relation_covs[0],
+            model.entity_covs[1],
+        )
+        names = ("mean_h", "mean_r", "mean_t", "cov_h", "cov_r", "cov_t")
+        for name, array, analytic in zip(names, rows, grads):
             for j in range(d):
                 orig = array[j]
                 array[j] = orig + GRAD_FD_STEP
-                up = fn(h, r, t)
+                up = score(model, 0, 0, 1)
                 array[j] = orig - GRAD_FD_STEP
-                down = fn(h, r, t)
+                down = score(model, 0, 0, 1)
                 array[j] = orig
                 fd = (up - down) / (2.0 * GRAD_FD_STEP)
                 denom = max(abs(analytic[j]), abs(fd), GRAD_FLOOR)

@@ -301,6 +301,23 @@ def test_evaluate_invalid_model_json(tmp_path, capsys, desk_paths):
     assert rc == EXIT_PARSE
 
 
+@pytest.mark.parametrize("command", ["evaluate", "translate", "verify"])
+def test_non_finite_model_is_a_config_error(tmp_path, capsys, desk_paths, command):
+    doc = json.loads(desk_paths["model"].read_text())
+    doc["entity_means"][3][1] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    ikg = str(desk_paths["ikg"])
+    argv = {
+        "evaluate": ["--ikg", ikg, "--out", str(tmp_path / "e.json")],
+        "translate": ["--ikg", ikg, "--text", "reliable video", "--out", str(tmp_path / "i.ttl")],
+        "verify": ["--intent", ikg],
+    }[command]
+    rc, _, err = run(capsys, [command, "--model", str(bad), *argv])
+    assert rc == EXIT_CONFIG
+    assert err.startswith(f"error: config: model file {bad} is malformed: entity_means")
+
+
 def test_evaluate_malformed_ikg(tmp_path, capsys, desk_paths):
     bad = tmp_path / "bad.ttl"
     bad.write_text("this is not turtle %%%\n")

@@ -13,7 +13,8 @@ from ikge.model import (
     DEFAULT_C_MIN,
     EXPECTED_LIKELIHOOD,
     KL_DIVERGENCE,
-    GaussianParams,
+    Kg2eModel,
+    _GRAD_FNS,
     apply_constraints,
     constraint_violations,
     init_model,
@@ -23,10 +24,7 @@ from ikge.model import (
     save_model,
     score,
     score_candidates,
-    score_el_params,
     score_grad,
-    score_grad_params,
-    score_kl_params,
     score_triples,
 )
 from ikge.evaluation import ThresholdTable
@@ -40,12 +38,38 @@ def small_vocab(n_entities: int = 4, n_relations: int = 2) -> rdf.Vocab:
     return rdf.build_vocab(rdf.parse("\n".join(lines)))
 
 
-def gp(mean, cov) -> GaussianParams:
-    return GaussianParams(np.asarray(mean, float), np.asarray(cov, float))
+def gp(mean, cov) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance diagonal of one embedded element."""
+    return np.asarray(mean, float), np.asarray(cov, float)
 
 
-def random_params(rng, d: int) -> GaussianParams:
+def random_params(rng, d: int) -> tuple[np.ndarray, np.ndarray]:
     return gp(rng.uniform(-1, 1, d) / math.sqrt(d), rng.uniform(0.05, 5.0, d))
+
+
+def triple_model(h, r, t) -> Kg2eModel:
+    """A 2-entity, 1-relation model whose triple (0, 0, 1) has the
+    ``(mean, cov)`` rows h, r, t."""
+    return Kg2eModel(
+        small_vocab(2, 1),
+        len(h[0]),
+        np.stack([h[0], t[0]]),
+        np.stack([h[1], t[1]]),
+        r[0][None],
+        r[1][None],
+    )
+
+
+def score_el(h, r, t) -> float:
+    return score(triple_model(h, r, t), 0, 0, 1, EXPECTED_LIKELIHOOD)
+
+
+def score_kl(h, r, t) -> float:
+    return score(triple_model(h, r, t), 0, 0, 1, KL_DIVERGENCE)
+
+
+def neg_mean(p):
+    return -p[0], p[1]
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +80,7 @@ def test_el_zero_means_unit_covs_d2():
     h = gp([0.0, 0.0], [1.0, 1.0])
     r = gp([0.0, 0.0], [1.0, 1.0])
     t = gp([0.0, 0.0], [1.0, 1.0])
-    assert score_el_params(h, r, t) == pytest.approx(-2.0 * math.log(3.0), rel=1e-14)
+    assert score_el(h, r, t) == pytest.approx(-2.0 * math.log(3.0), rel=1e-14)
 
 
 def test_el_hand_value_d1():
@@ -64,7 +88,7 @@ def test_el_hand_value_d1():
     r = gp([0.2], [1.0])
     t = gp([0.1], [1.0])
     expected = -(0.2**2) / 3.0 - math.log(3.0)
-    assert score_el_params(h, r, t) == pytest.approx(expected, rel=1e-14)
+    assert score_el(h, r, t) == pytest.approx(expected, rel=1e-14)
 
 
 def test_kl_identical_distributions_scores_zero():
@@ -72,7 +96,7 @@ def test_kl_identical_distributions_scores_zero():
     h = gp([0.3], [1.0])
     t = gp([0.3], [1.0])
     r = gp([0.0], [2.0])
-    assert score_kl_params(h, r, t) == 0.0
+    assert score_kl(h, r, t) == 0.0
 
 
 def test_kl_hand_value_d1():
@@ -81,29 +105,31 @@ def test_kl_hand_value_d1():
     r = gp([0.0], [2.0])
     # divergence of N(0,1) from N(0,2): 0.5 * (1/2 - ln(1/2) - 1)
     expected = -0.5 * (0.5 + math.log(2.0) - 1.0)
-    assert score_kl_params(h, r, t) == pytest.approx(expected, rel=1e-14)
+    assert score_kl(h, r, t) == pytest.approx(expected, rel=1e-14)
 
 
 def test_el_grad_hand_value_d1():
     h = gp([0.5], [1.0])
     r = gp([0.2], [1.0])
     t = gp([0.1], [1.0])
-    g = score_grad_params(h, r, t, EXPECTED_LIKELIHOOD)
-    assert g.mean_h[0] == pytest.approx(-2.0 * 0.2 / 3.0, rel=1e-14)
-    assert g.mean_r[0] == pytest.approx(2.0 * 0.2 / 3.0, rel=1e-14)
-    assert g.mean_t[0] == pytest.approx(2.0 * 0.2 / 3.0, rel=1e-14)
+    mean_h, mean_r, mean_t, *_ = score_grad(triple_model(h, r, t), 0, 0, 1, EXPECTED_LIKELIHOOD)
+    assert mean_h[0] == pytest.approx(-2.0 * 0.2 / 3.0, rel=1e-14)
+    assert mean_r[0] == pytest.approx(2.0 * 0.2 / 3.0, rel=1e-14)
+    assert mean_t[0] == pytest.approx(2.0 * 0.2 / 3.0, rel=1e-14)
 
 
 def test_el_grad_zero_mean_difference():
     h = gp([0.25, -0.5], [0.7, 1.1])
     r = gp([0.0, 0.0], [0.9, 2.0])
     t = gp([0.25, -0.5], [1.3, 0.4])
-    g = score_grad_params(h, r, t, EXPECTED_LIKELIHOOD)
-    assert np.all(g.mean_h == 0.0)
-    assert np.all(g.mean_r == 0.0)
-    assert np.all(g.mean_t == 0.0)
+    mean_h, mean_r, mean_t, cov_h, *_ = score_grad(
+        triple_model(h, r, t), 0, 0, 1, EXPECTED_LIKELIHOOD
+    )
+    assert np.all(mean_h == 0.0)
+    assert np.all(mean_r == 0.0)
+    assert np.all(mean_t == 0.0)
     # covariance gradients stay nonzero through the log-determinant term
-    assert np.all(g.cov_h != 0.0)
+    assert np.all(cov_h != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +238,8 @@ def test_score_invariant_under_mean_negation():
     for _ in range(50):
         d = int(rng.integers(1, 9))
         h, r, t = (random_params(rng, d) for _ in range(3))
-        flip = lambda p: GaussianParams(-p.mean, p.cov_diag)
-        assert score_el_params(h, r, t) == score_el_params(flip(h), flip(r), flip(t))
-        assert score_kl_params(h, r, t) == score_kl_params(flip(h), flip(r), flip(t))
+        assert score_el(h, r, t) == score_el(neg_mean(h), neg_mean(r), neg_mean(t))
+        assert score_kl(h, r, t) == score_kl(neg_mean(h), neg_mean(r), neg_mean(t))
 
 
 def test_score_invariant_under_head_tail_exchange():
@@ -222,11 +247,11 @@ def test_score_invariant_under_head_tail_exchange():
     for _ in range(50):
         d = int(rng.integers(1, 9))
         h, r, t = (random_params(rng, d) for _ in range(3))
-        r_neg = GaussianParams(-r.mean, r.cov_diag)
-        assert score_el_params(t, r_neg, h) == pytest.approx(
-            score_el_params(h, r, t), rel=1e-12
+        r_neg = neg_mean(r)
+        assert score_el(t, r_neg, h) == pytest.approx(
+            score_el(h, r, t), rel=1e-12
         )
-        assert score_kl_params(t, r_neg, h) == score_kl_params(h, r, t)
+        assert score_kl(t, r_neg, h) == score_kl(h, r, t)
 
 
 def test_kl_score_never_positive():
@@ -234,7 +259,7 @@ def test_kl_score_never_positive():
     for _ in range(200):
         d = int(rng.integers(1, 9))
         h, r, t = (random_params(rng, d) for _ in range(3))
-        assert score_kl_params(h, r, t) <= 0.0
+        assert score_kl(h, r, t) <= 0.0
 
 
 def test_scores_decrease_away_from_relation_translation():
@@ -246,10 +271,10 @@ def test_scores_decrease_away_from_relation_translation():
         covs_h = rng.uniform(0.05, 5.0, d)
         u = rng.normal(size=d)
         u /= np.linalg.norm(u)
-        for kind, fn in ((EXPECTED_LIKELIHOOD, score_el_params), (KL_DIVERGENCE, score_kl_params)):
+        for kind, fn in ((EXPECTED_LIKELIHOOD, score_el), (KL_DIVERGENCE, score_kl)):
             prev = None
             for s in (0.0, 0.25, 0.5, 1.0, 2.0):
-                h = GaussianParams(r.mean + t.mean + s * u, covs_h)
+                h = (r[0] + t[0] + s * u, covs_h)
                 val = fn(h, r, t)
                 if prev is not None:
                     assert val < prev, kind
@@ -304,31 +329,57 @@ def test_score_candidates_rejects_bad_position():
 
 
 def test_score_kind_dispatch_and_override():
-    m = init_model(small_vocab(), dim=3, seed=1, score_kind=KL_DIVERGENCE)
-    h, r, t = m.entity_params(0), m.relation_params(0), m.entity_params(1)
-    assert score(m, 0, 0, 1) == score_kl_params(h, r, t)
-    assert score(m, 0, 0, 1, score_kind=EXPECTED_LIKELIHOOD) == score_el_params(h, r, t)
-    with pytest.raises(ValueError):
-        score(m, 0, 0, 1, score_kind="bogus")
+    kl = init_model(small_vocab(), dim=3, seed=1, score_kind=KL_DIVERGENCE)
+    el = init_model(small_vocab(), dim=3, seed=1, score_kind=EXPECTED_LIKELIHOOD)
+    assert score(kl, 0, 0, 1) == score_triples(kl, [(0, 0, 1)])[0]
+    assert score(kl, 0, 0, 1, score_kind=EXPECTED_LIKELIHOOD) == score_triples(el, [(0, 0, 1)])[0]
+    assert score(kl, 0, 0, 1) != score(el, 0, 0, 1)
+    for fn in (score, score_grad):
+        with pytest.raises(ValueError):
+            fn(kl, 0, 0, 1, score_kind="bogus")
 
 
 def test_bad_indices_raise_index_error():
-    v = small_vocab(4, 2)
-    m = init_model(v, dim=3, seed=0)
-    with pytest.raises(IndexError):
-        m.entity_params(v.n_entities)
-    with pytest.raises(IndexError):
-        m.relation_params(v.n_relations)
-    with pytest.raises(IndexError):
-        score(m, v.n_entities, 0, 0)
+    m = init_model(small_vocab(4, 2), dim=3, seed=0)
+    for row in [(-1, 0, 0), (4, 0, 0), (0, -1, 0), (0, 2, 0), (0, 0, -1), (0, 0, 4)]:
+        for fn in (score, score_grad):
+            with pytest.raises(IndexError):
+                fn(m, *row)
 
 
-def test_score_grad_matches_param_level():
-    m = init_model(small_vocab(), dim=4, seed=6)
-    g1 = score_grad(m, 0, 1, 2)
-    g2 = score_grad_params(m.entity_params(0), m.relation_params(1), m.entity_params(2), m.score_kind)
-    for field in ("mean_h", "mean_r", "mean_t", "cov_h", "cov_r", "cov_t"):
-        assert np.array_equal(getattr(g1, field), getattr(g2, field))
+def test_score_grad_matches_grad_fn_rows():
+    v = small_vocab(12, 3)
+    rng = np.random.default_rng(6)
+    ids = np.stack(
+        [rng.integers(12, size=50), rng.integers(3, size=50), rng.integers(12, size=50)],
+        axis=1,
+    )
+    h, r, t = ids.T
+    for kind in (EXPECTED_LIKELIHOOD, KL_DIVERGENCE):
+        m = init_model(v, dim=4, seed=6, score_kind=kind)
+        em, ec, rm, rc = m.entity_means, m.entity_covs, m.relation_means, m.relation_covs
+        batch = _GRAD_FNS[kind](em[h], ec[h], rm[r], rc[r], em[t], ec[t])
+        for i, row in enumerate(ids.tolist()):
+            grads = score_grad(m, *row)
+            assert isinstance(grads, tuple) and len(grads) == 6
+            for got, want in zip(grads, batch):
+                assert got.tobytes() == want[i].tobytes()
+        # Copies: the gradient functions return one array for several
+        # blocks (mean_r and mean_t under EL), score_grad never does.
+        grads = score_grad(m, 0, 0, 1)
+        for i, a in enumerate(grads):
+            assert not any(np.shares_memory(a, b) for b in grads[i + 1 :])
+
+
+@pytest.mark.parametrize("kind", [EXPECTED_LIKELIHOOD, KL_DIVERGENCE])
+def test_score_bit_identical_to_score_triples_on_desk(desk_model, desk_ikg, kind):
+    model = desk_model.copy()
+    model.score_kind = kind
+    ids = np.array([model.vocab.triple_ids(t) for t in desk_ikg.triples], dtype=np.int64)
+    batch = score_triples(model, ids)
+    for row, want in zip(ids.tolist(), batch.tolist()):
+        assert score(model, *row) == want
+        assert score(desk_model, *row, score_kind=kind) == want
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +416,33 @@ def test_save_load_file_round_trip(tmp_path):
         assert score(back, int(h), r, int(t)) == score(m, int(h), r, int(t))
     save_model(back, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_text() == path.read_text()
+
+
+@pytest.mark.parametrize(
+    "name,row,col,value,message",
+    [
+        ("entity_means", 1, 0, math.nan, "entity_means holds a non-finite value"),
+        ("relation_means", 0, 1, -math.inf, "relation_means holds a non-finite value"),
+        ("entity_covs", 2, 1, math.inf, "entity_covs holds a non-finite value"),
+        ("relation_covs", 1, 0, math.nan, "relation_covs holds a non-finite value"),
+        ("entity_covs", 0, 0, DEFAULT_C_MIN / 2, r"entity_covs lies outside \[c_min, c_max\]"),
+        ("relation_covs", 1, 1, DEFAULT_C_MAX * 2, r"relation_covs lies outside \[c_min, c_max\]"),
+    ],
+)
+def test_model_from_document_rejects_bad_parameters(name, row, col, value, message):
+    doc = model_to_document(init_model(small_vocab(), dim=2, seed=0))
+    doc[name][row][col] = value
+    with pytest.raises(ValueError, match=message):
+        model_from_document(doc)
+
+
+def test_model_from_document_accepts_covariances_on_the_box_edges():
+    m = init_model(small_vocab(), dim=2, seed=0)
+    m.entity_covs[0] = [DEFAULT_C_MIN, DEFAULT_C_MAX]
+    m.relation_covs[1] = [DEFAULT_C_MAX, DEFAULT_C_MIN]
+    back = model_from_document(model_to_document(m))
+    assert np.array_equal(back.entity_covs, m.entity_covs)
+    assert np.array_equal(back.relation_covs, m.relation_covs)
 
 
 def test_unknown_format_version_rejected():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from ikge.training import (
     TrainingDivergedError,
     TrainReport,
     convergence_epoch,
-    margin_loss,
     sample_negative,
     split_dataset,
     train,
@@ -68,6 +69,17 @@ def test_train_config_rejects_bad_values(kwargs):
 
 def test_train_config_allows_zero_margin():
     assert TrainConfig(margin=0.0).margin == 0.0
+
+
+def test_train_config_document_pinned():
+    # The bytes a model file and train.json store for the default config.
+    doc = TrainConfig().to_document()
+    assert isinstance(doc["split"], list)
+    assert json.dumps(doc) == (
+        '{"epochs": 50, "learning_rate": 0.01, "rms_decay": 0.9, "rms_epsilon": 1e-08,'
+        ' "margin": 1.0, "negatives_per_positive": 1, "batch_size": 64, "seed": 27,'
+        ' "split": [0.8, 0.1, 0.1]}'
+    )
 
 
 def test_train_config_document_round_trip():
@@ -403,31 +415,7 @@ def test_sampler_needs_two_entities():
 
 
 # ---------------------------------------------------------------------------
-# loss and convergence
-
-
-@pytest.mark.parametrize(
-    "pos,neg,margin,expected",
-    [
-        (5.0, 1.0, 1.0, 0.0),
-        (1.0, 1.0, 1.0, 1.0),
-        (1.0, 5.0, 1.0, 5.0),
-        (-92.0514, -134.3381, 1.0, 0.0),
-        (2.0, 1.5, 0.0, 0.0),
-        (1.5, 2.0, 0.0, 0.5),
-    ],
-)
-def test_margin_loss_values(pos, neg, margin, expected):
-    assert margin_loss(pos, neg, margin) == pytest.approx(expected, abs=1e-12)
-
-
-def test_margin_loss_zero_margin_ties():
-    assert margin_loss(3.0, 3.0, 0.0) == 0.0
-
-
-def test_margin_loss_rejects_negative_margin():
-    with pytest.raises(ValueError):
-        margin_loss(1.0, 0.0, -0.5)
+# convergence
 
 
 def test_convergence_epoch_cases():
