@@ -140,11 +140,17 @@ def _train_config(args) -> training.TrainConfig:
 
 
 def _sample_negatives(
-    positives, vocab: rdf.Vocab, known: rdf.Graph, seed_stream
+    positives: rdf.Graph, split: training.DatasetSplit, seed_stream
 ) -> list[rdf.Triple]:
-    rng = np.random.default_rng(seed_stream)
-    sampler = training.NegativeSampler(vocab, known)
-    return [sampler.sample_triple(t, rng) for t in positives]
+    vocab = split.vocab
+    heads, tails = split.sampler.sample_many(
+        [vocab.triple_ids(t) for t in positives], np.random.default_rng(seed_stream)
+    )
+    entities = vocab.entities
+    return [
+        rdf.Triple(entities[h], t.relation, entities[nt])
+        for t, h, nt in zip(positives, heads, tails)
+    ]
 
 
 def _cmd_gen_ikg(args) -> int:
@@ -197,8 +203,7 @@ def _cmd_train(args) -> int:
     )
     report = training.train(model, split, config)
 
-    # The split partitions the graph, so the graph is the full known set.
-    negatives = _sample_negatives(split.valid, split.vocab, graph, (config.seed, 2))
+    negatives = _sample_negatives(split.valid, split, (config.seed, 2))
     model.thresholds = evaluation.select_thresholds(
         model, rdf.Graph(split.valid, graph.prefix_map), negatives
     )
@@ -240,7 +245,7 @@ def _cmd_evaluate(args) -> int:
     test = rdf.Graph(split.test, graph.prefix_map)
     raw = evaluation.evaluate_ranks(model, test, graph, filtered=False)
     filtered = evaluation.evaluate_ranks(model, test, graph, filtered=True)
-    negatives = _sample_negatives(split.test, split.vocab, graph, (config.seed, 3))
+    negatives = _sample_negatives(split.test, split, (config.seed, 3))
     classification = evaluation.evaluate_classification(
         model, split.test, negatives, model.thresholds
     )

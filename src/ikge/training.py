@@ -18,8 +18,8 @@ A batch step is one pass over stacked id rows. Each part gives the bytes
 that drawing, scoring and updating pair by pair would:
 
 * Draws. An epoch's negatives are drawn in one call straight after the
-  epoch's permutation, making per triple the generator calls a single
-  draw makes. Nothing else draws in between, so the stream is unchanged;
+  epoch's permutation, making per triple the draws a single sample
+  call makes. Nothing else draws in between, so the stream is unchanged;
   a batch is ``batch_size * negatives_per_positive`` consecutive rows.
 * Scores. A batch's b positives and their b negatives form one 2b-row id
   array: one gather of the six parameter blocks, one score call, and one
@@ -41,12 +41,19 @@ that drawing, scoring and updating pair by pair would:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import model as kg2e
 from .rdf import Graph, Triple, Vocab, VocabError, build_vocab
+
+# Bounds of the raw PCG64 words the negative sampler decodes.
+_HALF64 = 1 << 63
+_WORD32 = 1 << 32
+_LOW32 = _WORD32 - 1
 
 
 def _split_fractions(fractions) -> tuple[float, float, float]:
@@ -134,6 +141,14 @@ class DatasetSplit:
             self.train.prefix_map,
         )
 
+    @cached_property
+    def sampler(self) -> "NegativeSampler":
+        """The negative sampler over the split's own triples, built once:
+        training and the threshold and test negatives all reject these."""
+        return NegativeSampler(
+            self.vocab, self.train.triples + self.valid.triples + self.test.triples
+        )
+
 
 def split_dataset(
     graph: Graph, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1), seed: int = 0
@@ -167,15 +182,36 @@ def split_dataset(
 
 
 class NegativeSampler:
-    """Corruptions of id triples, rejecting those in one known graph.
+    """Corruptions of id triples, rejecting the known triples (a Graph or
+    any iterable of Triples).
 
     Head replacements exclude literal entities because literals cannot
     stand in subject position; tail replacements range over all entities.
     Known triples with a term outside the vocabulary are skipped: no
     corruption built from the vocabulary can equal them.
+
+    Draws are decoded from the raw 64-bit words of the generator's PCG64
+    bit generator, by numpy's own rules for ``Generator.random()`` and
+    ``Generator.integers(k)``, so they are the draws those calls would
+    make and leave the generator in the state they would leave it in;
+    calling them once per draw costs about three times as much. The rules:
+
+    * the side coin ``random() < 0.5`` is a word below ``2**63``, since
+      ``random()`` is ``(w >> 11) * 2**-53``;
+    * a 32-bit draw is the low half of a fresh word, whose high half
+      PCG64 buffers (its state's ``has_uint32``/``uinteger``) for the
+      next 32-bit draw;
+    * ``integers(k)`` for ``k <= 2**32`` is Lemire's multiply-shift on a
+      32-bit draw ``x``: ``(x * k) >> 32``, redrawn while the low 32 bits
+      of ``x * k`` are below ``(2**32 - k) % k``; ``integers(1)`` draws
+      nothing.
+
+    Only a PCG64 bit generator, the one ``np.random.default_rng`` builds,
+    is accepted: other bit generators buffer and produce words
+    differently. Any other raises TypeError.
     """
 
-    def __init__(self, vocab: Vocab, known: Graph):
+    def __init__(self, vocab: Vocab, known: Iterable[Triple]):
         if vocab.n_entities < 2:
             raise ValueError("need at least two entities to corrupt a triple")
         self.vocab = vocab
@@ -186,7 +222,7 @@ class NegativeSampler:
         self.head_pos = [-1] * self.n_entities
         for k, e in enumerate(self.heads):
             self.head_pos[e] = k
-        self.known = {self.key(h, r, t) for h, r, t in vocab.known_ids(known.triples)}
+        self.known = {self.key(h, r, t) for h, r, t in vocab.known_ids(known)}
 
     def key(self, h: int, r: int, t: int) -> int:
         return (h * self.n_relations + r) * self.n_entities + t
@@ -202,7 +238,8 @@ class NegativeSampler:
     def sample_many(
         self, triples, rng: np.random.Generator, max_attempts: int = 100
     ) -> tuple[list[int], list[int]]:
-        """Head ids and tail ids of one corruption per ``(h, r, t)`` id triple.
+        """Head ids and tail ids of one corruption per ``(h, r, t)`` id triple
+        of the sequence ``triples``.
 
         Triples are corrupted in order, each drawing what :meth:`sample`
         draws for it, so the generator ends in the same state as after one
@@ -213,41 +250,76 @@ class NegativeSampler:
         are redrawn; after ``max_attempts`` the last draw is accepted even
         if it is a known triple.
         """
-        random, integers = rng.random, rng.integers
+        bits = rng.bit_generator
+        if not isinstance(bits, np.random.PCG64):
+            raise TypeError(
+                f"negative sampling needs a PCG64 bit generator, got {type(bits).__name__}"
+            )
+        entry = bits.state
+        has_half, half = entry["has_uint32"], entry["uinteger"]
+        # Words are fetched in chunks; the ones left unread are given back
+        # when the state is written on return.
+        chunk = 2 * len(triples) + 16
+        words: list[int] = []
+        used = 0
         heads, head_pos, known = self.heads, self.head_pos, self.known
         n_e, n_r = self.n_entities, self.n_relations
         head_stride, n_heads = n_r * n_e, len(heads)
         out_h: list[int] = []
         out_t: list[int] = []
-        for h, r, t in triples:
-            corrupt_head = random() < 0.5
-            if corrupt_head and n_heads < 2 and (n_heads == 0 or heads[0] == h):
-                corrupt_head = False
-            if corrupt_head:
-                size, skip = n_heads, head_pos[h]
-            else:
-                size, skip = n_e, t
-            # Packed key (h * R + r) * E + t with the fixed side folded in.
-            hr, rt = h * n_r + r, r * n_e + t
-            nh, nt = h, t
-            for _ in range(max_attempts):
-                # Uniform over the pool minus the original entity.
-                if skip >= 0:
-                    i = int(integers(size - 1))
-                    if i >= skip:
-                        i += 1
-                else:
-                    i = int(integers(size))
+        try:
+            for h, r, t in triples:
+                if used == len(words):
+                    words += bits.random_raw(chunk).tolist()
+                corrupt_head = words[used] < _HALF64
+                used += 1
+                if corrupt_head and n_heads < 2 and (n_heads == 0 or heads[0] == h):
+                    corrupt_head = False
                 if corrupt_head:
-                    nh = heads[i]
-                    if nh * head_stride + rt not in known:
-                        break
+                    size, skip = n_heads, head_pos[h]
                 else:
-                    nt = i
-                    if hr * n_e + i not in known:
-                        break
-            out_h.append(nh)
-            out_t.append(nt)
+                    size, skip = n_e, t
+                # Uniform over the pool minus the original entity.
+                k = size - 1 if skip >= 0 else size
+                threshold = (_WORD32 - k) % k
+                # Packed key (h * R + r) * E + t with the fixed side folded in.
+                hr, rt = h * n_r + r, r * n_e + t
+                nh, nt = h, t
+                for _ in range(max_attempts):
+                    i = 0
+                    if k > 1:
+                        while True:
+                            if has_half:
+                                x, has_half = half, 0
+                            else:
+                                if used == len(words):
+                                    words += bits.random_raw(chunk).tolist()
+                                w = words[used]
+                                used += 1
+                                x, half, has_half = w & _LOW32, w >> 32, 1
+                            m = x * k
+                            if m & _LOW32 >= threshold:
+                                break
+                        i = m >> 32
+                    if i >= skip >= 0:
+                        i += 1
+                    if corrupt_head:
+                        nh = heads[i]
+                        if nh * head_stride + rt not in known:
+                            break
+                    else:
+                        nt = i
+                        if hr * n_e + i not in known:
+                            break
+                out_h.append(nh)
+                out_t.append(nt)
+        finally:
+            # The state after exactly ``used`` words, with the buffered half.
+            bits.state = entry
+            bits.advance(used)
+            state = bits.state
+            state["has_uint32"], state["uinteger"] = has_half, half
+            bits.state = state
         return out_h, out_t
 
     def sample_triple(
@@ -306,7 +378,7 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
         raise ValueError("training split is empty")
 
     rng = np.random.default_rng(config.seed)
-    sampler = NegativeSampler(split.vocab, split.full_graph())
+    sampler = split.sampler
     # Column form (3, n): one contiguous row each of heads, relations, tails.
     pos_ids = np.array([split.vocab.triple_ids(t) for t in split.train.triples], dtype=np.int64)
     pos_ids = np.ascontiguousarray(pos_ids.T)

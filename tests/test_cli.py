@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ikge import rdf
+from ikge import rdf, training
 from ikge.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -203,6 +203,32 @@ def test_train_quick_run(tmp_path, capsys, desk_paths):
     )
     assert rc == EXIT_OK
     assert out2.read_bytes() == out.read_bytes()
+
+
+def test_train_and_evaluate_build_one_sampler_each(tmp_path, capsys, monkeypatch, desk_paths):
+    # Training and the threshold (or test) negatives share the split's sampler.
+    built = []
+    init = training.NegativeSampler.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(training.NegativeSampler, "__init__", counting_init)
+    model = tmp_path / "m.json"
+    rc, _, _ = run(
+        capsys,
+        ["train", "--ikg", str(desk_paths["ikg"]), "--out", str(model), "--epochs", "1"],
+    )
+    assert rc == EXIT_OK and len(built) == 1
+    rc, _, _ = run(
+        capsys,
+        [
+            "evaluate", "--ikg", str(desk_paths["ikg"]), "--model", str(model),
+            "--out", str(tmp_path / "eval.json"),
+        ],
+    )
+    assert rc == EXIT_OK and len(built) == 2
 
 
 def test_train_rejects_unknown_config_key(tmp_path, capsys, desk_paths):

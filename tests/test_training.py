@@ -414,6 +414,99 @@ def test_sampler_needs_two_entities():
         NegativeSampler(build_vocab(g), g)
 
 
+def test_split_sampler_knows_the_whole_split_and_is_built_once(desk_split):
+    assert desk_split.sampler is desk_split.sampler
+    whole = NegativeSampler(desk_split.vocab, desk_split.full_graph())
+    assert desk_split.sampler.known == whole.known
+
+
+# The sampler decodes its draws from raw PCG64 words. Against the calls it
+# stands for, ``Generator.random() < 0.5`` and ``Generator.integers(k)``,
+# at pool sizes where Lemire's rejection fires often (a quarter of draws at
+# 3 * 2**30, about half at 2**31 + 1) and where it draws nothing (k = 1).
+
+
+def _synthetic_sampler(n_entities: int) -> NegativeSampler:
+    """A sampler over entities 0..n_entities-1 with the head pool {0, 1, 2}
+    (or fewer), built without a vocabulary so that the tail pool can be
+    larger than any vocabulary in memory. Its triples must have a head in
+    the pool and relation 0."""
+    sampler = object.__new__(NegativeSampler)
+    sampler.n_entities, sampler.n_relations = n_entities, 1
+    sampler.heads = sampler.head_pos = list(range(min(3, n_entities)))
+    sampler.known = set()
+    return sampler
+
+
+def _reference_draws(sampler, triples, rng, max_attempts=100):
+    """What the sampler draws, one ``random``/``integers`` call per draw."""
+    n_e, n_heads = sampler.n_entities, len(sampler.heads)
+    out = []
+    for h, r, t in triples:
+        corrupt_head = rng.random() < 0.5
+        size, skip = (n_heads, h) if corrupt_head else (n_e, t)
+        nh, nt = h, t
+        for _ in range(max_attempts):
+            i = int(rng.integers(size - 1))
+            if i >= skip:
+                i += 1
+            nh, nt = (i, t) if corrupt_head else (h, i)
+            if sampler.key(nh, r, nt) not in sampler.known:
+                break
+        out.append((nh, nt))
+    return out
+
+
+@pytest.mark.parametrize("n_entities", [2, 3, 208, 3 * 2**30 + 1, 2**31 + 2])
+@pytest.mark.parametrize("calls_before", [0, 1, 3])
+def test_word_decoder_matches_generator_calls(n_entities, calls_before):
+    # tail draws are integers(n_entities - 1): k = 1, 2, 207, 3 * 2**30, 2**31 + 1
+    pick = np.random.default_rng(n_entities)
+    n_heads = min(3, n_entities)
+    triples = [
+        (i % n_heads, 0, int(pick.integers(n_entities))) for i in range(300)
+    ]
+    # Known tails of heads 0 and 1 force redraws; on the small pools they
+    # are every tail, so those triples end in a forced accept.
+    sampler = _synthetic_sampler(n_entities)
+    sampler.known = {sampler.key(h, 0, t) for h in (0, 1) for t in range(min(n_entities, 150))}
+    for one_call_per_triple in (False, True):
+        ref = np.random.default_rng(99)
+        rng = np.random.default_rng(99)
+        # An odd number of integers calls leaves the high half of a word buffered.
+        for g in (ref, rng):
+            g.random()
+            for _ in range(calls_before):
+                g.integers(5)
+        assert rng.bit_generator.state["has_uint32"] == calls_before % 2
+        want = _reference_draws(sampler, triples, ref)
+        if one_call_per_triple:
+            got = [sampler.sample(*ids, rng) for ids in triples]
+        else:
+            got = list(zip(*sampler.sample_many(triples, rng)))
+        assert got == want
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+        assert rng.integers(2**31 + 1) == ref.integers(2**31 + 1)
+        assert rng.integers(7) == ref.integers(7)
+        assert rng.permutation(50).tolist() == ref.permutation(50).tolist()
+
+
+def test_sampler_needs_a_pcg64_generator():
+    g = line_graph(5)
+    v = build_vocab(g)
+    sampler = NegativeSampler(v, g)
+    rng = np.random.Generator(np.random.MT19937(3))
+    with pytest.raises(TypeError, match="PCG64"):
+        sampler.sample_many([v.triple_ids(g.triples[0])], rng)
+    with pytest.raises(TypeError, match="PCG64"):
+        sampler.sample(*v.triple_ids(g.triples[0]), rng)
+    with pytest.raises(TypeError, match="PCG64"):
+        sampler.sample_triple(g.triples[0], rng)
+    # nothing was drawn
+    assert rng.random() == np.random.Generator(np.random.MT19937(3)).random()
+
+
 # ---------------------------------------------------------------------------
 # convergence
 
