@@ -139,20 +139,6 @@ def _train_config(args) -> training.TrainConfig:
         raise CliError("config", str(exc)) from exc
 
 
-def _sample_negatives(
-    positives: rdf.Graph, split: training.DatasetSplit, seed_stream
-) -> list[rdf.Triple]:
-    vocab = split.vocab
-    heads, tails = split.sampler.sample_many(
-        [vocab.triple_ids(t) for t in positives], np.random.default_rng(seed_stream)
-    )
-    entities = vocab.entities
-    return [
-        rdf.Triple(entities[h], t.relation, entities[nt])
-        for t, h, nt in zip(positives, heads, tails)
-    ]
-
-
 def _cmd_gen_ikg(args) -> int:
     try:
         spec = ikggen.IkgGenSpec(
@@ -203,10 +189,8 @@ def _cmd_train(args) -> int:
     )
     report = training.train(model, split, config)
 
-    negatives = _sample_negatives(split.valid, split, (config.seed, 2))
-    model.thresholds = evaluation.select_thresholds(
-        model, rdf.Graph(split.valid, graph.prefix_map), negatives
-    )
+    negatives = split.sampler.sample_many(split.valid_ids, np.random.default_rng((config.seed, 2)))
+    model.thresholds = evaluation.select_thresholds(model, split.valid_ids, negatives)
     model.train_config = config.to_document()
     kg2e.save_model(model, args.out)
 
@@ -242,12 +226,13 @@ def _cmd_evaluate(args) -> int:
     if model.thresholds is None:
         raise CliError("config", "model carries no thresholds; re-run train")
 
-    test = rdf.Graph(split.test, graph.prefix_map)
-    raw = evaluation.evaluate_ranks(model, test, graph, filtered=False)
-    filtered = evaluation.evaluate_ranks(model, test, graph, filtered=True)
-    negatives = _sample_negatives(split.test, split, (config.seed, 3))
+    test = split.test_ids
+    known = np.concatenate((split.train_ids, split.valid_ids, test))
+    raw = evaluation.evaluate_ranks(model, test, known, filtered=False)
+    filtered = evaluation.evaluate_ranks(model, test, known, filtered=True)
+    negatives = split.sampler.sample_many(test, np.random.default_rng((config.seed, 3)))
     classification = evaluation.evaluate_classification(
-        model, split.test, negatives, model.thresholds
+        model, test, negatives, model.thresholds
     )
 
     doc = {
@@ -319,8 +304,9 @@ def _cmd_verify(args) -> int:
     if model.thresholds is None:
         raise CliError("config", "model carries no thresholds; re-run train")
     intent_graph = _load_graph(args.intent)
-    if intent_graph.has_placeholders:
-        raise pipeline.UnresolvedSlotError(0, "unknown", 0)
+    for triple in intent_graph.triples:
+        if triple.placeholder_count:
+            raise CliError("unresolved-slot", f"intent still holds a placeholder: {triple}")
 
     # Blueprint skeleton terms (e.g. the intent node itself) are not model
     # vocabulary; only triples the model can score participate in the verdict.

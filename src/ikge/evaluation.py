@@ -1,16 +1,21 @@
 """Link-prediction ranking and triple classification.
 
+Ranking, threshold selection and classification metrics take triples in
+their id form: ``(n, 3)`` int arrays of ``(h, r, t)`` rows, such as a
+split's ``test_ids``. Every id is range-checked on entry (IndexError).
+Only ``rank_triple`` and ``classify`` take a Term-level triple, and each
+converts its own.
+
 Ranking scores every entity as a replacement for the missing side of a
 test triple and reports the rank of the true entity, averaging positions
 over exact score ties. The filtered protocol drops candidates that form
-other known-true triples (never the true entity itself). The known graph
-is indexed once per ranking run, in its id form ``(h, r, t)``: tail ids
-by ``(h, r)`` and head ids by ``(r, t)``; a single ``rank_triple`` collects
-only the entry of its own query. Known triples with a term outside the
-model vocabulary are skipped, since no candidate can complete them.
+other known-true triples (never the true entity itself). The known ids
+are indexed once per ranking run: tail ids by ``(h, r)`` and head ids by
+``(r, t)``; a single ``rank_triple`` collects only the entry of its own
+query, skipping known triples with a term outside the model vocabulary.
 Classification applies per-relation score thresholds chosen on validation
 data by maximizing accuracy over midpoints of adjacent scores; the triples
-of one call are scored in one batch over their id array.
+of one call are scored in one batch.
 """
 
 from __future__ import annotations
@@ -127,11 +132,15 @@ def rank_from_scores(scores: np.ndarray, true_index: int, keep: np.ndarray | Non
     return better + (tied + 1) / 2.0
 
 
-def _filter_index(model: kg2e.Kg2eModel, known: Graph) -> dict[tuple, list[int]]:
-    """Known completions by query: ``(RIGHT, h, r)`` -> tail ids and
-    ``(LEFT, r, t)`` -> head ids."""
+def _check_ids(model: kg2e.Kg2eModel, ids) -> np.ndarray:
+    return kg2e.check_ids(ids, model.vocab.n_entities, model.vocab.n_relations)
+
+
+def _filter_index(known: np.ndarray) -> dict[tuple, list[int]]:
+    """Known completions of the ``(n, 3)`` id array ``known`` by query:
+    ``(RIGHT, h, r)`` -> tail ids and ``(LEFT, r, t)`` -> head ids."""
     index: dict[tuple, list[int]] = {}
-    for h, r, t in model.vocab.known_ids(known.triples):
+    for h, r, t in known.tolist():
         index.setdefault((RIGHT, h, r), []).append(t)
         index.setdefault((LEFT, r, t), []).append(h)
     return index
@@ -182,18 +191,19 @@ def rank_triple(
 
 def evaluate_ranks(
     model: kg2e.Kg2eModel,
-    test: Graph,
-    known: Graph,
+    test: np.ndarray,
+    known: np.ndarray,
     filtered: bool = False,
     hits_at: tuple[int, ...] = (1, 3, 10),
 ) -> RankMetrics:
-    """Aggregate right-side and left-side ranks over a test graph."""
+    """Aggregate right-side and left-side ranks over the ``test`` id rows;
+    the filtered protocol drops the other completions in ``known`` (ids)."""
+    test, known = _check_ids(model, test), _check_ids(model, known)
     if len(test) == 0:
         raise ValueError("test graph is empty")
-    index = _filter_index(model, known) if filtered else None
+    index = _filter_index(known) if filtered else None
     ranks = []
-    for triple in test.triples:
-        h, r, t = model.vocab.triple_ids(triple)
+    for h, r, t in test.tolist():
         ranks.append(_rank_ids(model, h, r, t, RIGHT, index))
         ranks.append(_rank_ids(model, h, r, t, LEFT, index))
     arr = np.array(ranks)
@@ -232,31 +242,18 @@ def best_threshold(pos_scores, neg_scores) -> float:
     return float(candidates[int(np.argmax(correct))])
 
 
-def _classifiable_ids(model: kg2e.Kg2eModel, triple: Triple) -> tuple[int, int, int]:
-    """Id form of a complete triple; a placeholder raises ValueError."""
-    if triple.placeholder_count:
-        raise ValueError("cannot classify a triple containing a placeholder")
-    return model.vocab.triple_ids(triple)
-
-
-def _id_array(model: kg2e.Kg2eModel, triples) -> np.ndarray:
-    """``(n, 3)`` id array of complete triples (a Graph or any iterable)."""
-    rows = [_classifiable_ids(model, triple) for triple in triples]
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
-
-
 def select_thresholds(
-    model: kg2e.Kg2eModel, valid_pos: Graph, valid_neg: list[Triple]
+    model: kg2e.Kg2eModel, valid_pos: np.ndarray, valid_neg: np.ndarray
 ) -> ThresholdTable:
-    """Per-relation thresholds from validation positives and negatives.
+    """Per-relation thresholds from validation positive and negative id rows.
 
     Every relation seen in the validation data gets an entry; the fallback
     pools all scores and covers relations missing from validation.
     """
-    if len(valid_pos) == 0:
+    pos_ids = _check_ids(model, valid_pos)
+    neg_ids = _check_ids(model, valid_neg)
+    if len(pos_ids) == 0:
         raise ValueError("validation positives are empty")
-    pos_ids = _id_array(model, valid_pos)
-    neg_ids = _id_array(model, valid_neg)
     scores = kg2e.score_triples(model, np.concatenate([pos_ids, neg_ids]))
     pos_scores, neg_scores = scores[: len(pos_ids)], scores[len(pos_ids) :]
     pos_rel, neg_rel = pos_ids[:, 1], neg_ids[:, 1]
@@ -268,26 +265,29 @@ def select_thresholds(
     return table
 
 
-def _verdicts(model: kg2e.Kg2eModel, triples, thresholds: ThresholdTable) -> np.ndarray:
-    """Per-triple 'score reaches its relation's threshold', scored in one batch."""
-    ids = _id_array(model, triples)
+def _verdicts(model: kg2e.Kg2eModel, ids: np.ndarray, thresholds: ThresholdTable) -> np.ndarray:
+    """Per-row 'score reaches its relation's threshold', scored in one batch."""
+    ids = _check_ids(model, ids)
     limits = np.array([thresholds.lookup(r) for r in ids[:, 1].tolist()], dtype=np.float64)
     return kg2e.score_triples(model, ids) >= limits
 
 
 def classify(model: kg2e.Kg2eModel, triple: Triple, thresholds: ThresholdTable) -> bool:
-    """Valid iff the triple's score reaches its relation's threshold."""
-    h, r, t = _classifiable_ids(model, triple)
+    """Valid iff the triple's score reaches its relation's threshold; a
+    placeholder raises ValueError."""
+    if triple.placeholder_count:
+        raise ValueError("cannot classify a triple containing a placeholder")
+    h, r, t = model.vocab.triple_ids(triple)
     return kg2e.score(model, h, r, t) >= thresholds.lookup(r)
 
 
 def evaluate_classification(
     model: kg2e.Kg2eModel,
-    test_pos,
-    test_neg,
+    test_pos: np.ndarray,
+    test_neg: np.ndarray,
     thresholds: ThresholdTable,
 ) -> ClassificationMetrics:
-    """Confusion counts and rates over positive and negative test triples."""
+    """Confusion counts and rates over positive and negative test id rows."""
     pos = _verdicts(model, test_pos, thresholds)
     neg = _verdicts(model, test_neg, thresholds)
     tp, fp = int(pos.sum()), int(neg.sum())

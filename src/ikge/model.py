@@ -216,20 +216,24 @@ def score_grad(model: Kg2eModel, h: int, r: int, t: int, score_kind: str | None 
     return tuple(g.copy() for g in grads)
 
 
+def check_ids(ids, n_entities: int, n_relations: int) -> np.ndarray:
+    """``ids`` as an ``(n, 3)`` int64 array of ``(h, r, t)`` rows; an id
+    outside its table raises IndexError instead of aliasing another row."""
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1, 3)
+    if len(ids) and (
+        ids.min() < 0 or ids[:, ::2].max() >= n_entities or ids[:, 1].max() >= n_relations
+    ):
+        raise IndexError("triple id out of range")
+    return ids
+
+
 def score_triples(model: Kg2eModel, ids) -> np.ndarray:
     """Scores of an ``(n, 3)`` array of ``(h, r, t)`` id rows in one batch.
 
     Summation order matches the scalar path, so entry i is bit-identical
     to ``score(model, *ids[i])``.
     """
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1, 3)
-    h, r, t = ids[:, 0], ids[:, 1], ids[:, 2]
-    if len(ids) and (
-        min(h.min(), r.min(), t.min()) < 0
-        or max(h.max(), t.max()) >= model.vocab.n_entities
-        or r.max() >= model.vocab.n_relations
-    ):
-        raise IndexError("triple id out of range")
+    h, r, t = check_ids(ids, model.vocab.n_entities, model.vocab.n_relations).T
     em, ec = model.entity_means, model.entity_covs
     rm, rc = model.relation_means, model.relation_covs
     return _SCORE_FNS[model.score_kind](em[h], ec[h], rm[r], rc[r], em[t], ec[t])

@@ -1,10 +1,10 @@
 """Natural-language intent to verified network-intent translation.
 
 The pipeline runs six steps: keyword extraction over a gazetteer corpus
-(A), template construction from a blueprint with ``???`` slots (B),
-locating the incomplete triples (C), top-k link prediction per slot (D),
-slot completion under ontology admissibility and keyword hints (E) and
-verification of every formerly slotted triple through the classifier (F).
+(A), template construction from a blueprint with ``???`` slots (B), in
+slot-id order (C), top-k link prediction per slot (D), slot completion
+under ontology admissibility and keyword hints (E) and verification of
+every formerly slotted triple through the classifier (F).
 
 Slots are typed by the relation of their triple: ``icm:hasTarget`` fills a
 service, ``icm:targetResource`` a resource and ``icm:valueBy`` a literal
@@ -60,6 +60,8 @@ ROLE_ANCHORS = {
     ROLE_SERVICE: Term.iri("icm:Target"),
     ROLE_RESOURCE: Term.iri("service:NetworkResource"),
 }
+
+_TOKEN = re.compile(r"[a-z0-9]+")  # a word of free text; keywords are sequences of these
 
 RDF_TYPE = Term.iri("rdf:type")
 RDFS_SUBCLASS = Term.iri("rdfs:subclass")
@@ -188,8 +190,10 @@ class NetworkIntent:
 def load_corpus(text: str, ikg: Graph) -> KeywordCorpus:
     """Parse tab-separated ``keyword<TAB>role<TAB>term`` corpus lines.
 
-    Keywords are lower-cased; every term must resolve against the IKG
-    vocabulary so hints can never point outside the graph.
+    Keywords are lower-cased and must be words of ``[a-z0-9]+``, the tokens
+    ``extract_keywords`` matches, or they could never match; every term
+    must resolve against the IKG vocabulary so hints can never point
+    outside the graph.
     """
     vocab = build_vocab(ikg)
     entries: dict[str, list[CorpusHint]] = {}
@@ -204,6 +208,10 @@ def load_corpus(text: str, ikg: Graph) -> KeywordCorpus:
         role = parts[1].strip()
         if not keyword:
             raise ParseError("empty keyword", lineno, 1)
+        if not all(_TOKEN.fullmatch(word) for word in keyword.split()):
+            raise ParseError(
+                f"keyword {keyword!r} can never match: words must be [a-z0-9]+", lineno, 1
+            )
         if role not in CORPUS_ROLES:
             raise ParseError(f"unknown role {role!r}", lineno, 1)
         try:
@@ -218,7 +226,7 @@ def load_corpus(text: str, ikg: Graph) -> KeywordCorpus:
 
 def extract_keywords(text: str, corpus: KeywordCorpus) -> list[KeywordMatch]:
     """Case-insensitive longest-match scan; duplicates keep first position."""
-    tokens = re.findall(r"[a-z0-9]+", text.lower())
+    tokens = _TOKEN.findall(text.lower())
     keyed = {tuple(k.split()): k for k in corpus.entries}
     max_len = max((len(k) for k in keyed), default=0)
     matches: list[str] = []
@@ -279,11 +287,6 @@ def build_template(matches, ikg: Graph, blueprint: Graph) -> IntentTemplate:
     prefixes = dict(ikg.prefix_map)
     prefixes.update(blueprint.prefix_map)
     return IntentTemplate(intent_id, complete, slots, prefixes)
-
-
-def find_incomplete(template: IntentTemplate) -> list[Slot]:
-    """Slots in ascending slot-id order."""
-    return sorted(template.slotted, key=lambda s: s.slot_id)
 
 
 class OntologyIndex:
@@ -422,15 +425,13 @@ def complete_template(
     ikg: Graph,
     hints: dict[str, list[Term]] | None = None,
     k: int = 10,
-    thresholds: evaluation.ThresholdTable | None = None,
 ) -> NetworkIntent:
-    """Resolve every slot with the best admissible prediction.
+    """Resolve every slot, in the slot-id order ``build_template`` gives,
+    with the best admissible prediction.
 
     Selection precedence: ontology admissibility, then hint consistency,
     then prediction rank. When hints exclude every admissible candidate
-    the hint constraint is dropped and the conflict is logged. Passing
-    ``thresholds`` pre-fills each resolution's classified flag; selection
-    never depends on it.
+    the hint constraint is dropped and the conflict is logged.
     """
     hints = hints or {}
     index = OntologyIndex(ikg)
@@ -438,7 +439,7 @@ def complete_template(
     resolutions: list[SlotResolution] = []
     filled: list[Triple] = []
 
-    for slot in find_incomplete(template):
+    for slot in template.slotted:
         triple = slot.triple
         if anchor_substitutions:
             head = anchor_substitutions.get(triple.head, triple.head)
@@ -479,8 +480,6 @@ def complete_template(
             score=chosen.score,
             note=note,
         )
-        if thresholds is not None:
-            resolution.classified = evaluation.classify(model, new_triple, thresholds)
         resolutions.append(resolution)
         anchor = ROLE_ANCHORS.get(slot.role)
         if anchor is not None:
@@ -515,15 +514,15 @@ def translate(
     corpus: KeywordCorpus,
     blueprint: Graph,
     k: int = 10,
-    thresholds: evaluation.ThresholdTable | None = None,
 ) -> NetworkIntent:
-    """End-to-end pipeline from free text to a verified NetworkIntent.
+    """End-to-end pipeline from free text to a NetworkIntent verified with
+    the model's thresholds.
 
     Raises UnresolvedSlotError when a slot has no admissible candidate and
     VerificationFailedError (carrying the candidate intent) when any
     completed triple fails classification.
     """
-    thresholds = thresholds if thresholds is not None else model.thresholds
+    thresholds = model.thresholds
     if thresholds is None:
         raise ValueError("no thresholds available; train or calibrate the model first")
     matches = extract_keywords(text, corpus)

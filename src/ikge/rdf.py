@@ -299,10 +299,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({len(self.triples)} triples, {len(self.prefix_map)} prefixes)"
 
-    @property
-    def has_placeholders(self) -> bool:
-        return any(t.placeholder_count for t in self.triples)
-
     def expand_iri(self, term: Term) -> str:
         """Full IRI string for an IRI term, resolving prefixed names."""
         if not term.is_iri:

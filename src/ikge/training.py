@@ -1,12 +1,14 @@
 """Margin-ranking training with RMS-scaled updates under the open-world assumption.
 
-Training triples are positives, held in their id form ``(h, r, t)``;
-negatives are sampled per positive by corrupting the head or the tail
-(coin flip) with a uniformly random replacement entity, rejecting
-corruptions present anywhere in the full graph for up to 100 attempts.
-Membership is one set lookup of the packed key ``(h * R + r) * E + t``
-(E entities, R relations), the set built once per vocabulary and known
-graph. Updates follow the RMS rule
+A split converts each of its triples to the id form ``(h, r, t)`` once,
+into the ``(n, 3)`` int arrays ``train_ids``, ``valid_ids`` and
+``test_ids``; training, threshold selection and evaluation read these.
+Training triples are positives; negatives are sampled per positive by
+corrupting the head or the tail (coin flip) with a uniformly random
+replacement entity, rejecting corruptions present anywhere in the split
+for up to 100 attempts. Membership is one set lookup of the packed key
+``(h * R + r) * E + t`` (E entities, R relations), the set built once per
+split from its three id arrays. Updates follow the RMS rule
 
     s <- rho * s + (1 - rho) * g^2
     theta <- theta + lr * g / sqrt(s + eps)
@@ -41,7 +43,6 @@ that drawing, scoring and updating pair by pair would:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -141,12 +142,22 @@ class DatasetSplit:
             self.train.prefix_map,
         )
 
+    def _ids(self, triples: Graph) -> np.ndarray:
+        rows = [self.vocab.triple_ids(t) for t in triples]
+        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+    # The ``(n, 3)`` id forms of the three parts, rows in triple order: each
+    # triple is converted once, and every layer that scores reads these.
+    train_ids = cached_property(lambda self: self._ids(self.train))
+    valid_ids = cached_property(lambda self: self._ids(self.valid))
+    test_ids = cached_property(lambda self: self._ids(self.test))
+
     @cached_property
     def sampler(self) -> "NegativeSampler":
         """The negative sampler over the split's own triples, built once:
         training and the threshold and test negatives all reject these."""
         return NegativeSampler(
-            self.vocab, self.train.triples + self.valid.triples + self.test.triples
+            self.vocab, np.concatenate((self.train_ids, self.valid_ids, self.test_ids))
         )
 
 
@@ -182,13 +193,13 @@ def split_dataset(
 
 
 class NegativeSampler:
-    """Corruptions of id triples, rejecting the known triples (a Graph or
-    any iterable of Triples).
+    """Corruptions of id triples, rejecting the known triples (an ``(n, 3)``
+    id array).
 
     Head replacements exclude literal entities because literals cannot
     stand in subject position; tail replacements range over all entities.
-    Known triples with a term outside the vocabulary are skipped: no
-    corruption built from the vocabulary can equal them.
+    Known and corrupted ids are range-checked (IndexError): a tail id past
+    the last entity would pack to another triple's key.
 
     Draws are decoded from the raw 64-bit words of the generator's PCG64
     bit generator, by numpy's own rules for ``Generator.random()`` and
@@ -211,10 +222,9 @@ class NegativeSampler:
     differently. Any other raises TypeError.
     """
 
-    def __init__(self, vocab: Vocab, known: Iterable[Triple]):
+    def __init__(self, vocab: Vocab, known: np.ndarray):
         if vocab.n_entities < 2:
             raise ValueError("need at least two entities to corrupt a triple")
-        self.vocab = vocab
         self.n_entities = vocab.n_entities
         self.n_relations = vocab.n_relations
         self.heads = vocab.non_literal_ids.tolist()
@@ -222,34 +232,30 @@ class NegativeSampler:
         self.head_pos = [-1] * self.n_entities
         for k, e in enumerate(self.heads):
             self.head_pos[e] = k
-        self.known = {self.key(h, r, t) for h, r, t in vocab.known_ids(known)}
+        h, r, t = kg2e.check_ids(known, self.n_entities, self.n_relations).T
+        self.known = set(self.key(h, r, t).tolist())
 
-    def key(self, h: int, r: int, t: int) -> int:
+    def key(self, h, r, t):
+        """Packed key ``(h * R + r) * E + t`` of ids or id arrays."""
         return (h * self.n_relations + r) * self.n_entities + t
 
-    def sample(
-        self, h: int, r: int, t: int, rng: np.random.Generator, max_attempts: int = 100
-    ) -> tuple[int, int]:
-        """Head and tail ids of a corruption of ``(h, r, t)``: the one-triple
-        case of :meth:`sample_many`."""
-        heads, tails = self.sample_many(((h, r, t),), rng, max_attempts)
-        return heads[0], tails[0]
-
     def sample_many(
-        self, triples, rng: np.random.Generator, max_attempts: int = 100
-    ) -> tuple[list[int], list[int]]:
-        """Head ids and tail ids of one corruption per ``(h, r, t)`` id triple
-        of the sequence ``triples``.
+        self, triples: np.ndarray, rng: np.random.Generator, max_attempts: int = 100
+    ) -> np.ndarray:
+        """One corruption per row of the ``(n, 3)`` id array ``triples``, as
+        an ``(n, 3)`` id array.
 
-        Triples are corrupted in order, each drawing what :meth:`sample`
-        draws for it, so the generator ends in the same state as after one
-        :meth:`sample` call per triple. A coin picks the side (the head
-        only when the head pool has an entity other than ``h``); the
-        replacement always differs from the original entity, so a result
-        differs from its triple in exactly one position. Known corruptions
-        are redrawn; after ``max_attempts`` the last draw is accepted even
-        if it is a known triple.
+        Triples are corrupted in order, each making the draws of the
+        one-row call, so the generator ends in the same state as after one
+        call per row. A coin picks the side (the head only when the head
+        pool has an entity other than ``h``); the replacement always
+        differs from the original entity, so a result differs from its
+        triple in exactly one position. Known corruptions are redrawn;
+        after ``max_attempts`` the last draw is accepted even if it is a
+        known triple.
         """
+        ids = kg2e.check_ids(triples, self.n_entities, self.n_relations)
+        triples = ids.tolist()
         bits = rng.bit_generator
         if not isinstance(bits, np.random.PCG64):
             raise TypeError(
@@ -320,15 +326,9 @@ class NegativeSampler:
             state = bits.state
             state["has_uint32"], state["uinteger"] = has_half, half
             bits.state = state
-        return out_h, out_t
-
-    def sample_triple(
-        self, positive: Triple, rng: np.random.Generator, max_attempts: int = 100
-    ) -> Triple:
-        """:meth:`sample` on the id form of a Term-level triple."""
-        nh, nt = self.sample(*self.vocab.triple_ids(positive), rng, max_attempts)
-        entities = self.vocab.entities
-        return Triple(entities[nh], positive.relation, entities[nt])
+        negatives = ids.copy()
+        negatives[:, 0], negatives[:, 2] = out_h, out_t
+        return negatives
 
 
 def sample_negative(
@@ -339,8 +339,12 @@ def sample_negative(
     max_attempts: int = 100,
 ) -> Triple:
     """One corruption of ``positive`` that is not in ``graph``; see
-    :class:`NegativeSampler`, which callers drawing many should build once."""
-    return NegativeSampler(vocab, graph).sample_triple(positive, rng, max_attempts)
+    :class:`NegativeSampler`, which callers drawing many should build once.
+    Triples of ``graph`` with a term outside ``vocab`` are skipped: no
+    corruption built from the vocabulary can equal them."""
+    sampler = NegativeSampler(vocab, vocab.known_ids(graph))
+    nh, _, nt = sampler.sample_many([vocab.triple_ids(positive)], rng, max_attempts)[0].tolist()
+    return Triple(vocab.entities[nh], positive.relation, vocab.entities[nt])
 
 
 def convergence_epoch(
@@ -380,8 +384,7 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
     rng = np.random.default_rng(config.seed)
     sampler = split.sampler
     # Column form (3, n): one contiguous row each of heads, relations, tails.
-    pos_ids = np.array([split.vocab.triple_ids(t) for t in split.train.triples], dtype=np.int64)
-    pos_ids = np.ascontiguousarray(pos_ids.T)
+    pos_ids = np.ascontiguousarray(split.train_ids.T)
     n = pos_ids.shape[1]
     npp = config.negatives_per_positive
     n_rows = n * npp
@@ -425,8 +428,7 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
     for _epoch in range(config.epochs):
         # The epoch's negatives in one draw, straight after the permutation.
         pos = pos_ids[:, np.repeat(rng.permutation(n), npp)]
-        neg = pos.copy()
-        neg[0], neg[2] = sampler.sample_many(pos.T.tolist(), rng)
+        neg = sampler.sample_many(pos.T, rng).T
         loss_sum = 0.0
         for lo in range(0, n_rows, batch_rows):
             hi = lo + batch_rows

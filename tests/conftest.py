@@ -16,7 +16,7 @@ from ikge.evaluation import select_thresholds
 from ikge.ikggen import IkgGenSpec, gen_ikg
 from ikge.model import DEFAULT_DIM, init_model, save_model
 from ikge.pipeline import OntologyIndex, load_corpus
-from ikge.training import TrainConfig, sample_negative, split_dataset, train
+from ikge.training import TrainConfig, split_dataset, train
 
 try:
     from importlib import resources
@@ -49,13 +49,9 @@ def desk_run(desk_split, desk_config):
     # positives vs. sampled negatives, then stash the config used.
     model = init_model(desk_split.vocab, dim=DEFAULT_DIM, seed=desk_config.seed)
     report = train(model, desk_split, desk_config)
-    full = desk_split.full_graph()
+    valid = desk_split.valid_ids
     rng = np.random.default_rng((desk_config.seed, 2))
-    negatives = [
-        sample_negative(t, desk_split.vocab, full, rng) for t in desk_split.valid
-    ]
-    valid_graph = rdf.Graph(desk_split.valid, desk_split.train.prefix_map)
-    model.thresholds = select_thresholds(model, valid_graph, negatives)
+    model.thresholds = select_thresholds(model, valid, desk_split.sampler.sample_many(valid, rng))
     model.train_config = desk_config.to_document()
     return model, report
 

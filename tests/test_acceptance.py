@@ -42,7 +42,6 @@ from ikge.pipeline import (
     translate,
 )
 from ikge.rdf import Graph, Term, Triple, build_vocab, parse, serialize
-from ikge.training import sample_negative
 
 EL_ORACLE_ATOL = 1e-9
 KL_MC_SAMPLES = 1_000_000
@@ -220,7 +219,12 @@ def test_c3_rank_evaluation_matches_oracle_exactly():
                 got = rank_triple(model, triple, side, known, filtered=filtered)
                 assert got == expected, (str(triple), side, filtered)
                 ranks.append(expected)
-        metrics = evaluate_ranks(model, test, known, filtered=filtered)
+        metrics = evaluate_ranks(
+            model,
+            np.array(vocab.known_ids(test), dtype=np.int64),
+            np.array(vocab.known_ids(known), dtype=np.int64),
+            filtered=filtered,
+        )
         assert metrics.mean_rank == np.mean(ranks)
         assert metrics.n_ranks == len(ranks)
         for k, value in metrics.hits.items():
@@ -279,18 +283,14 @@ def test_c5_training_converges_within_bound(desk_report):
 
 
 def test_c6_heldout_accuracy_and_hits(desk_model, desk_split, desk_config):
-    known = desk_split.full_graph()
-    test = Graph(desk_split.test, desk_split.train.prefix_map)
+    test = desk_split.test_ids
+    known = np.concatenate((desk_split.train_ids, desk_split.valid_ids, test))
     filtered = evaluate_ranks(desk_model, test, known, filtered=True)
     assert filtered.hits[10] >= HITS10_BOUND
 
     rng = np.random.default_rng((desk_config.seed, 3))
-    negatives = [
-        sample_negative(t, desk_split.vocab, known, rng) for t in desk_split.test
-    ]
-    metrics = evaluate_classification(
-        desk_model, desk_split.test, negatives, desk_model.thresholds
-    )
+    negatives = desk_split.sampler.sample_many(test, rng)
+    metrics = evaluate_classification(desk_model, test, negatives, desk_model.thresholds)
     assert metrics.accuracy >= ACCURACY_BOUND
 
 

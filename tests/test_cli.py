@@ -231,6 +231,34 @@ def test_train_and_evaluate_build_one_sampler_each(tmp_path, capsys, monkeypatch
     assert rc == EXIT_OK and len(built) == 2
 
 
+def test_train_and_evaluate_convert_each_triple_once(tmp_path, capsys, monkeypatch, desk_paths):
+    # The split's id arrays are the only Term-to-id conversion: every layer
+    # that scores reads them.
+    calls = []
+    triple_ids = rdf.Vocab.triple_ids
+
+    def counting(self, triple):
+        calls.append(triple)
+        return triple_ids(self, triple)
+
+    monkeypatch.setattr(rdf.Vocab, "triple_ids", counting)
+    model = tmp_path / "m.json"
+    rc, _, _ = run(
+        capsys,
+        ["train", "--ikg", str(desk_paths["ikg"]), "--out", str(model), "--epochs", "1"],
+    )
+    assert rc == EXIT_OK and len(calls) == 1575
+    calls.clear()
+    rc, _, _ = run(
+        capsys,
+        [
+            "evaluate", "--ikg", str(desk_paths["ikg"]), "--model", str(model),
+            "--out", str(tmp_path / "eval.json"),
+        ],
+    )
+    assert rc == EXIT_OK and len(calls) == 1575
+
+
 def test_train_rejects_unknown_config_key(tmp_path, capsys, desk_paths):
     config = tmp_path / "c.json"
     config.write_text('{"epochs": 2, "momentum": 0.9}')
@@ -548,7 +576,11 @@ def test_verify_rejects_placeholder_intent(tmp_path, capsys, desk_paths):
         capsys,
         ["verify", "--model", str(desk_paths["model"]), "--intent", str(intent)],
     )
-    assert rc == EXIT_UNRESOLVED_SLOT and err.startswith("error: unresolved-slot:")
+    assert rc == EXIT_UNRESOLVED_SLOT
+    assert err == (
+        "error: unresolved-slot: intent still holds a placeholder:"
+        " icm:PropertyExpectation icm:hasTarget ??? .\n"
+    )
 
 
 def test_verify_needs_classifiable_triples(tmp_path, capsys, desk_paths):

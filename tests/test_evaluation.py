@@ -75,6 +75,12 @@ def test_rank_invariant_under_positive_affine_transform():
 # rank_triple / evaluate_ranks
 
 
+def ids_of(model, triples):
+    """``(n, 3)`` id array of the triples whose terms are all in the model
+    vocabulary, in order."""
+    return np.array(model.vocab.known_ids(triples), dtype=np.int64).reshape(-1, 3)
+
+
 def adversarial_fixture():
     """d=1 model where every test triple ranks dead last on both sides."""
     lines = ["@prefix ex: <http://e.example/ns#> ."]
@@ -97,7 +103,7 @@ def adversarial_fixture():
 
 def test_evaluate_ranks_adversarial_exact():
     model, known, test = adversarial_fixture()
-    m = evaluate_ranks(model, test, known, filtered=False)
+    m = evaluate_ranks(model, ids_of(model, test), ids_of(model, known), filtered=False)
     assert m.mean_rank == 10.0
     assert m.hits == {1: 0.0, 3: 0.0, 10: 1.0}
     assert m.n_ranks == 8
@@ -108,7 +114,7 @@ def test_evaluate_ranks_adversarial_exact():
 def test_evaluate_ranks_requires_test_triples():
     model, known, _ = adversarial_fixture()
     with pytest.raises(ValueError):
-        evaluate_ranks(model, Graph([], known.prefix_map), known)
+        evaluate_ranks(model, ids_of(model, []), ids_of(model, known))
 
 
 def test_single_entity_rank_is_one():
@@ -166,7 +172,7 @@ def test_hits_monotone_and_saturating():
     model, g = random_eval_fixture(3)
     test = Graph(g.triples[:20], g.prefix_map)
     n = model.vocab.n_entities
-    m = evaluate_ranks(model, test, g, filtered=False, hits_at=(1, 3, 10, n))
+    m = evaluate_ranks(model, ids_of(model, test), ids_of(model, g), hits_at=(1, 3, 10, n))
     ks = sorted(m.hits)
     for lo, hi in zip(ks, ks[1:]):
         assert m.hits[lo] <= m.hits[hi]
@@ -177,7 +183,7 @@ def test_hits_monotone_and_saturating():
 def test_rank_metrics_document():
     model, g = random_eval_fixture(4)
     test = Graph(g.triples[:10], g.prefix_map)
-    doc = evaluate_ranks(model, test, g, filtered=True).to_document()
+    doc = evaluate_ranks(model, ids_of(model, test), ids_of(model, g), filtered=True).to_document()
     assert doc["side"] == "both"
     assert doc["filtered"] is True
     assert doc["n_ranks"] == 20
@@ -247,7 +253,7 @@ def test_indexed_filter_matches_brute_force(case):
                 assert rank_triple(model, triple, side, known, filtered=filtered) == want
                 expected.append(want)
         arr = np.array(expected)
-        m = evaluate_ranks(model, test, known, filtered=filtered)
+        m = evaluate_ranks(model, ids_of(model, test), ids_of(model, known), filtered=filtered)
         assert m.mean_rank == float(arr.mean())
         assert m.hits == {p: float((arr <= p).mean()) for p in (1, 3, 10)}
         assert m.n_ranks == 2 * len(test)
@@ -256,6 +262,7 @@ def test_indexed_filter_matches_brute_force(case):
 def test_filtered_ranks_differ_from_raw_on_dense_fixture():
     # the dense fixture must exercise the filter, or the oracle test proves little
     model, test, known = filter_fixtures()[-1]
+    test, known = ids_of(model, test), ids_of(model, known)
     raw = evaluate_ranks(model, test, known, filtered=False)
     filt = evaluate_ranks(model, test, known, filtered=True)
     assert filt.mean_rank < raw.mean_rank
@@ -381,7 +388,7 @@ def separable_fixture():
 
 def test_select_thresholds_separates_validation_data():
     model, pos, neg = separable_fixture()
-    table = select_thresholds(model, pos, neg)
+    table = select_thresholds(model, ids_of(model, pos), ids_of(model, neg))
     assert set(table.per_relation) == {0, 1}
     for t in pos.triples:
         assert classify(model, t, table)
@@ -405,7 +412,7 @@ def test_threshold_table_document_round_trip():
 def test_select_thresholds_empty_positives():
     model, pos, neg = separable_fixture()
     with pytest.raises(ValueError):
-        select_thresholds(model, Graph([], pos.prefix_map), neg)
+        select_thresholds(model, ids_of(model, []), ids_of(model, neg))
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +467,9 @@ def test_from_counts_zero_denominators():
 
 def test_evaluate_classification_counts():
     model, pos, neg = separable_fixture()
-    table = select_thresholds(model, pos, neg)
-    m = evaluate_classification(model, pos, neg, table)
+    pos_ids, neg_ids = ids_of(model, pos), ids_of(model, neg)
+    table = select_thresholds(model, pos_ids, neg_ids)
+    m = evaluate_classification(model, pos_ids, neg_ids, table)
     assert m.tp + m.fn == len(pos)
     assert m.tn + m.fp == len(neg)
     # recount by hand
@@ -487,7 +495,8 @@ def test_batched_classification_matches_scalar_path(seed):
         Triple(t.head, t.relation, model.vocab.entities[int(rng.integers(model.vocab.n_entities))])
         for t in g.triples[30:]
     ]
-    table = select_thresholds(model, pos, neg)
+    pos_ids, neg_ids = ids_of(model, pos), ids_of(model, neg)
+    table = select_thresholds(model, pos_ids, neg_ids)
 
     # the thresholds the scalar path picks, relation by relation
     by_rel: dict[int, tuple[list, list]] = {}
@@ -500,7 +509,7 @@ def test_batched_classification_matches_scalar_path(seed):
         [s for p, _ in by_rel.values() for s in p], [s for _, n in by_rel.values() for s in n]
     )
 
-    m = evaluate_classification(model, pos, neg, table)
+    m = evaluate_classification(model, pos_ids, neg_ids, table)
     tp = sum(scalar_verdict(model, t, table) for t in pos.triples)
     fp = sum(scalar_verdict(model, t, table) for t in neg)
     assert (m.tp, m.fn, m.fp, m.tn) == (tp, len(pos) - tp, fp, len(neg) - fp)
@@ -508,19 +517,40 @@ def test_batched_classification_matches_scalar_path(seed):
         assert classify(model, t, table) is scalar_verdict(model, t, table)
 
 
-def test_evaluate_classification_rejects_placeholder():
+def out_of_range_rows(model):
+    """One id row per column with a negative id, and one with an id past
+    the end of its table."""
+    n_e, n_r = model.vocab.n_entities, model.vocab.n_relations
+    return [[-1, 0, 1], [0, -1, 1], [0, 0, -1], [n_e, 0, 1], [0, n_r, 1], [0, 0, n_e]]
+
+
+@pytest.mark.parametrize("row", range(6))
+def test_id_entry_points_reject_out_of_range_ids(row):
     model, pos, neg = separable_fixture()
-    table = select_thresholds(model, pos, neg)
-    bad = Triple(Term.iri("ex:p0"), Term.iri("ex:r0"), Term.placeholder(0))
-    with pytest.raises(ValueError):
-        evaluate_classification(model, pos, neg + [bad], table)
+    pos_ids, neg_ids = ids_of(model, pos), ids_of(model, neg)
+    bad = np.array([out_of_range_rows(model)[row]], dtype=np.int64)
+    table = select_thresholds(model, pos_ids, neg_ids)
+    with pytest.raises(IndexError):
+        select_thresholds(model, np.concatenate((pos_ids, bad)), neg_ids)
+    with pytest.raises(IndexError):
+        select_thresholds(model, pos_ids, np.concatenate((neg_ids, bad)))
+    with pytest.raises(IndexError):
+        evaluate_classification(model, pos_ids, np.concatenate((neg_ids, bad)), table)
+    with pytest.raises(IndexError):
+        evaluate_classification(model, np.concatenate((pos_ids, bad)), neg_ids, table)
+    with pytest.raises(IndexError):
+        evaluate_ranks(model, np.concatenate((pos_ids, bad)), pos_ids)
+    # a bad known id would mask the wrong entity, or none
+    for filtered in (False, True):
+        with pytest.raises(IndexError):
+            evaluate_ranks(model, pos_ids, np.concatenate((pos_ids, bad)), filtered=filtered)
 
 
 def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split):
     # rank_triple collects only its own query's known completions; each rank
     # must equal the one evaluate_ranks takes from the index of the whole graph
     known = desk_split.full_graph()
-    index = _filter_index(desk_model, known)
+    index = _filter_index(ids_of(desk_model, known))
     for filtered in (False, True):
         ranks = []
         for triple in desk_split.test:
@@ -530,9 +560,11 @@ def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split
                 assert got == _rank_ids(desk_model, h, r, t, side, index if filtered else None)
                 ranks.append(got)
         arr = np.array(ranks)
-        m = evaluate_ranks(desk_model, desk_split.test, known, filtered=filtered)
+        m = evaluate_ranks(
+            desk_model, desk_split.test_ids, ids_of(desk_model, known), filtered=filtered
+        )
         assert m.mean_rank == float(arr.mean())
         assert m.hits == {p: float((arr <= p).mean()) for p in (1, 3, 10)}
         assert m.n_ranks == len(ranks)
-    raw = evaluate_ranks(desk_model, desk_split.test, known, filtered=False)
+    raw = evaluate_ranks(desk_model, desk_split.test_ids, ids_of(desk_model, known))
     assert m.mean_rank < raw.mean_rank  # the filter removed candidates

@@ -32,7 +32,6 @@ from ikge.pipeline import (
     build_template,
     complete_template,
     extract_keywords,
-    find_incomplete,
     load_corpus,
     merge_hints,
     predict_candidates,
@@ -145,6 +144,22 @@ def test_load_corpus_rejects_term_outside_vocab(toy_ikg):
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("keyword", ["best-effort", "5g/nr", "low  latency!", "naïve"])
+def test_load_corpus_rejects_keywords_that_can_never_match(toy_ikg, keyword):
+    # extract_keywords matches [a-z0-9]+ tokens, so no text can match these
+    with pytest.raises(ParseError, match="can never match") as info:
+        load_corpus(
+            f"video\tservice\tservice:VideoService\n{keyword}\tservice\tservice:VideoService\n",
+            toy_ikg,
+        )
+    assert info.value.line == 2
+
+
+def test_load_corpus_accepts_multiword_and_mixed_case_keywords(toy_ikg):
+    corpus = load_corpus("Stream Video\tservice\tservice:VideoService\n", toy_ikg)
+    assert [m.keyword for m in extract_keywords("a STREAM video", corpus)] == ["stream video"]
+
+
 def test_load_corpus_rejects_placeholder_term(toy_ikg):
     with pytest.raises(ParseError):
         load_corpus("video\tservice\t???\n", toy_ikg)
@@ -229,15 +244,16 @@ def test_build_template_rejects_unmapped_relation(toy_ikg):
         build_template([], toy_ikg, blueprint)
 
 
-def test_find_incomplete_sorted():
-    t = Triple(iri("icm:PropertyExpectation"), iri("icm:hasTarget"), Term.placeholder(5))
-    s5 = Slot(t, 5, ROLE_SERVICE, "tail")
-    t2 = Triple(iri("icm:Target"), iri("icm:targetResource"), Term.placeholder(1))
-    s1 = Slot(t2, 1, ROLE_RESOURCE, "tail")
-    from ikge.pipeline import IntentTemplate
-
-    template = IntentTemplate("intent", [], [s5, s1])
-    assert [s.slot_id for s in find_incomplete(template)] == [1, 5]
+def test_build_template_orders_slots_by_id(toy_ikg):
+    # complete_template fills slots in this order, so a later slot can read
+    # an earlier slot's anchor substitution
+    t5 = Triple(iri("icm:PropertyExpectation"), iri("icm:hasTarget"), Term.placeholder(5))
+    t1 = Triple(iri("icm:Target"), iri("icm:targetResource"), Term.placeholder(1))
+    template = build_template([], toy_ikg, Graph([t5, t1], toy_ikg.prefix_map))
+    assert [(s.slot_id, s.role) for s in template.slotted] == [
+        (1, ROLE_RESOURCE),
+        (5, ROLE_SERVICE),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +491,6 @@ def test_complete_template_hint_conflict_logs_and_falls_back(
     assert intent.resolutions[1].note is None
 
 
-def test_complete_template_prefills_classified(toy_model, toy_ikg):
-    k = toy_model.vocab.n_entities
-    table = ThresholdTable({}, fallback=-math.inf)
-    intent = complete_template(
-        toy_template(toy_ikg), toy_model, toy_ikg, k=k, thresholds=table
-    )
-    assert all(r.classified is True for r in intent.resolutions)
-
-
 def fallback_fixture():
     """d=1 model whose top prediction is inadmissible for the slot role."""
     text = PREFIX_BLOCK + (
@@ -634,16 +641,10 @@ def test_translate_requires_thresholds(desk_ikg, desk_split, shipped_corpus, shi
 def test_translate_verification_failure_carries_intent(
     desk_model, desk_ikg, shipped_corpus, shipped_blueprint
 ):
-    strict = ThresholdTable({}, fallback=1e9)
+    strict = desk_model.copy()
+    strict.thresholds = ThresholdTable({}, fallback=1e9)
     with pytest.raises(VerificationFailedError) as info:
-        translate(
-            "reliable video",
-            desk_model,
-            desk_ikg,
-            shipped_corpus,
-            shipped_blueprint,
-            thresholds=strict,
-        )
+        translate("reliable video", strict, desk_ikg, shipped_corpus, shipped_blueprint)
     err = info.value
     assert err.intent.verified is False
     assert len(err.failing) == 3

@@ -80,7 +80,6 @@ def test_parse_placeholders_get_document_order_slots():
     g = parse(text)
     slots = [term.slot for t in g.triples for term in (t.head, t.tail) if term.is_placeholder]
     assert slots == [0, 1, 2, 3]
-    assert g.has_placeholders
     assert g.triples[0].placeholder_count == 1
     assert g.triples[2].placeholder_count == 2
 

@@ -293,6 +293,13 @@ def _reference_sample_negative(positive, vocab, graph, rng, pools, max_attempts=
     return candidate
 
 
+def sample_one(sampler, row, rng):
+    """Head and tail id of one corruption of the id triple ``row``: a
+    one-row ``sample_many`` call."""
+    nh, _, nt = sampler.sample_many([row], rng)[0].tolist()
+    return nh, nt
+
+
 def assert_same_stream(positives, vocab, known, seed, rounds=1, wrapper=True):
     """Reference, sampler and (optionally, as it rebuilds the sampler per
     call) the Term-level wrapper, each from its own generator of one seed."""
@@ -300,12 +307,13 @@ def assert_same_stream(positives, vocab, known, seed, rounds=1, wrapper=True):
     new_rng = np.random.default_rng(seed)
     wrapper_rng = np.random.default_rng(seed)
     pools = _ReferencePools(vocab)
-    sampler = NegativeSampler(vocab, known)
+    sampler = NegativeSampler(vocab, vocab.known_ids(known))
     forced = 0
     for _ in range(rounds):
         for positive in positives:
             want = _reference_sample_negative(positive, vocab, known, ref_rng, pools)
-            assert sampler.sample_triple(positive, new_rng) == want
+            nh, nt = sample_one(sampler, vocab.triple_ids(positive), new_rng)
+            assert Triple(vocab.entities[nh], positive.relation, vocab.entities[nt]) == want
             if wrapper:
                 assert sample_negative(positive, vocab, known, wrapper_rng) == want
             forced += want in known
@@ -337,10 +345,11 @@ def test_sampler_stream_matches_reference_with_literal_tails():
     v = build_vocab(g)
     assert_same_stream(g.triples, v, g, seed=11, rounds=200)
     rng = np.random.default_rng(12)
-    sampler = NegativeSampler(v, g)
+    sampler = NegativeSampler(v, v.known_ids(g))
     for _ in range(500):
         for positive in g.triples:
-            assert not sampler.sample_triple(positive, rng).head.is_literal
+            nh, _ = sample_one(sampler, v.triple_ids(positive), rng)
+            assert not v.entities[nh].is_literal
     # a single IRI head: head corruption is impossible, so the tail is corrupted
     one_head = parse('@prefix ex: <http://e.example/ns#> .\nex:a ex:r "v1" .\nex:a ex:r "v2" .\n')
     assert_same_stream(one_head.triples, build_vocab(one_head), one_head, seed=13, rounds=100)
@@ -359,16 +368,17 @@ def test_sampler_stream_matches_reference_on_exhausted_graph():
 
 
 def assert_batched_draw(triples, vocab, known, seed, rounds=1):
-    """``sample_many`` over the triples against one ``sample`` call per
+    """``sample_many`` over the triples against one one-row call per
     triple, each from its own generator of one seed; returns the number of
     forced accepts."""
-    sampler = NegativeSampler(vocab, known)
+    sampler = NegativeSampler(vocab, vocab.known_ids(known))
     ids = [vocab.triple_ids(t) for t in triples] * rounds
     one_rng = np.random.default_rng(seed)
     many_rng = np.random.default_rng(seed)
-    want = [sampler.sample(h, r, t, one_rng) for h, r, t in ids]
-    heads, tails = sampler.sample_many(ids, many_rng)
-    assert list(zip(heads, tails)) == want
+    want = [sample_one(sampler, row, one_rng) for row in ids]
+    got = sampler.sample_many(ids, many_rng)
+    assert got[:, 1].tolist() == [r for _, r, _ in ids]
+    assert list(zip(got[:, 0].tolist(), got[:, 2].tolist())) == want
     assert many_rng.bit_generator.state == one_rng.bit_generator.state
     return sum(sampler.key(nh, r, nt) in sampler.known for (_, r, _), (nh, nt) in zip(ids, want))
 
@@ -400,23 +410,70 @@ def test_batched_draw_matches_one_call_per_triple(desk_split):
     assert forced == 4 * 5
 
 
-def test_sampler_skips_known_triples_outside_vocab():
+def test_sample_negative_skips_known_triples_outside_vocab():
+    # ex:r1 is outside the vocabulary, so its triples cannot be corruptions
+    # of an ex:r0 triple; rejecting the ex:r0 triples leaves these draws
     g = line_graph(6)
     v = build_vocab(line_graph(6, n_relations=1))  # knows ex:r0 only
-    sampler = NegativeSampler(v, g)
-    assert len(sampler.known) == 5
-    assert sampler.known == {sampler.key(*ids) for ids in v.known_ids(g.triples)}
+    assert len(v.known_ids(g)) == 5
+    inside = Graph([t for t in g.triples if t.relation.text == "ex:r0"], g.prefix_map)
+    for seed in range(20):
+        got = sample_negative(g.triples[0], v, g, np.random.default_rng(seed))
+        assert got == sample_negative(g.triples[0], v, inside, np.random.default_rng(seed))
+        assert got not in inside
+
+
+def test_sampler_known_keys():
+    g = line_graph(6)
+    v = build_vocab(g)
+    ids = v.known_ids(g)
+    sampler = NegativeSampler(v, ids)
+    assert sampler.known == {sampler.key(*row) for row in ids}
+    assert NegativeSampler(v, []).known == set()
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("past_end", [False, True])
+def test_sampler_rejects_out_of_range_ids(column, past_end):
+    # (h, r, E) would pack like (h, r + 1, 0), and a negative id would index
+    # the pools from the end
+    g = line_graph(6)
+    v = build_vocab(g)
+    row = list(v.known_ids(g)[0])
+    row[column] = (v.n_relations if column == 1 else v.n_entities) if past_end else -1
+    with pytest.raises(IndexError):
+        NegativeSampler(v, [row])
+    sampler = NegativeSampler(v, v.known_ids(g))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(IndexError):
+        sampler.sample_many([row], rng)
+    assert rng.bit_generator.state == before  # nothing was drawn
 
 
 def test_sampler_needs_two_entities():
     g = parse("<http://e/a> <http://e/r> <http://e/a> .")
+    v = build_vocab(g)
     with pytest.raises(ValueError, match="two entities"):
-        NegativeSampler(build_vocab(g), g)
+        NegativeSampler(v, v.known_ids(g))
+
+
+def test_split_ids_follow_the_split_triples(desk_split):
+    vocab = desk_split.vocab
+    for triples, ids in (
+        (desk_split.train, desk_split.train_ids),
+        (desk_split.valid, desk_split.valid_ids),
+        (desk_split.test, desk_split.test_ids),
+    ):
+        assert ids.dtype == np.int64 and ids.shape == (len(triples), 3)
+        assert ids.tolist() == [list(vocab.triple_ids(t)) for t in triples]
+    assert desk_split.train_ids is desk_split.train_ids
 
 
 def test_split_sampler_knows_the_whole_split_and_is_built_once(desk_split):
     assert desk_split.sampler is desk_split.sampler
-    whole = NegativeSampler(desk_split.vocab, desk_split.full_graph())
+    vocab = desk_split.vocab
+    whole = NegativeSampler(vocab, vocab.known_ids(desk_split.full_graph()))
     assert desk_split.sampler.known == whole.known
 
 
@@ -481,9 +538,9 @@ def test_word_decoder_matches_generator_calls(n_entities, calls_before):
         assert rng.bit_generator.state["has_uint32"] == calls_before % 2
         want = _reference_draws(sampler, triples, ref)
         if one_call_per_triple:
-            got = [sampler.sample(*ids, rng) for ids in triples]
+            got = [sample_one(sampler, row, rng) for row in triples]
         else:
-            got = list(zip(*sampler.sample_many(triples, rng)))
+            got = [(h, t) for h, _, t in sampler.sample_many(triples, rng).tolist()]
         assert got == want
         assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.random() == ref.random()
@@ -495,14 +552,12 @@ def test_word_decoder_matches_generator_calls(n_entities, calls_before):
 def test_sampler_needs_a_pcg64_generator():
     g = line_graph(5)
     v = build_vocab(g)
-    sampler = NegativeSampler(v, g)
+    sampler = NegativeSampler(v, v.known_ids(g))
     rng = np.random.Generator(np.random.MT19937(3))
     with pytest.raises(TypeError, match="PCG64"):
         sampler.sample_many([v.triple_ids(g.triples[0])], rng)
     with pytest.raises(TypeError, match="PCG64"):
-        sampler.sample(*v.triple_ids(g.triples[0]), rng)
-    with pytest.raises(TypeError, match="PCG64"):
-        sampler.sample_triple(g.triples[0], rng)
+        sample_negative(g.triples[0], v, g, rng)
     # nothing was drawn
     assert rng.random() == np.random.Generator(np.random.MT19937(3)).random()
 
@@ -633,7 +688,7 @@ def _reference_train(model, split, config):
 
     rng = np.random.default_rng(config.seed)
     vocab = split.vocab
-    sampler = NegativeSampler(vocab, split.full_graph())
+    sampler = NegativeSampler(vocab, vocab.known_ids(split.full_graph()))
     positives = [vocab.triple_ids(t) for t in split.train.triples]
     pos_ids = np.array(positives, dtype=np.int64)
     n = len(positives)
@@ -660,7 +715,7 @@ def _reference_train(model, split, config):
             ph = np.repeat(pos_ids[batch, 0], npp)
             pr = np.repeat(pos_ids[batch, 1], npp)
             pt = np.repeat(pos_ids[batch, 2], npp)
-            negs = [sampler.sample(*positives[i], rng) for i in np.repeat(batch, npp).tolist()]
+            negs = [sample_one(sampler, positives[i], rng) for i in np.repeat(batch, npp).tolist()]
             nh, nt = np.array(negs, dtype=np.int64).T
 
             pos_scores = score_fn(em[ph], ec[ph], rm[pr], rc[pr], em[pt], ec[pt])
