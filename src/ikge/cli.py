@@ -90,8 +90,8 @@ def _write_json(path: str, doc: dict) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load_graph(path: str, format: str = rdf.TURTLE) -> rdf.Graph:
-    return rdf.parse(_read_text(path), format=format)
+def _load_graph(path: str) -> rdf.Graph:
+    return rdf.parse(_read_text(path))
 
 
 def _load_model(path: str) -> kg2e.Kg2eModel:
@@ -261,7 +261,7 @@ def _parse_slot_triple(text: str, graph: rdf.Graph) -> rdf.Triple:
     if not statement.endswith("."):
         statement += " ."
     try:
-        parsed = rdf.parse(header + statement, format=rdf.TURTLE)
+        parsed = rdf.parse(header + statement)
     except rdf.ParseError as exc:
         # The header is one line per prefix and always parses.
         raise rdf.ParseError(exc.message, exc.line - len(graph.prefix_map), exc.col) from None
@@ -354,7 +354,7 @@ def _cmd_translate(args) -> int:
     blueprint_text = (
         _read_text(args.blueprint) if args.blueprint else _data_text("blueprint.ttl")
     )
-    blueprint = rdf.parse(blueprint_text, format=rdf.TURTLE)
+    blueprint = rdf.parse(blueprint_text)
 
     try:
         intent = pipeline.translate(

@@ -29,6 +29,7 @@ from .rdf import Graph, Triple
 
 RIGHT = "right"  # (h, r, ?): predict the tail
 LEFT = "left"  # (?, r, t): predict the head
+HITS_AT = (1, 3, 10)
 
 
 @dataclass
@@ -194,7 +195,6 @@ def evaluate_ranks(
     test: np.ndarray,
     known: np.ndarray,
     filtered: bool = False,
-    hits_at: tuple[int, ...] = (1, 3, 10),
 ) -> RankMetrics:
     """Aggregate right-side and left-side ranks over the ``test`` id rows;
     the filtered protocol drops the other completions in ``known`` (ids)."""
@@ -209,7 +209,7 @@ def evaluate_ranks(
     arr = np.array(ranks)
     return RankMetrics(
         mean_rank=float(arr.mean()),
-        hits={p: float((arr <= p).mean()) for p in hits_at},
+        hits={p: float((arr <= p).mean()) for p in HITS_AT},
         side="both",
         filtered=filtered,
         n_ranks=len(ranks),

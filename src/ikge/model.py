@@ -85,14 +85,6 @@ class Kg2eModel:
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
 
-    def _check_entity(self, index: int) -> None:
-        if not 0 <= index < self.vocab.n_entities:
-            raise IndexError(f"entity index {index} out of range")
-
-    def _check_relation(self, index: int) -> None:
-        if not 0 <= index < self.vocab.n_relations:
-            raise IndexError(f"relation index {index} out of range")
-
     def copy(self) -> "Kg2eModel":
         return Kg2eModel(
             self.vocab,
@@ -187,33 +179,19 @@ def _kl_grads(mh, ch, mr, cr, mt, ct):
 _GRAD_FNS = {EXPECTED_LIKELIHOOD: _el_grads, KL_DIVERGENCE: _kl_grads}
 
 
-def _kind_fn(fns: dict, model: Kg2eModel, score_kind: str | None):
-    kind = score_kind or model.score_kind
-    if kind not in fns:
-        raise ValueError(f"unknown score kind {kind!r}")
-    return fns[kind]
+def _check_triple(model: Kg2eModel, h: int, r: int, t: int) -> None:
+    """The one-row form of :func:`check_ids`: the same IndexError."""
+    n_entities = model.vocab.n_entities
+    if not (0 <= h < n_entities and 0 <= r < model.vocab.n_relations and 0 <= t < n_entities):
+        raise IndexError("triple id out of range")
 
 
-def _triple_rows(model: Kg2eModel, h: int, r: int, t: int) -> tuple:
-    """The six parameter rows of one id triple, after range checks."""
-    model._check_entity(h)
-    model._check_relation(r)
-    model._check_entity(t)
+def score(model: Kg2eModel, h: int, r: int, t: int) -> float:
+    """Score of one id triple; bit-identical to its row of :func:`score_triples`."""
+    _check_triple(model, h, r, t)
     em, ec = model.entity_means, model.entity_covs
     rm, rc = model.relation_means, model.relation_covs
-    return em[h], ec[h], rm[r], rc[r], em[t], ec[t]
-
-
-def score(model: Kg2eModel, h: int, r: int, t: int, score_kind: str | None = None) -> float:
-    """Score of one id triple; bit-identical to its row of :func:`score_triples`."""
-    return float(_kind_fn(_SCORE_FNS, model, score_kind)(*_triple_rows(model, h, r, t)))
-
-
-def score_grad(model: Kg2eModel, h: int, r: int, t: int, score_kind: str | None = None) -> tuple:
-    """Analytic partials of one id triple's score, as copies in the order
-    ``(mean_h, mean_r, mean_t, cov_h, cov_r, cov_t)``."""
-    grads = _kind_fn(_GRAD_FNS, model, score_kind)(*_triple_rows(model, h, r, t))
-    return tuple(g.copy() for g in grads)
+    return float(_SCORE_FNS[model.score_kind](em[h], ec[h], rm[r], rc[r], em[t], ec[t]))
 
 
 def check_ids(ids, n_entities: int, n_relations: int) -> np.ndarray:
@@ -246,17 +224,16 @@ def score_candidates(model: Kg2eModel, h: int, r: int, t: int, position: str) ->
     by entity id. Summation order matches the scalar path, so an entry is
     bit-identical to the corresponding single-triple score.
     """
+    if position not in ("head", "tail"):
+        raise ValueError(f"position must be 'head' or 'tail', got {position!r}")
+    # Only the fixed side's entity is an input; 0 stands in for the free one.
+    _check_triple(model, 0 if position == "head" else h, r, 0 if position == "tail" else t)
     fn = _SCORE_FNS[model.score_kind]
-    model._check_relation(r)
     em, ec = model.entity_means, model.entity_covs
     rm, rc = model.relation_means[r], model.relation_covs[r]
     if position == "tail":
-        model._check_entity(h)
         return fn(em[h], ec[h], rm, rc, em, ec)
-    if position == "head":
-        model._check_entity(t)
-        return fn(em, ec, rm, rc, em[t], ec[t])
-    raise ValueError(f"position must be 'head' or 'tail', got {position!r}")
+    return fn(em, ec, rm, rc, em[t], ec[t])
 
 
 def apply_constraints(model: Kg2eModel) -> Kg2eModel:
@@ -315,8 +292,9 @@ def model_to_document(model: Kg2eModel) -> dict:
 
 
 def model_from_document(doc: dict) -> Kg2eModel:
-    """The model a document stores; ValueError if a parameter is not finite
-    or a covariance lies outside ``[c_min, c_max]``."""
+    """The model a document stores; ValueError if a parameter or threshold
+    is not finite, a covariance lies outside ``[c_min, c_max]``, or a
+    threshold is keyed by a relation id outside ``[0, n_relations)``."""
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
@@ -349,6 +327,11 @@ def model_from_document(doc: dict) -> Kg2eModel:
         covs = getattr(model, name)
         if (covs < model.c_min).any() or (covs > model.c_max).any():
             raise ValueError(f"{name} lies outside [c_min, c_max]")
+    if thresholds is not None:
+        if not np.isfinite([thresholds.fallback, *thresholds.per_relation.values()]).all():
+            raise ValueError("thresholds hold a non-finite value")
+        if not all(0 <= r < vocab.n_relations for r in thresholds.per_relation):
+            raise ValueError("thresholds name a relation id outside the vocabulary")
     return model
 
 

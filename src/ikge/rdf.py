@@ -1,8 +1,10 @@
 """Triple store primitives for intent knowledge graphs.
 
-Covers two wire formats: N-Triples and a Turtle subset (``@prefix``
-directives, prefixed names, ``<IRI>`` references, typed literals and ``.``
-terminators). Blank nodes, collections and language tags are out of scope.
+Covers one wire format, a Turtle subset: ``@prefix`` directives, prefixed
+names, ``<IRI>`` references, typed literals and ``.`` terminators. An
+N-Triples document of IRIs and plain or typed literals is also a document of
+this subset, so it reads as one. Blank nodes, collections and language tags
+are out of scope.
 The three-byte token ``???`` is accepted as a whole term and denotes an
 unfilled slot in an intent template; slot ids are assigned in document
 order starting at 0.
@@ -299,17 +301,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({len(self.triples)} triples, {len(self.prefix_map)} prefixes)"
 
-    def expand_iri(self, term: Term) -> str:
-        """Full IRI string for an IRI term, resolving prefixed names."""
-        if not term.is_iri:
-            raise ValueError("only IRI terms can be expanded")
-        if not term.prefixed:
-            return term.text
-        prefix, _, local = term.text.partition(":")
-        if prefix not in self.prefix_map:
-            raise PrefixError(f"unresolved prefix '{prefix}:'")
-        return self.prefix_map[prefix] + local
-
 
 def _check_resolvable(term: Term, prefix_map: dict[str, str]) -> None:
     if term.is_iri and term.prefixed:
@@ -369,24 +360,15 @@ def _tokens(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-NTRIPLES = "ntriples"
-TURTLE = "turtle"
-_FORMATS = (NTRIPLES, TURTLE)
-
-
-def parse(text: str, format: str = TURTLE) -> Graph:
+def parse(text: str) -> Graph:
     """Parse a document into a Graph.
 
     Placeholders receive slot ids in document order. Prefixed names must
-    resolve against a previously seen ``@prefix`` directive; N-Triples
-    input allows neither directives nor prefixed names. Each distinct IRI
-    token and each distinct ``(lexical, datatype)`` literal becomes one
+    resolve against a previously seen ``@prefix`` directive. Each distinct
+    IRI token and each distinct ``(lexical, datatype)`` literal becomes one
     shared Term; its checks run the first time it is read, which is enough
     because the prefix map only grows.
     """
-    if format not in _FORMATS:
-        raise ValueError(f"unknown format {format!r}")
-    allow_prefixes = format != NTRIPLES
     tokens = _tokens(text)
     prefix_map: dict[str, str] = {}
     iris: dict[str, Term] = {}
@@ -407,8 +389,6 @@ def parse(text: str, format: str = TURTLE) -> Graph:
         if tok[0] == "iriref":
             term = Term.iri(tok[1][1:-1], prefixed=False)
         else:
-            if not allow_prefixes:
-                fail(tok, "prefixed names are not allowed in N-Triples")
             check_prefix(tok)
             term = Term.iri(tok[1], prefixed=True)
         iris[tok[1]] = term
@@ -421,7 +401,7 @@ def parse(text: str, format: str = TURTLE) -> Graph:
         if tokens[pos][0] == "dtsep":
             dtok = tokens[pos + 1]
             pos += 2
-            if dtok[0] != "iriref" and (dtok[0] != "pname" or not allow_prefixes):
+            if dtok[0] not in ("iriref", "pname"):
                 fail(dtok, "expected a datatype IRI after '^^'")
             datatype = dtok[1]
         term = literals.get((raw, datatype))
@@ -459,8 +439,6 @@ def parse(text: str, format: str = TURTLE) -> Graph:
         if tok[0] == "eof":
             break
         if tok[0] == "prefix_kw":
-            if not allow_prefixes:
-                fail(tok, "@prefix is not allowed in N-Triples")
             ptok = tokens[pos + 1]
             if ptok[0] != "pname" or ptok[1].partition(":")[2]:
                 fail(ptok, "expected a 'prefix:' label after @prefix")
@@ -485,38 +463,13 @@ def parse(text: str, format: str = TURTLE) -> Graph:
     return Graph(triples, prefix_map)
 
 
-def _ntriples_term(term: Term, graph: Graph) -> str:
-    if term.is_placeholder:
-        return "???"
-    if term.is_iri:
-        return f"<{graph.expand_iri(term)}>"
-    body = f'"{escape_literal(term.text)}"'
-    if term.datatype is None:
-        return body
-    if term.datatype.startswith("<"):
-        return f"{body}^^{term.datatype}"
-    dt = Term.iri(term.datatype, prefixed=True)
-    return f"{body}^^<{graph.expand_iri(dt)}>"
-
-
-def serialize(graph: Graph, format: str = TURTLE) -> str:
+def serialize(graph: Graph) -> str:
     """Deterministic text form: sorted prefix header, then insertion order."""
-    if format not in _FORMATS:
-        raise ValueError(f"unknown format {format!r}")
-    lines: list[str] = []
-    if format == NTRIPLES:
-        for t in graph.triples:
-            lines.append(
-                f"{_ntriples_term(t.head, graph)} {_ntriples_term(t.relation, graph)} "
-                f"{_ntriples_term(t.tail, graph)} ."
-            )
-    else:
-        for prefix in sorted(graph.prefix_map):
-            lines.append(f"@prefix {prefix}: <{graph.prefix_map[prefix]}> .")
-        if graph.prefix_map and graph.triples:
-            lines.append("")
-        for t in graph.triples:
-            lines.append(f"{term_to_text(t.head)} {term_to_text(t.relation)} {term_to_text(t.tail)} .")
+    lines = [f"@prefix {p}: <{iri}> ." for p, iri in sorted(graph.prefix_map.items())]
+    if graph.prefix_map and graph.triples:
+        lines.append("")
+    for t in graph.triples:
+        lines.append(f"{term_to_text(t.head)} {term_to_text(t.relation)} {term_to_text(t.tail)} .")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

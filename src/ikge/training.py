@@ -56,6 +56,9 @@ _HALF64 = 1 << 63
 _WORD32 = 1 << 32
 _LOW32 = _WORD32 - 1
 
+# Draws per negative before the last one is accepted even if it is known.
+MAX_ATTEMPTS = 100
+
 
 def _split_fractions(fractions) -> tuple[float, float, float]:
     """Train/valid/test fractions as floats: three in (0, 1) summing to 1."""
@@ -239,9 +242,7 @@ class NegativeSampler:
         """Packed key ``(h * R + r) * E + t`` of ids or id arrays."""
         return (h * self.n_relations + r) * self.n_entities + t
 
-    def sample_many(
-        self, triples: np.ndarray, rng: np.random.Generator, max_attempts: int = 100
-    ) -> np.ndarray:
+    def sample_many(self, triples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One corruption per row of the ``(n, 3)`` id array ``triples``, as
         an ``(n, 3)`` id array.
 
@@ -251,7 +252,7 @@ class NegativeSampler:
         pool has an entity other than ``h``); the replacement always
         differs from the original entity, so a result differs from its
         triple in exactly one position. Known corruptions are redrawn;
-        after ``max_attempts`` the last draw is accepted even if it is a
+        after ``MAX_ATTEMPTS`` the last draw is accepted even if it is a
         known triple.
         """
         ids = kg2e.check_ids(triples, self.n_entities, self.n_relations)
@@ -291,7 +292,7 @@ class NegativeSampler:
                 # Packed key (h * R + r) * E + t with the fixed side folded in.
                 hr, rt = h * n_r + r, r * n_e + t
                 nh, nt = h, t
-                for _ in range(max_attempts):
+                for _ in range(MAX_ATTEMPTS):
                     i = 0
                     if k > 1:
                         while True:
@@ -336,14 +337,13 @@ def sample_negative(
     vocab: Vocab,
     graph: Graph,
     rng: np.random.Generator,
-    max_attempts: int = 100,
 ) -> Triple:
     """One corruption of ``positive`` that is not in ``graph``; see
     :class:`NegativeSampler`, which callers drawing many should build once.
     Triples of ``graph`` with a term outside ``vocab`` are skipped: no
     corruption built from the vocabulary can equal them."""
     sampler = NegativeSampler(vocab, vocab.known_ids(graph))
-    nh, _, nt = sampler.sample_many([vocab.triple_ids(positive)], rng, max_attempts)[0].tolist()
+    nh, _, nt = sampler.sample_many([vocab.triple_ids(positive)], rng)[0].tolist()
     return Triple(vocab.entities[nh], positive.relation, vocab.entities[nt])
 
 

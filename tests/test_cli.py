@@ -372,6 +372,40 @@ def test_non_finite_model_is_a_config_error(tmp_path, capsys, desk_paths, comman
     assert err.startswith(f"error: config: model file {bad} is malformed: entity_means")
 
 
+@pytest.mark.parametrize("command", ["translate", "verify"])
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("fallback", float("nan"), "thresholds hold a non-finite value"),
+        ("0", float("nan"), "thresholds hold a non-finite value"),
+        ("999", 0.0, "thresholds name a relation id outside the vocabulary"),
+    ],
+    ids=["nan-fallback", "nan-relation", "unknown-relation"],
+)
+def test_bad_thresholds_are_a_config_error(
+    tmp_path, capsys, desk_paths, command, key, value, message
+):
+    ikg = str(desk_paths["ikg"])
+    intent = tmp_path / "intent.ttl"
+    translate = ["--ikg", ikg, "--text", "reliable video", "--out", str(intent)]
+    rc, _, _ = run(capsys, ["translate", "--model", str(desk_paths["model"]), *translate])
+    assert rc == EXIT_OK
+    argv = {"translate": translate, "verify": ["--intent", str(intent)]}[command]
+    rc, _, _ = run(capsys, [command, "--model", str(desk_paths["model"]), *argv])
+    assert rc == EXIT_OK
+    doc = json.loads(desk_paths["model"].read_text())
+    thresholds = doc["thresholds"]
+    if key == "fallback":
+        thresholds["fallback"] = value
+    else:
+        thresholds["per_relation"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, [command, "--model", str(bad), *argv])
+    assert rc == EXIT_CONFIG
+    assert err.startswith(f"error: config: model file {bad} is malformed: {message}")
+
+
 def test_evaluate_malformed_ikg(tmp_path, capsys, desk_paths):
     bad = tmp_path / "bad.ttl"
     bad.write_text("this is not turtle %%%\n")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ikge import model as kg2e
 
 from ikge.evaluation import (
+    HITS_AT,
     LEFT,
     RIGHT,
     ClassificationMetrics,
@@ -124,12 +125,12 @@ def test_single_entity_rank_is_one():
     assert rank_triple(model, g.triples[0], LEFT, g) == 1.0
 
 
-def random_eval_fixture(seed: int):
+def random_eval_fixture(seed: int, n_entities: int = 15):
     rng = np.random.default_rng(seed)
     lines = ["@prefix ex: <http://e.example/ns#> ."]
     seen = set()
     while len(seen) < 60:
-        s = (int(rng.integers(15)), int(rng.integers(4)), int(rng.integers(15)))
+        s = (int(rng.integers(n_entities)), int(rng.integers(4)), int(rng.integers(n_entities)))
         if s not in seen:
             seen.add(s)
             lines.append(f"ex:e{s[0]} ex:r{s[1]} ex:e{s[2]} .")
@@ -169,14 +170,16 @@ def test_filtered_removes_known_competitors():
 
 
 def test_hits_monotone_and_saturating():
-    model, g = random_eval_fixture(3)
+    # At most 10 entities, so no rank exceeds the largest cut-off.
+    model, g = random_eval_fixture(3, n_entities=10)
     test = Graph(g.triples[:20], g.prefix_map)
     n = model.vocab.n_entities
-    m = evaluate_ranks(model, ids_of(model, test), ids_of(model, g), hits_at=(1, 3, 10, n))
-    ks = sorted(m.hits)
-    for lo, hi in zip(ks, ks[1:]):
+    m = evaluate_ranks(model, ids_of(model, test), ids_of(model, g))
+    assert sorted(m.hits) == list(HITS_AT) and n <= HITS_AT[-1]
+    for lo, hi in zip(HITS_AT, HITS_AT[1:]):
         assert m.hits[lo] <= m.hits[hi]
-    assert m.hits[n] == 1.0
+    assert m.hits[HITS_AT[-1]] == 1.0
+    assert m.hits[1] < 1.0
     assert 1.0 <= m.mean_rank <= n
 
 

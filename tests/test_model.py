@@ -24,7 +24,6 @@ from ikge.model import (
     save_model,
     score,
     score_candidates,
-    score_grad,
     score_triples,
 )
 from ikge.evaluation import ThresholdTable
@@ -47,7 +46,7 @@ def random_params(rng, d: int) -> tuple[np.ndarray, np.ndarray]:
     return gp(rng.uniform(-1, 1, d) / math.sqrt(d), rng.uniform(0.05, 5.0, d))
 
 
-def triple_model(h, r, t) -> Kg2eModel:
+def triple_model(h, r, t, score_kind: str = KL_DIVERGENCE) -> Kg2eModel:
     """A 2-entity, 1-relation model whose triple (0, 0, 1) has the
     ``(mean, cov)`` rows h, r, t."""
     return Kg2eModel(
@@ -57,15 +56,22 @@ def triple_model(h, r, t) -> Kg2eModel:
         np.stack([h[1], t[1]]),
         r[0][None],
         r[1][None],
+        score_kind=score_kind,
     )
 
 
 def score_el(h, r, t) -> float:
-    return score(triple_model(h, r, t), 0, 0, 1, EXPECTED_LIKELIHOOD)
+    return score(triple_model(h, r, t, EXPECTED_LIKELIHOOD), 0, 0, 1)
 
 
 def score_kl(h, r, t) -> float:
-    return score(triple_model(h, r, t), 0, 0, 1, KL_DIVERGENCE)
+    return score(triple_model(h, r, t, KL_DIVERGENCE), 0, 0, 1)
+
+
+def grads_el(h, r, t) -> tuple:
+    """The partials training uses, ``(mean_h, mean_r, mean_t, cov_h, cov_r,
+    cov_t)``, from the six parameter rows of the triple h, r, t."""
+    return _GRAD_FNS[EXPECTED_LIKELIHOOD](h[0], h[1], r[0], r[1], t[0], t[1])
 
 
 def neg_mean(p):
@@ -112,7 +118,7 @@ def test_el_grad_hand_value_d1():
     h = gp([0.5], [1.0])
     r = gp([0.2], [1.0])
     t = gp([0.1], [1.0])
-    mean_h, mean_r, mean_t, *_ = score_grad(triple_model(h, r, t), 0, 0, 1, EXPECTED_LIKELIHOOD)
+    mean_h, mean_r, mean_t, *_ = grads_el(h, r, t)
     assert mean_h[0] == pytest.approx(-2.0 * 0.2 / 3.0, rel=1e-14)
     assert mean_r[0] == pytest.approx(2.0 * 0.2 / 3.0, rel=1e-14)
     assert mean_t[0] == pytest.approx(2.0 * 0.2 / 3.0, rel=1e-14)
@@ -122,9 +128,7 @@ def test_el_grad_zero_mean_difference():
     h = gp([0.25, -0.5], [0.7, 1.1])
     r = gp([0.0, 0.0], [0.9, 2.0])
     t = gp([0.25, -0.5], [1.3, 0.4])
-    mean_h, mean_r, mean_t, cov_h, *_ = score_grad(
-        triple_model(h, r, t), 0, 0, 1, EXPECTED_LIKELIHOOD
-    )
+    mean_h, mean_r, mean_t, cov_h, *_ = grads_el(h, r, t)
     assert np.all(mean_h == 0.0)
     assert np.all(mean_r == 0.0)
     assert np.all(mean_t == 0.0)
@@ -328,47 +332,25 @@ def test_score_candidates_rejects_bad_position():
         score_candidates(m, 0, 0, 0, position="relation")
 
 
-def test_score_kind_dispatch_and_override():
+def test_score_kind_dispatch():
     kl = init_model(small_vocab(), dim=3, seed=1, score_kind=KL_DIVERGENCE)
     el = init_model(small_vocab(), dim=3, seed=1, score_kind=EXPECTED_LIKELIHOOD)
     assert score(kl, 0, 0, 1) == score_triples(kl, [(0, 0, 1)])[0]
-    assert score(kl, 0, 0, 1, score_kind=EXPECTED_LIKELIHOOD) == score_triples(el, [(0, 0, 1)])[0]
+    assert score(el, 0, 0, 1) == score_triples(el, [(0, 0, 1)])[0]
     assert score(kl, 0, 0, 1) != score(el, 0, 0, 1)
-    for fn in (score, score_grad):
-        with pytest.raises(ValueError):
-            fn(kl, 0, 0, 1, score_kind="bogus")
 
 
 def test_bad_indices_raise_index_error():
     m = init_model(small_vocab(4, 2), dim=3, seed=0)
     for row in [(-1, 0, 0), (4, 0, 0), (0, -1, 0), (0, 2, 0), (0, 0, -1), (0, 0, 4)]:
-        for fn in (score, score_grad):
-            with pytest.raises(IndexError):
-                fn(m, *row)
-
-
-def test_score_grad_matches_grad_fn_rows():
-    v = small_vocab(12, 3)
-    rng = np.random.default_rng(6)
-    ids = np.stack(
-        [rng.integers(12, size=50), rng.integers(3, size=50), rng.integers(12, size=50)],
-        axis=1,
-    )
-    h, r, t = ids.T
-    for kind in (EXPECTED_LIKELIHOOD, KL_DIVERGENCE):
-        m = init_model(v, dim=4, seed=6, score_kind=kind)
-        em, ec, rm, rc = m.entity_means, m.entity_covs, m.relation_means, m.relation_covs
-        batch = _GRAD_FNS[kind](em[h], ec[h], rm[r], rc[r], em[t], ec[t])
-        for i, row in enumerate(ids.tolist()):
-            grads = score_grad(m, *row)
-            assert isinstance(grads, tuple) and len(grads) == 6
-            for got, want in zip(grads, batch):
-                assert got.tobytes() == want[i].tobytes()
-        # Copies: the gradient functions return one array for several
-        # blocks (mean_r and mean_t under EL), score_grad never does.
-        grads = score_grad(m, 0, 0, 1)
-        for i, a in enumerate(grads):
-            assert not any(np.shares_memory(a, b) for b in grads[i + 1 :])
+        with pytest.raises(IndexError):
+            score(m, *row)
+    # The fixed entity or the relation out of range, on either side.
+    for e, r in [(-1, 0), (4, 0), (0, -1), (0, 2)]:
+        with pytest.raises(IndexError):
+            score_candidates(m, e, r, 0, position="tail")
+        with pytest.raises(IndexError):
+            score_candidates(m, 0, r, e, position="head")
 
 
 @pytest.mark.parametrize("kind", [EXPECTED_LIKELIHOOD, KL_DIVERGENCE])
@@ -379,7 +361,6 @@ def test_score_bit_identical_to_score_triples_on_desk(desk_model, desk_ikg, kind
     batch = score_triples(model, ids)
     for row, want in zip(ids.tolist(), batch.tolist()):
         assert score(model, *row) == want
-        assert score(desk_model, *row, score_kind=kind) == want
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +413,26 @@ def test_save_load_file_round_trip(tmp_path):
 def test_model_from_document_rejects_bad_parameters(name, row, col, value, message):
     doc = model_to_document(init_model(small_vocab(), dim=2, seed=0))
     doc[name][row][col] = value
+    with pytest.raises(ValueError, match=message):
+        model_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "per_relation,fallback,message",
+    [
+        ({"0": 1.0}, math.nan, "thresholds hold a non-finite value"),
+        ({"0": math.nan, "1": 1.0}, 0.5, "thresholds hold a non-finite value"),
+        ({"1": -math.inf}, 0.5, "thresholds hold a non-finite value"),
+        ({"0": 1.0, "2": 1.0}, 0.5, "thresholds name a relation id outside the vocabulary"),
+        ({"-1": 1.0}, 0.5, "thresholds name a relation id outside the vocabulary"),
+    ],
+)
+def test_model_from_document_rejects_bad_thresholds(per_relation, fallback, message):
+    m = init_model(small_vocab(), dim=2, seed=0)
+    m.thresholds = ThresholdTable({0: 1.0, 1: -1.0}, fallback=0.5)
+    doc = model_to_document(m)
+    model_from_document(doc)
+    doc["thresholds"] = {"per_relation": per_relation, "fallback": fallback}
     with pytest.raises(ValueError, match=message):
         model_from_document(doc)
 
