@@ -166,12 +166,7 @@ def _cmd_split(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError("io", f"cannot create {out_dir}: {exc}") from exc
-    for name, triples in (
-        ("train", split.train),
-        ("valid", split.valid),
-        ("test", split.test),
-    ):
-        part = rdf.Graph(triples, graph.prefix_map)
+    for name, part in (("train", split.train), ("valid", split.valid), ("test", split.test)):
         _write_text(str(out_dir / f"{name}.ttl"), rdf.serialize(part))
     print(
         f"wrote {out_dir}/: train={len(split.train)}"
@@ -184,9 +179,7 @@ def _cmd_train(args) -> int:
     graph = _load_graph(args.ikg)
     config = _train_config(args)
     split = training.split_dataset(graph, config.split, config.seed)
-    model = kg2e.init_model(
-        split.vocab, dim=args.dim, seed=config.seed, score_kind=args.score_kind
-    )
+    model = kg2e.init_model(split.vocab, seed=config.seed)
     report = training.train(model, split, config)
 
     negatives = split.sampler.sample_many(split.valid_ids, np.random.default_rng((config.seed, 2)))
@@ -196,8 +189,8 @@ def _cmd_train(args) -> int:
 
     doc = {
         "config": config.to_document(),
-        "dim": args.dim,
-        "score_kind": args.score_kind,
+        "dim": model.dim,
+        "score_kind": model.score_kind,
         **report.to_document(),
     }
     if args.report:
@@ -402,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with training-config fields")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--epochs", type=int, help="override the config epoch count")
-    p.add_argument("--dim", type=int, default=kg2e.DEFAULT_DIM)
-    p.add_argument(
-        "--score-kind",
-        choices=sorted(kg2e.SCORE_KINDS),
-        default=kg2e.KL_DIVERGENCE,
-    )
     p.add_argument("--report")
     p.set_defaults(func=_cmd_train)
 

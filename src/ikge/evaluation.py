@@ -110,8 +110,11 @@ class ThresholdTable:
 
     @classmethod
     def from_document(cls, doc: dict) -> "ThresholdTable":
+        per_relation = doc["per_relation"]
+        if not isinstance(per_relation, dict):
+            raise ValueError("thresholds.per_relation must be a JSON object")
         return cls(
-            per_relation={int(r): float(v) for r, v in doc["per_relation"].items()},
+            per_relation={int(r): float(v) for r, v in per_relation.items()},
             fallback=float(doc["fallback"]),
         )
 

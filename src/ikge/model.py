@@ -85,31 +85,15 @@ class Kg2eModel:
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
 
-    def copy(self) -> "Kg2eModel":
-        return Kg2eModel(
-            self.vocab,
-            self.dim,
-            self.entity_means.copy(),
-            self.entity_covs.copy(),
-            self.relation_means.copy(),
-            self.relation_covs.copy(),
-            c_min=self.c_min,
-            c_max=self.c_max,
-            score_kind=self.score_kind,
-            thresholds=self.thresholds,
-            train_config=self.train_config,
-        )
-
 
 def init_model(
     vocab: Vocab,
     dim: int = DEFAULT_DIM,
     seed: int = 0,
-    c_min: float = DEFAULT_C_MIN,
-    c_max: float = DEFAULT_C_MAX,
     score_kind: str = KL_DIVERGENCE,
 ) -> Kg2eModel:
-    """Seeded initialization: means uniform in +-6/sqrt(dim), covariances 1.
+    """Seeded initialization: means uniform in +-6/sqrt(dim), covariances 1,
+    covariance bounds ``[DEFAULT_C_MIN, DEFAULT_C_MAX]``.
 
     Entity rows are drawn before relation rows, so a fixed seed yields
     bitwise-identical parameter arrays.
@@ -127,8 +111,6 @@ def init_model(
         np.ones((vocab.n_entities, dim)),
         rng.uniform(-bound, bound, (vocab.n_relations, dim)),
         np.ones((vocab.n_relations, dim)),
-        c_min=c_min,
-        c_max=c_max,
         score_kind=score_kind,
     )
     apply_constraints(model)
@@ -261,13 +243,14 @@ def constrain_rows(means: np.ndarray, covs: np.ndarray, c_min: float, c_max: flo
     np.clip(covs, c_min, c_max, out=covs)
 
 
-def constraint_violations(model: Kg2eModel, tol: float = 1e-9) -> int:
-    """Count rows violating the norm bound or covariance box."""
+def constraint_violations(model: Kg2eModel) -> int:
+    """Count rows violating the norm bound or covariance box, each by more
+    than ``_NORM_TOL``."""
     count = 0
     for means in (model.entity_means, model.relation_means):
-        count += int((np.linalg.norm(means, axis=1) > 1.0 + tol).sum())
+        count += int((np.linalg.norm(means, axis=1) > 1.0 + _NORM_TOL).sum())
     for covs in (model.entity_covs, model.relation_covs):
-        bad = (covs < model.c_min - tol) | (covs > model.c_max + tol)
+        bad = (covs < model.c_min - _NORM_TOL) | (covs > model.c_max + _NORM_TOL)
         count += int(bad.any(axis=1).sum())
     return count
 
@@ -292,9 +275,12 @@ def model_to_document(model: Kg2eModel) -> dict:
 
 
 def model_from_document(doc: dict) -> Kg2eModel:
-    """The model a document stores; ValueError if a parameter or threshold
-    is not finite, a covariance lies outside ``[c_min, c_max]``, or a
-    threshold is keyed by a relation id outside ``[0, n_relations)``."""
+    """The model a document stores; ValueError if the document is not a
+    JSON object, a parameter or threshold is not finite, a covariance lies
+    outside ``[c_min, c_max]``, or a threshold is keyed by a relation id
+    outside ``[0, n_relations)``."""
+    if not isinstance(doc, dict):
+        raise ValueError("the document must hold a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")

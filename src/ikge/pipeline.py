@@ -68,18 +68,14 @@ RDFS_SUBCLASS = Term.iri("rdfs:subclass")
 
 
 class PipelineError(Exception):
-    """Base class for pipeline failures; ``step`` names the stage A-F."""
-
-    step = "?"
+    """Base class for pipeline failures."""
 
 
 class BlueprintError(PipelineError):
-    step = "B"
+    """A blueprint triple that cannot become a slot (step B)."""
 
 
 class UnresolvedSlotError(PipelineError):
-    step = "E"
-
     def __init__(self, slot_id: int, role: str, k: int):
         super().__init__(
             f"slot {slot_id} ({role}): no admissible candidate within top-{k} predictions"
@@ -89,8 +85,6 @@ class UnresolvedSlotError(PipelineError):
 
 
 class VerificationFailedError(PipelineError):
-    step = "F"
-
     def __init__(self, intent: "NetworkIntent", failing: list[Triple]):
         names = "; ".join(str(t) for t in failing)
         super().__init__(f"intent {intent.intent_id!r} failed verification: {names}")
@@ -109,9 +103,6 @@ class KeywordCorpus:
     """Gazetteer mapping lower-case keywords to role-tagged graph terms."""
 
     entries: dict[str, list[CorpusHint]]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -293,15 +284,15 @@ class OntologyIndex:
     """Subclass closure, type assertions and literal pools of one IKG.
 
     Built in one pass over the triples: each distinct relation is classified
-    once, and literal tails are deduplicated through a dict that keeps
-    first-seen order and doubles as the O(1) membership test of value slots.
+    once. ``literal_tails`` maps a relation's text to its distinct literal
+    tails, the keys of a dict in first-seen order: the value pool of a tail
+    value slot, and the O(1) membership test of its admissibility.
     """
 
     def __init__(self, ikg: Graph):
         self.children: dict[Term, list[Term]] = {}
         self.types: dict[Term, set[Term]] = {}
-        # relation text -> its literal tails, as dict keys in first-seen order
-        self._literal_sets: dict[str, dict[Term, None]] = {}
+        self.literal_tails: dict[str, dict[Term, None]] = {}
         # relation -> 1 for subclass edges, 2 for type assertions, 0 otherwise
         kinds: dict[Term, int] = {}
         literal = TermKind.LITERAL
@@ -317,10 +308,7 @@ class OntologyIndex:
             elif kind == 2:
                 self.types.setdefault(t.head, set()).add(t.tail)
             if t.tail.kind is literal:
-                self._literal_sets.setdefault(relation.text, {})[t.tail] = None
-        self.literal_tails: dict[str, list[Term]] = {
-            text: list(tails) for text, tails in self._literal_sets.items()
-        }
+                self.literal_tails.setdefault(relation.text, {})[t.tail] = None
         self._closures: dict[Term, frozenset[Term]] = {}
 
     def closure(self, root: Term) -> frozenset[Term]:
@@ -349,7 +337,7 @@ class OntologyIndex:
         observed as objects of the slot's relation.
         """
         if role == ROLE_VALUE:
-            return candidate.is_literal and candidate in self._literal_sets.get(
+            return candidate.is_literal and candidate in self.literal_tails.get(
                 relation.text, ()
             )
         anchor = ROLE_ANCHORS.get(role)
@@ -373,10 +361,11 @@ def predict_candidates(
 ) -> list[Prediction]:
     """Top-k completions for one slot, scores non-increasing, ranks 1..k.
 
-    Value-role slots draw candidates only from the literals observed for
-    the slot's relation in the IKG; other roles draw from all non-literal
-    entities. Ties order by entity id. Only a value slot reads ``index``,
-    built from ``ikg`` when not given.
+    A value-role tail slot draws candidates only from the literals observed
+    for the slot's relation in the IKG; every other slot, a value-role head
+    slot included, draws from all non-literal entities, since a literal is
+    never a subject. Ties order by entity id. Only a value-role tail slot
+    reads ``index``, built from ``ikg`` when not given.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -390,7 +379,7 @@ def predict_candidates(
         t = vocab.entity_id(triple.tail)
         scores = kg2e.score_candidates(model, 0, r, t, position="head")
 
-    if slot.role == ROLE_VALUE:
+    if slot.role == ROLE_VALUE and slot.position == "tail":
         if index is None:
             index = OntologyIndex(ikg)
         pool = []
@@ -527,16 +516,7 @@ def translate(
         raise ValueError("no thresholds available; train or calibrate the model first")
     matches = extract_keywords(text, corpus)
     template = build_template(matches, ikg, blueprint)
-    if template.slotted:
-        intent = complete_template(template, model, ikg, hints=merge_hints(matches), k=k)
-    else:
-        intent = NetworkIntent(
-            intent_id=template.intent_id,
-            triples=list(template.complete),
-            resolutions=[],
-            verified=None,
-            prefixes=dict(template.prefixes),
-        )
+    intent = complete_template(template, model, ikg, hints=merge_hints(matches), k=k)
     verify_intent(intent, model, thresholds)
     if not intent.verified:
         failing = [r.triple for r in intent.resolutions if not r.classified]

@@ -8,6 +8,7 @@ differences for gradients, a sort-based re-implementation for ranks.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -374,7 +375,7 @@ def test_c8_persistence_round_trips(desk_model, desk_ikg, shipped_blueprint, tmp
     rng = np.random.default_rng(8008)
     n_e = back.vocab.n_entities
     n_r = back.vocab.n_relations
-    back_el, desk_el = back.copy(), desk_model.copy()
+    back_el, desk_el = copy.deepcopy(back), copy.deepcopy(desk_model)
     back_el.score_kind = desk_el.score_kind = EXPECTED_LIKELIHOOD
     for _ in range(1000):
         h = int(rng.integers(n_e))

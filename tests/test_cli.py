@@ -195,6 +195,8 @@ def test_train_quick_run(tmp_path, capsys, desk_paths):
     assert len(doc["epoch_losses"]) == 2
     assert doc["epochs_run"] == 2
     assert doc["config"]["epochs"] == 2
+    assert doc["dim"] == 50
+    assert doc["score_kind"] == "kl_divergence"
 
     out2 = tmp_path / "m2.json"
     rc, _, _ = run(
@@ -379,8 +381,9 @@ def test_non_finite_model_is_a_config_error(tmp_path, capsys, desk_paths, comman
         ("fallback", float("nan"), "thresholds hold a non-finite value"),
         ("0", float("nan"), "thresholds hold a non-finite value"),
         ("999", 0.0, "thresholds name a relation id outside the vocabulary"),
+        ("per_relation", [], "thresholds.per_relation must be a JSON object"),
     ],
-    ids=["nan-fallback", "nan-relation", "unknown-relation"],
+    ids=["nan-fallback", "nan-relation", "unknown-relation", "list-per-relation"],
 )
 def test_bad_thresholds_are_a_config_error(
     tmp_path, capsys, desk_paths, command, key, value, message
@@ -395,8 +398,8 @@ def test_bad_thresholds_are_a_config_error(
     assert rc == EXIT_OK
     doc = json.loads(desk_paths["model"].read_text())
     thresholds = doc["thresholds"]
-    if key == "fallback":
-        thresholds["fallback"] = value
+    if key in thresholds:
+        thresholds[key] = value
     else:
         thresholds["per_relation"][key] = value
     bad = tmp_path / "bad.json"
@@ -404,6 +407,22 @@ def test_bad_thresholds_are_a_config_error(
     rc, _, err = run(capsys, [command, "--model", str(bad), *argv])
     assert rc == EXIT_CONFIG
     assert err.startswith(f"error: config: model file {bad} is malformed: {message}")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict", "translate", "verify"])
+def test_non_object_model_is_a_config_error(tmp_path, capsys, desk_paths, command):
+    bad = tmp_path / "list.json"
+    bad.write_text("[]")
+    ikg = str(desk_paths["ikg"])
+    argv = {
+        "evaluate": ["--ikg", ikg, "--out", str(tmp_path / "e.json")],
+        "predict": ["--ikg", ikg, "--triple", "icm:PropertyExpectation icm:hasTarget ???"],
+        "translate": ["--ikg", ikg, "--text", "reliable video", "--out", str(tmp_path / "i.ttl")],
+        "verify": ["--intent", ikg],
+    }[command]
+    rc, _, err = run(capsys, [command, "--model", str(bad), *argv])
+    assert rc == EXIT_CONFIG
+    assert err.startswith(f"error: config: model file {bad} is malformed: ")
 
 
 def test_evaluate_malformed_ikg(tmp_path, capsys, desk_paths):
@@ -488,6 +507,22 @@ def test_predict_triple_errors_are_placed_within_the_argument(capsys, desk_paths
          "--ikg", str(desk_paths["ikg"]), "--triple", triple],
     )
     assert rc == EXIT_PARSE and err.startswith(f"error: parse: {position}")
+
+
+def test_predict_head_value_slot_proposes_no_literals(capsys, desk_paths):
+    # A literal is never a subject, so a value slot in head position draws
+    # from the non-literal entities, not from the relation's literal tails.
+    rc, stdout, _ = run(
+        capsys,
+        ["predict", "--model", str(desk_paths["model"]),
+         "--ikg", str(desk_paths["ikg"]),
+         "--triple", '??? icm:valueBy "150ms"^^xsd:string', "-k", "3"],
+    )
+    assert rc == EXIT_OK
+    doc = json.loads(stdout)
+    assert doc["position"] == "head"
+    assert len(doc["predictions"]) == 3
+    assert not any(p["candidate"].startswith('"') for p in doc["predictions"])
 
 
 def test_predict_rejects_bad_k(capsys, desk_paths):
@@ -579,6 +614,26 @@ def test_translate_verification_failure(tmp_path, capsys, desk_paths):
     report = json.loads(report_path.read_text())
     assert report["verified"] is False
     assert not (tmp_path / "i.ttl").exists()  # no unverified intent emitted
+
+
+def test_translate_head_value_slot_is_unresolved(tmp_path, capsys, desk_paths):
+    # No literal is proposed for a subject, and no non-literal is an
+    # admissible value, so the slot stays unresolved.
+    blueprint = tmp_path / "blueprint.ttl"
+    blueprint.write_text(
+        "@prefix icm: <http://intent.example/icm#> .\n"
+        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+        '??? icm:valueBy "150ms"^^xsd:string .\n'
+    )
+    rc, _, err = run(
+        capsys,
+        ["translate", "--model", str(desk_paths["model"]), "--ikg", str(desk_paths["ikg"]),
+         "--text", "reliable video", "--blueprint", str(blueprint),
+         "--out", str(tmp_path / "i.ttl")],
+    )
+    assert rc == EXIT_UNRESOLVED_SLOT
+    assert err.startswith("error: unresolved-slot: slot 0 (value)")
+    assert not (tmp_path / "i.ttl").exists()
 
 
 def test_verify_rejects_false_triples(tmp_path, capsys, desk_paths):

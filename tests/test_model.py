@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -170,10 +171,11 @@ def test_init_model_validation():
         init_model(v, dim=0, seed=0)
     with pytest.raises(ValueError):
         init_model(v, dim=4, seed=0, score_kind="nope")
-    with pytest.raises(ValueError):
-        init_model(v, dim=4, seed=0, c_min=0.0)
-    with pytest.raises(ValueError):
-        init_model(v, dim=4, seed=0, c_min=2.0, c_max=1.0)
+    params = (np.zeros((4, 4)), np.ones((4, 4)), np.zeros((2, 4)), np.ones((2, 4)))
+    with pytest.raises(ValueError, match="covariance bounds"):
+        Kg2eModel(v, 4, *params, c_min=0.0)
+    with pytest.raises(ValueError, match="covariance bounds"):
+        Kg2eModel(v, 4, *params, c_min=2.0, c_max=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +357,7 @@ def test_bad_indices_raise_index_error():
 
 @pytest.mark.parametrize("kind", [EXPECTED_LIKELIHOOD, KL_DIVERGENCE])
 def test_score_bit_identical_to_score_triples_on_desk(desk_model, desk_ikg, kind):
-    model = desk_model.copy()
+    model = copy.deepcopy(desk_model)
     model.score_kind = kind
     ids = np.array([model.vocab.triple_ids(t) for t in desk_ikg.triples], dtype=np.int64)
     batch = score_triples(model, ids)
@@ -425,6 +427,7 @@ def test_model_from_document_rejects_bad_parameters(name, row, col, value, messa
         ({"1": -math.inf}, 0.5, "thresholds hold a non-finite value"),
         ({"0": 1.0, "2": 1.0}, 0.5, "thresholds name a relation id outside the vocabulary"),
         ({"-1": 1.0}, 0.5, "thresholds name a relation id outside the vocabulary"),
+        ([["0", 1.0]], 0.5, "thresholds.per_relation must be a JSON object"),
     ],
 )
 def test_model_from_document_rejects_bad_thresholds(per_relation, fallback, message):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -774,7 +775,7 @@ _SMALL_SPEC = IkgGenSpec(seed=5, n_services=6, n_resources=3, n_kpis=3, target_t
 
 def assert_train_matches_reference(model, split, config):
     """Train a copy of ``model`` each way; returns the reference's outcome."""
-    ours, theirs = model.copy(), model.copy()
+    ours, theirs = copy.deepcopy(model), copy.deepcopy(model)
     try:
         want = _reference_train(theirs, split, config)
     except TrainingDivergedError as exc:
