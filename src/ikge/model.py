@@ -277,13 +277,17 @@ def model_to_document(model: Kg2eModel) -> dict:
 def model_from_document(doc: dict) -> Kg2eModel:
     """The model a document stores; ValueError if the document is not a
     JSON object, a parameter or threshold is not finite, a covariance lies
-    outside ``[c_min, c_max]``, or a threshold is keyed by a relation id
-    outside ``[0, n_relations)``."""
+    outside ``[c_min, c_max]``, a threshold is keyed by a relation id
+    outside ``[0, n_relations)``, or ``train_config`` is neither a JSON object
+    nor null."""
     if not isinstance(doc, dict):
         raise ValueError("the document must hold a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
+    train_config = doc.get("train_config")
+    if train_config is not None and not isinstance(train_config, dict):
+        raise ValueError("train_config must be a JSON object or null")
     vocab = Vocab(
         [_vocab_term(s) for s in doc["entities"]],
         [_vocab_term(s) for s in doc["relations"]],
@@ -304,7 +308,7 @@ def model_from_document(doc: dict) -> Kg2eModel:
         c_max=doc["c_max"],
         score_kind=doc["score_kind"],
         thresholds=thresholds,
-        train_config=doc.get("train_config"),
+        train_config=train_config,
     )
     for name in ("entity_means", "entity_covs", "relation_means", "relation_covs"):
         if not np.isfinite(getattr(model, name)).all():

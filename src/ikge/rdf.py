@@ -9,12 +9,12 @@ The three-byte token ``???`` is accepted as a whole term and denotes an
 unfilled slot in an intent template; slot ids are assigned in document
 order starting at 0.
 
-Parsing scans the whole document in one regex pass into ``(kind, value,
-offset)`` tokens, then reads statements from them. Within one parse every
-distinct IRI token and every distinct ``(lexical, datatype)`` literal is a
-single shared Term, checked when first read. Line and column are worked out
-from the offset only when a ParseError is raised. Terms and triples hash
-once, at construction, and compare by identity before their fields.
+Parsing scans the whole document in one ``findall`` pass into a list of
+token strings, whose text tells their kind, then reads statements from it.
+Within one parse every distinct IRI token and every distinct ``(lexical,
+datatype)`` literal is a single shared Term, checked when first read. No
+offsets are kept: a ParseError rescans up to its token for line and column.
+Terms and triples hash once, at construction, and compare by identity first.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -187,9 +188,9 @@ def escape_literal(text: str) -> str:
     return "".join(_LITERAL_ESCAPES.get(ch, ch) for ch in text)
 
 
-def _unescape_literal(raw: str, where) -> str:
-    """Decode the escapes of a literal body; ``where()`` gives the ``(line, col)``
-    a ParseError reports, and is called only on failure."""
+def _unescape_literal(raw: str) -> str:
+    """Decode the escapes of a literal body. Its ParseError carries line 0,
+    col 0; ``parse`` re-raises it at the literal's token."""
     if "\\" not in raw:
         return raw
     out = []
@@ -201,7 +202,7 @@ def _unescape_literal(raw: str, where) -> str:
             i += 1
             continue
         if i + 1 >= len(raw):
-            raise ParseError("dangling escape in literal", *where())
+            raise ParseError("dangling escape in literal", 0, 0)
         nxt = raw[i + 1]
         if nxt in _LITERAL_UNESCAPES:
             out.append(_LITERAL_UNESCAPES[nxt])
@@ -210,14 +211,14 @@ def _unescape_literal(raw: str, where) -> str:
             width = 4 if nxt == "u" else 8
             hexpart = raw[i + 2 : i + 2 + width]
             if len(hexpart) != width or not re.fullmatch(r"[0-9A-Fa-f]+", hexpart):
-                raise ParseError("malformed unicode escape in literal", *where())
+                raise ParseError("malformed unicode escape in literal", 0, 0)
             code = int(hexpart, 16)
             if code > sys.maxunicode:
-                raise ParseError("unicode escape past U+10FFFF in literal", *where())
+                raise ParseError("unicode escape past U+10FFFF in literal", 0, 0)
             out.append(chr(code))
             i += 2 + width
         else:
-            raise ParseError(f"unsupported escape '\\{nxt}' in literal", *where())
+            raise ParseError(f"unsupported escape '\\{nxt}' in literal", 0, 0)
     return "".join(out)
 
 
@@ -242,7 +243,7 @@ def term_from_text(token: str) -> Term:
         m = re.fullmatch(r'"((?:[^"\\]|\\.)*)"(?:\^\^(\S+))?', token, re.S)
         if m is None:
             raise ValueError(f"malformed literal token: {token!r}")
-        return Term.literal(_unescape_literal(m.group(1), lambda: (0, 0)), m.group(2))
+        return Term.literal(_unescape_literal(m.group(1)), m.group(2))
     return Term.iri(token, prefixed=True)
 
 
@@ -258,25 +259,16 @@ class Graph:
 
     def __init__(self, triples=(), prefix_map: dict[str, str] | None = None):
         prefix_map = dict(prefix_map or {})
-        kept: list[Triple] = []
-        seen: set[Triple] = set()
-        dropped = 0
-        for t in triples:
-            if t in seen:
-                dropped += 1
-                continue
-            seen.add(t)
-            kept.append(t)
-        checked: set[Term] = set()
-        for t in kept:
-            for term in (t.head, t.relation, t.tail):
-                if term not in checked:
-                    _check_resolvable(term, prefix_map)
-                    checked.add(term)
-        object.__setattr__(self, "triples", tuple(kept))
+        triples = tuple(triples)
+        index = dict.fromkeys(triples)  # keeps the first of each, in order
+        # Each distinct term once, in order of first use: the first
+        # unresolved one is the one reported.
+        for term in dict.fromkeys(term for t in index for term in (t.head, t.relation, t.tail)):
+            _check_resolvable(term, prefix_map)
+        object.__setattr__(self, "triples", tuple(index))
         object.__setattr__(self, "prefix_map", prefix_map)
-        object.__setattr__(self, "duplicates_collapsed", dropped)
-        object.__setattr__(self, "_index", seen)
+        object.__setattr__(self, "duplicates_collapsed", len(triples) - len(index))
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -313,51 +305,52 @@ def _check_resolvable(term: Term, prefix_map: dict[str, str]) -> None:
             raise PrefixError(f"unresolved prefix '{prefix}:' in datatype {term.datatype}")
 
 
-# One match per token: the whitespace and comments before a token fold into
-# its match, ``eof`` ends the input and ``bad`` catches any other character.
-# The token alternatives start with distinct characters, so their order only
-# decides how soon the common ones (prefixed names, dots) are tried.
+# The scanner: ``findall`` gives every token string of a document, ending
+# with ``""``, and ``finditer`` up to a token gives its offset (group 1) when
+# a ParseError needs it. The whitespace and comments before a token fold into
+# its match; ``\Z`` gives the empty token and ``.`` a one-character token for
+# any other character, a bad one. The token alternatives start with distinct
+# characters, so their order only decides how soon the common ones (prefixed
+# names, dots) are tried.
 _TOKEN_RE = re.compile(
     r"""
-    (?:[ \t\r\n]+|\#[^\n]*)*
-    (?:
-      (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?)
-    | (?P<dot>\.)
-    | (?P<string>"(?:[^"\\\n]|\\.)*")
-    | (?P<dtsep>\^\^)
-    | (?P<iriref><[^<>\n]*>)
-    | (?P<prefix_kw>@prefix\b)
-    | (?P<placeholder>\?\?\?)
-    | (?P<eof>\Z)
-    | (?P<bad>.)
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (
+      (?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?
+    | \.
+    | "(?:[^"\\\n]|\\.)*"
+    | \^\^
+    | <[^<>\n]*>
+    | @prefix\b
+    | \?\?\?
+    | \Z
+    | .
     )
     """,
     re.VERBOSE,
 )
 
 
+_KINDS = {
+    "": "eof", ".": "dot", ":": "pname", "^^": "dtsep", "@prefix": "prefix_kw", "???": "placeholder"
+}
+
+
+def _kind(token: str) -> str:
+    """The scanner alternative a token string came from: the tokens in
+    ``_KINDS`` by their text, any other one-character token is ``bad``, and
+    the first character tells a string or IRI reference from a prefixed name."""
+    if token in _KINDS:
+        return _KINDS[token]
+    if len(token) == 1:
+        return "bad"
+    return {'"': "string", "<": "iriref"}.get(token[0], "pname")
+
+
 def _line_col(text: str, offset: int) -> tuple[int, int]:
     """1-based line and column of a character offset."""
     line_start = text.rfind("\n", 0, offset) + 1
     return text.count("\n", 0, offset) + 1, offset - line_start + 1
-
-
-def _tokens(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, value, offset)`` of every token, ending with one ``eof``.
-
-    The whole input is scanned before parsing starts, so a bad character
-    anywhere is reported ahead of any grammar error.
-    """
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        offset = m.start(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", *_line_col(text, offset))
-        tokens.append((kind, m[kind], offset))
-        if kind == "eof":
-            break
-    return tokens
 
 
 def parse(text: str) -> Graph:
@@ -367,9 +360,11 @@ def parse(text: str) -> Graph:
     resolve against a previously seen ``@prefix`` directive. Each distinct
     IRI token and each distinct ``(lexical, datatype)`` literal becomes one
     shared Term; its checks run the first time it is read, which is enough
-    because the prefix map only grows.
+    because the prefix map only grows. A statement of three IRI tokens read
+    before and a ``.`` is built straight from the interned Terms; every
+    other statement goes through ``read_term``.
     """
-    tokens = _tokens(text)
+    tokens = _TOKEN_RE.findall(text)
     prefix_map: dict[str, str] = {}
     iris: dict[str, Term] = {}
     literals: dict[tuple[str, str | None], Term] = {}
@@ -377,86 +372,104 @@ def parse(text: str) -> Graph:
     next_slot = 0
     pos = 0
 
-    def fail(tok, message: str):
-        raise ParseError(message, *_line_col(text, tok[2]))
+    def error(index: int, message: str) -> ParseError:
+        """``message`` at token ``index``, unless the document holds a bad
+        character: the first one is reported instead, ahead of any grammar
+        error. The token's offset is found again by rescanning up to it."""
+        bad = next((i for i, token in enumerate(tokens) if _kind(token) == "bad"), None)
+        if bad is not None:
+            index, message = bad, f"unexpected character {tokens[bad]!r}"
+        match = next(islice(_TOKEN_RE.finditer(text), index, None))
+        return ParseError(message, *_line_col(text, match.start(1)))
 
-    def check_prefix(tok) -> None:
-        prefix = tok[1].partition(":")[0]
+    def check_prefix(index: int) -> None:
+        prefix = tokens[index].partition(":")[0]
         if prefix not in prefix_map:
-            fail(tok, f"unresolved prefix '{prefix}:'")
+            raise error(index, f"unresolved prefix '{prefix}:'")
 
-    def new_iri(tok) -> Term:
-        if tok[0] == "iriref":
-            term = Term.iri(tok[1][1:-1], prefixed=False)
+    def new_iri(index: int) -> Term:
+        token = tokens[index]
+        if token[0] == "<":
+            term = Term.iri(token[1:-1], prefixed=False)
         else:
-            check_prefix(tok)
-            term = Term.iri(tok[1], prefixed=True)
-        iris[tok[1]] = term
+            check_prefix(index)
+            term = Term.iri(token, prefixed=True)
+        iris[token] = term
         return term
 
-    def read_literal(tok) -> Term:
+    def read_literal(index: int) -> Term:
         nonlocal pos
-        raw = _unescape_literal(tok[1][1:-1], lambda: _line_col(text, tok[2]))
-        datatype = dtok = None
-        if tokens[pos][0] == "dtsep":
-            dtok = tokens[pos + 1]
+        try:
+            raw = _unescape_literal(tokens[index][1:-1])
+        except ParseError as exc:
+            raise error(index, exc.message) from None
+        datatype = dt_index = None
+        if tokens[pos] == "^^":
+            dt_index = pos + 1
             pos += 2
-            if dtok[0] not in ("iriref", "pname"):
-                fail(dtok, "expected a datatype IRI after '^^'")
-            datatype = dtok[1]
+            if _kind(tokens[dt_index]) not in ("iriref", "pname"):
+                raise error(dt_index, "expected a datatype IRI after '^^'")
+            datatype = tokens[dt_index]
         term = literals.get((raw, datatype))
         if term is None:
-            if dtok is not None and dtok[0] == "pname":
-                check_prefix(dtok)
+            if dt_index is not None and datatype[0] != "<":
+                check_prefix(dt_index)
             term = literals[raw, datatype] = Term.literal(raw, datatype)
         return term
 
     def read_term(position: str) -> Term:
         nonlocal pos, next_slot
-        tok = tokens[pos]
+        index = pos
         pos += 1
-        kind = tok[0]
+        kind = _kind(tokens[index])
         if kind == "iriref" or kind == "pname":
-            return iris.get(tok[1]) or new_iri(tok)
+            return iris.get(tokens[index]) or new_iri(index)
         if kind == "eof":
-            fail(tok, "unexpected end of input inside statement")
+            raise error(index, "unexpected end of input inside statement")
         if kind == "placeholder":
             if position == "relation":
-                fail(tok, "placeholder not allowed in relation position")
+                raise error(index, "placeholder not allowed in relation position")
             term = Term.placeholder(next_slot)
             next_slot += 1
             return term
         if kind == "string":
             if position == "head":
-                fail(tok, "literal not allowed in subject position")
+                raise error(index, "literal not allowed in subject position")
             if position == "relation":
-                fail(tok, "literal not allowed in relation position")
-            return read_literal(tok)
-        fail(tok, f"expected an IRI, got {tok[1]!r}")
+                raise error(index, "literal not allowed in relation position")
+            return read_literal(index)
+        raise error(index, f"expected an IRI, got {tokens[index]!r}")
 
     while True:
-        tok = tokens[pos]
-        if tok[0] == "eof":
+        if (
+            (head := iris.get(tokens[pos])) is not None
+            and (relation := iris.get(tokens[pos + 1])) is not None
+            and (tail := iris.get(tokens[pos + 2])) is not None
+            and tokens[pos + 3] == "."
+        ):
+            triples.append(Triple(head, relation, tail))
+            pos += 4
+            continue
+        token = tokens[pos]
+        if token == "":
             break
-        if tok[0] == "prefix_kw":
-            ptok = tokens[pos + 1]
-            if ptok[0] != "pname" or ptok[1].partition(":")[2]:
-                fail(ptok, "expected a 'prefix:' label after @prefix")
-            itok = tokens[pos + 2]
-            if itok[0] != "iriref":
-                fail(itok, "expected an <IRI> in @prefix directive")
-            dot = tokens[pos + 3]
-            if dot[0] != "dot":
-                fail(dot, "expected '.' after @prefix directive")
-            prefix_map[ptok[1][:-1]] = itok[1][1:-1]
+        if token == "@prefix":
+            label = tokens[pos + 1]
+            if _kind(label) != "pname" or label.partition(":")[2]:
+                raise error(pos + 1, "expected a 'prefix:' label after @prefix")
+            target = tokens[pos + 2]
+            if _kind(target) != "iriref":
+                raise error(pos + 2, "expected an <IRI> in @prefix directive")
+            if tokens[pos + 3] != ".":
+                raise error(pos + 3, "expected '.' after @prefix directive")
+            prefix_map[label[:-1]] = target[1:-1]
             pos += 4
             continue
         head = read_term("head")
         relation = read_term("relation")
         tail = read_term("tail")
-        dot = tokens[pos]
-        if dot[0] != "dot":
-            fail(dot, "expected '.' after triple")
+        if tokens[pos] != ".":
+            raise error(pos, "expected '.' after triple")
         pos += 1
         triples.append(Triple(head, relation, tail))
 

@@ -425,6 +425,37 @@ def test_non_object_model_is_a_config_error(tmp_path, capsys, desk_paths, comman
     assert err.startswith(f"error: config: model file {bad} is malformed: ")
 
 
+@pytest.mark.parametrize("value", ["x", [], 3], ids=["string", "list", "number"])
+def test_non_object_train_config_is_a_malformed_model(tmp_path, capsys, desk_paths, value):
+    doc = json.loads(desk_paths["model"].read_text())
+    doc["train_config"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, _, err = run(
+        capsys,
+        ["evaluate", "--ikg", str(desk_paths["ikg"]), "--model", str(bad),
+         "--out", str(tmp_path / "e.json")],
+    )
+    assert rc == EXIT_CONFIG
+    assert err == (
+        f"error: config: model file {bad} is malformed: train_config must be a JSON object or null\n"
+    )
+
+
+def test_null_train_config_cannot_re_derive_the_split(tmp_path, capsys, desk_paths):
+    doc = json.loads(desk_paths["model"].read_text())
+    doc["train_config"] = None
+    bad = tmp_path / "bare.json"
+    bad.write_text(json.dumps(doc))
+    rc, _, err = run(
+        capsys,
+        ["evaluate", "--ikg", str(desk_paths["ikg"]), "--model", str(bad),
+         "--out", str(tmp_path / "e.json")],
+    )
+    assert rc == EXIT_CONFIG
+    assert err == "error: config: model carries no training config; cannot re-derive the split\n"
+
+
 def test_evaluate_malformed_ikg(tmp_path, capsys, desk_paths):
     bad = tmp_path / "bad.ttl"
     bad.write_text("this is not turtle %%%\n")

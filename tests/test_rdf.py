@@ -841,3 +841,42 @@ def test_parse_matches_reference_on_valid_document():
 )
 def test_parse_matches_reference_on_each_mutation(text):
     assert assert_same_as_reference(text)[0] == "raised"
+
+
+# Hypothesis documents hold at most eight statements; these cases put the
+# failing token thousands of tokens into the desk IKG, whose offset is only
+# worked out once the error is raised.
+def _drop_last_dot(text: str) -> str:
+    return text[: text.rindex(" .")] + "\n"
+
+
+def _bad_escape_in_last_literal(text: str) -> str:
+    end = text.rindex('"^^')
+    return text[:end] + "\\q" + text[end:]
+
+
+def _percent_after_early_dot_drop(text: str) -> str:
+    lines = text.split("\n")
+    lines[20] = lines[20][: lines[20].rindex(" .")]
+    return "\n".join(lines) + "%"
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (_drop_last_dot, "expected '.' after triple"),
+        (_bad_escape_in_last_literal, "unsupported escape '\\q' in literal"),
+        (_percent_after_early_dot_drop, "unexpected character '%'"),
+        (lambda text: _percent_after_early_dot_drop(text).replace("\n", "\r\n"),
+         "unexpected character '%'"),
+        (lambda text: _bad_escape_in_last_literal(text).replace("\n", "\r\n"),
+         "unsupported escape '\\q' in literal"),
+    ],
+    ids=["missing-last-dot", "bad-escape-near-end", "bad-char-wins", "bad-char-wins-crlf",
+         "bad-escape-crlf"],
+)
+def test_parse_matches_reference_on_desk_ikg_errors(desk_ikg, mutate, message):
+    text = mutate(serialize(desk_ikg))
+    outcome = assert_same_as_reference(text)
+    assert outcome[:2] == ("raised", ParseError) and outcome[2].endswith(message)
+    assert outcome[3] > 1000  # far into the document
