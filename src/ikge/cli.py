@@ -247,9 +247,7 @@ def _cmd_evaluate(args) -> int:
 def _parse_slot_triple(text: str, graph: rdf.Graph) -> rdf.Triple:
     """The one triple of ``--triple``, read under the IKG's prefixes; a
     ParseError gives its line and column within the argument."""
-    header = "".join(
-        f"@prefix {p}: <{iri}> .\n" for p, iri in sorted(graph.prefix_map.items())
-    )
+    header = rdf.serialize(rdf.Graph((), graph.prefix_map))
     statement = text.rstrip()
     if not statement.endswith("."):
         statement += " ."
@@ -303,37 +301,34 @@ def _cmd_verify(args) -> int:
 
     # Blueprint skeleton terms (e.g. the intent node itself) are not model
     # vocabulary; only triples the model can score participate in the verdict.
-    rows = []
-    failing: list[rdf.Triple] = []
-    classified_count = 0
-    for triple in intent_graph.triples:
+    rows = [{"triple": str(triple)} for triple in intent_graph.triples]
+    ids, scored = [], []
+    for row, triple in zip(rows, intent_graph.triples):
         try:
-            h, r, t = model.vocab.triple_ids(triple)
+            ids.append(model.vocab.triple_ids(triple))
         except rdf.VocabError as exc:
-            rows.append({"triple": str(triple), "skipped": str(exc)})
-            continue
-        score = kg2e.score(model, h, r, t)
-        ok = score >= model.thresholds.lookup(r)
-        rows.append({"triple": str(triple), "score": score, "classified": ok})
-        classified_count += 1
-        if not ok:
-            failing.append(triple)
-    if classified_count == 0:
+            row["skipped"] = str(exc)
+        else:
+            scored.append(row)
+    if not scored:
         raise CliError("config", "intent contains no triples the model can classify")
-    verified = not failing
+    scores, accepted = evaluation.verdicts(model, ids, model.thresholds)
+    for row, score, ok in zip(scored, scores.tolist(), accepted.tolist()):
+        row.update(score=score, classified=ok)
+    failing = [row["triple"] for row in scored if not row["classified"]]
     doc = {
-        "verified": verified,
-        "n_triples": len(intent_graph.triples),
-        "n_classified": classified_count,
+        "verified": not failing,
+        "n_triples": len(rows),
+        "n_classified": len(scored),
         "triples": rows,
     }
     if args.out:
         _write_json(args.out, doc)
-    if not verified:
-        raise pipeline.VerificationFailedError(
-            pipeline.NetworkIntent("intent", list(intent_graph.triples), []), failing
+    if failing:
+        raise CliError(
+            "verification-failed", f"intent 'intent' failed verification: {'; '.join(failing)}"
         )
-    print(f"verified: all {classified_count} classifiable triples classify as true")
+    print(f"verified: all {len(scored)} classifiable triples classify as true")
     return EXIT_OK
 
 

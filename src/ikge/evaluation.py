@@ -13,14 +13,15 @@ other known-true triples (never the true entity itself). The known ids
 are indexed once per ranking run: tail ids by ``(h, r)`` and head ids by
 ``(r, t)``; a single ``rank_triple`` collects only the entry of its own
 query, skipping known triples with a term outside the model vocabulary.
-Classification applies per-relation score thresholds chosen on validation
-data by maximizing accuracy over midpoints of adjacent scores; the triples
-of one call are scored in one batch.
+Classification applies a per-relation ``model.ThresholdTable`` chosen on
+validation data by maximizing accuracy over midpoints of adjacent scores.
+``verdicts`` judges an id array with one batch score; ``classify`` judges
+one Term-level triple through the scalar ``score``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,13 +42,7 @@ class RankMetrics:
     n_ranks: int
 
     def to_document(self) -> dict:
-        return {
-            "mean_rank": self.mean_rank,
-            "hits": {str(p): v for p, v in sorted(self.hits.items())},
-            "side": self.side,
-            "filtered": self.filtered,
-            "n_ranks": self.n_ranks,
-        }
+        return {**asdict(self), "hits": {str(p): v for p, v in sorted(self.hits.items())}}
 
 
 @dataclass
@@ -90,33 +85,6 @@ class ClassificationMetrics:
 
     def to_document(self) -> dict:
         return asdict(self)
-
-
-@dataclass
-class ThresholdTable:
-    """Per-relation decision thresholds with a pooled fallback."""
-
-    per_relation: dict[int, float] = field(default_factory=dict)
-    fallback: float = 0.0
-
-    def lookup(self, relation_id: int) -> float:
-        return self.per_relation.get(relation_id, self.fallback)
-
-    def to_document(self) -> dict:
-        return {
-            "per_relation": {str(r): v for r, v in sorted(self.per_relation.items())},
-            "fallback": self.fallback,
-        }
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "ThresholdTable":
-        per_relation = doc["per_relation"]
-        if not isinstance(per_relation, dict):
-            raise ValueError("thresholds.per_relation must be a JSON object")
-        return cls(
-            per_relation={int(r): float(v) for r, v in per_relation.items()},
-            fallback=float(doc["fallback"]),
-        )
 
 
 def rank_from_scores(scores: np.ndarray, true_index: int, keep: np.ndarray | None = None) -> float:
@@ -247,7 +215,7 @@ def best_threshold(pos_scores, neg_scores) -> float:
 
 def select_thresholds(
     model: kg2e.Kg2eModel, valid_pos: np.ndarray, valid_neg: np.ndarray
-) -> ThresholdTable:
+) -> kg2e.ThresholdTable:
     """Per-relation thresholds from validation positive and negative id rows.
 
     Every relation seen in the validation data gets an entry; the fallback
@@ -261,21 +229,23 @@ def select_thresholds(
     pos_scores, neg_scores = scores[: len(pos_ids)], scores[len(pos_ids) :]
     pos_rel, neg_rel = pos_ids[:, 1], neg_ids[:, 1]
 
-    table = ThresholdTable()
+    table = kg2e.ThresholdTable()
     for r in sorted(set(pos_rel.tolist()) | set(neg_rel.tolist())):
         table.per_relation[r] = best_threshold(pos_scores[pos_rel == r], neg_scores[neg_rel == r])
     table.fallback = best_threshold(pos_scores, neg_scores)
     return table
 
 
-def _verdicts(model: kg2e.Kg2eModel, ids: np.ndarray, thresholds: ThresholdTable) -> np.ndarray:
-    """Per-row 'score reaches its relation's threshold', scored in one batch."""
+def verdicts(model: kg2e.Kg2eModel, ids, thresholds: kg2e.ThresholdTable) -> tuple:
+    """Scores of the ``(n, 3)`` id rows ``ids`` in one batch, and per row
+    whether its score reaches its relation's threshold."""
     ids = _check_ids(model, ids)
     limits = np.array([thresholds.lookup(r) for r in ids[:, 1].tolist()], dtype=np.float64)
-    return kg2e.score_triples(model, ids) >= limits
+    scores = kg2e.score_triples(model, ids)
+    return scores, scores >= limits
 
 
-def classify(model: kg2e.Kg2eModel, triple: Triple, thresholds: ThresholdTable) -> bool:
+def classify(model: kg2e.Kg2eModel, triple: Triple, thresholds: kg2e.ThresholdTable) -> bool:
     """Valid iff the triple's score reaches its relation's threshold; a
     placeholder raises ValueError."""
     if triple.placeholder_count:
@@ -288,10 +258,10 @@ def evaluate_classification(
     model: kg2e.Kg2eModel,
     test_pos: np.ndarray,
     test_neg: np.ndarray,
-    thresholds: ThresholdTable,
+    thresholds: kg2e.ThresholdTable,
 ) -> ClassificationMetrics:
     """Confusion counts and rates over positive and negative test id rows."""
-    pos = _verdicts(model, test_pos, thresholds)
-    neg = _verdicts(model, test_neg, thresholds)
+    _, pos = verdicts(model, test_pos, thresholds)
+    _, neg = verdicts(model, test_neg, thresholds)
     tp, fp = int(pos.sum()), int(neg.sum())
     return ClassificationMetrics.from_counts(tp=tp, tn=len(neg) - fp, fp=fp, fn=len(pos) - tp)

@@ -11,7 +11,7 @@ produces a byte-identical graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -112,35 +112,19 @@ _TARGET_RESOURCE = _iri("icm:targetResource")
 _VALUE_BY = _iri("icm:valueBy")
 
 
-def _service_names(n: int) -> list[tuple[str, str]]:
-    names = list(_NAMED_SERVICES[:n])
-    families = ("video", "voice", "data")
-    i = 0
-    while len(names) < n:
-        family = families[i % 3]
-        names.append((f"nonmcptt:{family.capitalize()}Svc{i:02d}", family))
-        i += 1
-    return names
+def _names(named: tuple, n: int, extra) -> list:
+    """The first ``n`` of ``named``, then ``extra(0)``, ``extra(1)``, ... up to ``n``."""
+    return [*named[:n], *(extra(i) for i in range(n - len(named)))]
 
 
-def _resource_names(n: int) -> list[tuple[str, str]]:
-    names = list(_NAMED_RESOURCES[:n])
-    i = 0
-    while len(names) < n:
-        kind = "gbr" if i % 2 == 0 else "nongbr"
-        label = "GbrResource" if kind == "gbr" else "NonGbrResource"
-        names.append((f"service:{label}{i:02d}", kind))
-        i += 1
-    return names
+def _service_name(i: int) -> tuple[str, str]:
+    family = ("video", "voice", "data")[i % 3]
+    return f"nonmcptt:{family.capitalize()}Svc{i:02d}", family
 
 
-def _kpi_names(n: int) -> list[str]:
-    names = list(_NAMED_KPIS[:n])
-    i = 0
-    while len(names) < n:
-        names.append(f"kpi:metric{i:02d}")
-        i += 1
-    return names
+def _resource_name(i: int) -> tuple[str, str]:
+    kind, label = ("gbr", "GbrResource") if i % 2 == 0 else ("nongbr", "NonGbrResource")
+    return f"service:{label}{i:02d}", kind
 
 
 def _value_pool(kpi: str) -> list[Term]:
@@ -181,7 +165,7 @@ def gen_ikg(spec: IkgGenSpec) -> Graph:
     for parent in _RESOURCE_PARENTS.values():
         add(network_resource, _RDFS_SUBCLASS, _iri(parent))
 
-    services = [(_iri(name), family) for name, family in _service_names(spec.n_services)]
+    services = [(_iri(n), f) for n, f in _names(_NAMED_SERVICES, spec.n_services, _service_name)]
     for i, (leaf, family) in enumerate(services):
         add(_iri(_FAMILY_CLASSES[family]), _RDFS_SUBCLASS, leaf)
         add(leaf, _RDF_TYPE, target)
@@ -191,12 +175,14 @@ def gen_ikg(spec: IkgGenSpec) -> Graph:
         if i < len(_NAMED_SERVICES):
             add(expectation, _HAS_TARGET, leaf)
 
-    resources = [(_iri(name), kind) for name, kind in _resource_names(spec.n_resources)]
+    resources = [
+        (_iri(n), k) for n, k in _names(_NAMED_RESOURCES, spec.n_resources, _resource_name)
+    ]
     for leaf, kind in resources:
         add(_iri(_RESOURCE_PARENTS[kind]), _RDFS_SUBCLASS, leaf)
         add(leaf, _RDF_TYPE, network_resource)
 
-    kpis = [_iri(name) for name in _kpi_names(spec.n_kpis)]
+    kpis = [_iri(name) for name in _names(_NAMED_KPIS, spec.n_kpis, "kpi:metric{:02d}".format)]
     pools = {k.text: _value_pool(k.text) for k in kpis}
     for k in kpis:
         add(prop_parameter, _RDFS_SUBCLASS, k)
@@ -266,11 +252,7 @@ def gen_ikg(spec: IkgGenSpec) -> Graph:
 
 def build_report(spec: IkgGenSpec, graph: Graph) -> dict:
     return {
-        "seed": spec.seed,
-        "n_services": spec.n_services,
-        "n_resources": spec.n_resources,
-        "n_kpis": spec.n_kpis,
-        "target_triples": spec.target_triples,
+        **asdict(spec),
         "n_triples": len(graph),
         "n_prefixes": len(graph.prefix_map),
         "note": (

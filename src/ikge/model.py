@@ -12,11 +12,16 @@ provided, both "higher is better":
 
 Gradients are analytic; constraints keep mean norms at most 1 and clamp
 covariance diagonals into [c_min, c_max].
+
+A model may carry a :class:`ThresholdTable`: a triple is valid iff its
+score reaches its relation's threshold. ``evaluation`` chooses and applies
+the table; loading a stored model checks every parameter and threshold.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +41,48 @@ MODEL_FORMAT_VERSION = 1
 # constraint is an exact no-op despite float rounding.
 _NORM_TOL = 1e-9
 
+
+@dataclass
+class ThresholdTable:
+    """Per-relation decision thresholds with a pooled fallback."""
+
+    per_relation: dict[int, float] = field(default_factory=dict)
+    fallback: float = 0.0
+
+    def lookup(self, relation_id: int) -> float:
+        return self.per_relation.get(relation_id, self.fallback)
+
+    def to_document(self) -> dict:
+        return {
+            "per_relation": {str(r): v for r, v in sorted(self.per_relation.items())},
+            "fallback": self.fallback,
+        }
+
+    @classmethod
+    def from_document(cls, doc: dict, n_relations: int) -> "ThresholdTable":
+        """The table a document stores; ValueError if ``per_relation`` is not
+        a JSON object, a key is not a relation id written as ``str(id)``, an
+        id lies outside ``[0, n_relations)``, or a threshold is not finite."""
+        per_relation = doc["per_relation"]
+        if not isinstance(per_relation, dict):
+            raise ValueError("thresholds.per_relation must be a JSON object")
+        table = cls({int(r): float(v) for r, v in per_relation.items()}, float(doc["fallback"]))
+        for key in per_relation:
+            if key != str(int(key)):
+                raise ValueError(f"thresholds key {key!r} is not a relation id in canonical form")
+        if not np.isfinite([table.fallback, *table.per_relation.values()]).all():
+            raise ValueError("thresholds hold a non-finite value")
+        if not all(0 <= r < n_relations for r in table.per_relation):
+            raise ValueError("thresholds name a relation id outside the vocabulary")
+        return table
+
+
 class Kg2eModel:
     """Embedding table pair plus scoring configuration.
 
     Parameter arrays are float64 with shape (count, dim). ``thresholds``
-    is an optional per-relation score threshold table filled in by the
-    evaluation layer; ``train_config`` keeps the training configuration
-    document for reproducible downstream splits.
+    is an optional :class:`ThresholdTable`; ``train_config`` keeps the
+    training configuration document for reproducible downstream splits.
     """
 
     def __init__(
@@ -256,7 +296,7 @@ def constraint_violations(model: Kg2eModel) -> int:
 
 
 def model_to_document(model: Kg2eModel) -> dict:
-    doc = {
+    return {
         "format_version": MODEL_FORMAT_VERSION,
         "dim": model.dim,
         "score_kind": model.score_kind,
@@ -271,15 +311,14 @@ def model_to_document(model: Kg2eModel) -> dict:
         "thresholds": None if model.thresholds is None else model.thresholds.to_document(),
         "train_config": model.train_config,
     }
-    return doc
 
 
 def model_from_document(doc: dict) -> Kg2eModel:
     """The model a document stores; ValueError if the document is not a
-    JSON object, a parameter or threshold is not finite, a covariance lies
-    outside ``[c_min, c_max]``, a threshold is keyed by a relation id
-    outside ``[0, n_relations)``, or ``train_config`` is neither a JSON object
-    nor null."""
+    JSON object, a vocabulary term repeats, a parameter is not finite, a
+    covariance lies outside ``[c_min, c_max]``, ``ThresholdTable.from_document``
+    rejects the thresholds, or ``train_config`` is neither a JSON object nor
+    null."""
     if not isinstance(doc, dict):
         raise ValueError("the document must hold a JSON object")
     version = doc.get("format_version")
@@ -292,11 +331,9 @@ def model_from_document(doc: dict) -> Kg2eModel:
         [_vocab_term(s) for s in doc["entities"]],
         [_vocab_term(s) for s in doc["relations"]],
     )
-    thresholds = None
-    if doc.get("thresholds") is not None:
-        from .evaluation import ThresholdTable
-
-        thresholds = ThresholdTable.from_document(doc["thresholds"])
+    thresholds = doc.get("thresholds")
+    if thresholds is not None:
+        thresholds = ThresholdTable.from_document(thresholds, vocab.n_relations)
     model = Kg2eModel(
         vocab,
         doc["dim"],
@@ -317,11 +354,6 @@ def model_from_document(doc: dict) -> Kg2eModel:
         covs = getattr(model, name)
         if (covs < model.c_min).any() or (covs > model.c_max).any():
             raise ValueError(f"{name} lies outside [c_min, c_max]")
-    if thresholds is not None:
-        if not np.isfinite([thresholds.fallback, *thresholds.per_relation.values()]).all():
-            raise ValueError("thresholds hold a non-finite value")
-        if not all(0 <= r < vocab.n_relations for r in thresholds.per_relation):
-            raise ValueError("thresholds name a relation id outside the vocabulary")
     return model
 
 

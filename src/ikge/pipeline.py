@@ -484,7 +484,7 @@ def complete_template(
 
 
 def verify_intent(
-    intent: NetworkIntent, model: kg2e.Kg2eModel, thresholds: evaluation.ThresholdTable
+    intent: NetworkIntent, model: kg2e.Kg2eModel, thresholds: kg2e.ThresholdTable
 ) -> NetworkIntent:
     """Classify every formerly slotted triple; verified iff all pass."""
     for triple in intent.triples:

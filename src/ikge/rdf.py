@@ -490,7 +490,8 @@ class Vocab:
     """Dense, insertion-stable index over the entities and relations of a graph.
 
     Entities are the distinct heads and tails (literals included), relations
-    the distinct relation IRIs, both numbered in first-seen order.
+    the distinct relation IRIs, both numbered in first-seen order. A term
+    given twice raises ValueError: it would have two ids.
     """
 
     def __init__(self, entities, relations):
@@ -498,6 +499,11 @@ class Vocab:
         self.relations: tuple[Term, ...] = tuple(relations)
         self._entity_ids = {t: i for i, t in enumerate(self.entities)}
         self._relation_ids = {t: i for i, t in enumerate(self.relations)}
+        for terms, ids in ((self.entities, self._entity_ids), (self.relations, self._relation_ids)):
+            if len(ids) != len(terms):
+                # A repeated term keeps its last id, so its first place mismatches.
+                repeated = next(t for i, t in enumerate(terms) if ids[t] != i)
+                raise ValueError(f"vocabulary repeats the term {term_to_text(repeated)}")
 
     @property
     def n_entities(self) -> int:
@@ -564,18 +570,11 @@ class Vocab:
 
 def build_vocab(graph: Graph) -> Vocab:
     """Index a complete graph; placeholder terms are rejected."""
-    entities: list[Term] = []
-    relations: list[Term] = []
-    seen_e: set[Term] = set()
-    seen_r: set[Term] = set()
+    # Dicts as ordered sets: a key keeps the place of its first insertion.
+    entities: dict[Term, None] = {}
+    relations: dict[Term, None] = {}
     for t in graph.triples:
         if t.placeholder_count:
             raise VocabError("placeholder term in graph; vocabulary needs a complete graph")
-        for term in (t.head, t.tail):
-            if term not in seen_e:
-                seen_e.add(term)
-                entities.append(term)
-        if t.relation not in seen_r:
-            seen_r.add(t.relation)
-            relations.append(t.relation)
+        entities[t.head] = entities[t.tail] = relations[t.relation] = None
     return Vocab(entities, relations)

@@ -124,12 +124,7 @@ class TrainReport:
     constraint_violations: int
 
     def to_document(self) -> dict:
-        return {
-            "epochs_run": len(self.epoch_losses),
-            "epoch_losses": self.epoch_losses,
-            "convergence_epoch": self.convergence_epoch,
-            "constraint_violations": self.constraint_violations,
-        }
+        return {"epochs_run": len(self.epoch_losses), **asdict(self)}
 
 
 @dataclass

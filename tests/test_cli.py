@@ -20,7 +20,7 @@ from ikge.cli import (
     _categorize,
     main,
 )
-from ikge.model import load_model
+from ikge.model import load_model, score
 from ikge.pipeline import UnresolvedSlotError, VerificationFailedError, NetworkIntent
 from ikge.rdf import ParseError, PrefixError, VocabError, parse
 from ikge.training import TrainConfig, TrainingDivergedError, split_dataset
@@ -357,18 +357,24 @@ def test_evaluate_invalid_model_json(tmp_path, capsys, desk_paths):
     assert rc == EXIT_PARSE
 
 
+def model_argv(command, desk_paths, tmp_path):
+    """The arguments besides ``--model`` that take ``command`` to its model load."""
+    ikg = str(desk_paths["ikg"])
+    return {
+        "evaluate": ["--ikg", ikg, "--out", str(tmp_path / "e.json")],
+        "predict": ["--ikg", ikg, "--triple", "icm:PropertyExpectation icm:hasTarget ???"],
+        "translate": ["--ikg", ikg, "--text", "reliable video", "--out", str(tmp_path / "i.ttl")],
+        "verify": ["--intent", ikg],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["evaluate", "translate", "verify"])
 def test_non_finite_model_is_a_config_error(tmp_path, capsys, desk_paths, command):
     doc = json.loads(desk_paths["model"].read_text())
     doc["entity_means"][3][1] = float("nan")
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(doc))
-    ikg = str(desk_paths["ikg"])
-    argv = {
-        "evaluate": ["--ikg", ikg, "--out", str(tmp_path / "e.json")],
-        "translate": ["--ikg", ikg, "--text", "reliable video", "--out", str(tmp_path / "i.ttl")],
-        "verify": ["--intent", ikg],
-    }[command]
+    argv = model_argv(command, desk_paths, tmp_path)
     rc, _, err = run(capsys, [command, "--model", str(bad), *argv])
     assert rc == EXIT_CONFIG
     assert err.startswith(f"error: config: model file {bad} is malformed: entity_means")
@@ -382,8 +388,15 @@ def test_non_finite_model_is_a_config_error(tmp_path, capsys, desk_paths, comman
         ("0", float("nan"), "thresholds hold a non-finite value"),
         ("999", 0.0, "thresholds name a relation id outside the vocabulary"),
         ("per_relation", [], "thresholds.per_relation must be a JSON object"),
+        ("00", 99.0, "thresholds key '00' is not a relation id in canonical form"),
+        ("0_1", 0.0, "thresholds key '0_1' is not a relation id in canonical form"),
+        (" 1", 0.0, "thresholds key ' 1' is not a relation id in canonical form"),
+        ("+1", 0.0, "thresholds key '+1' is not a relation id in canonical form"),
     ],
-    ids=["nan-fallback", "nan-relation", "unknown-relation", "list-per-relation"],
+    ids=[
+        "nan-fallback", "nan-relation", "unknown-relation", "list-per-relation",
+        "leading-zero", "underscore", "space", "plus",
+    ],
 )
 def test_bad_thresholds_are_a_config_error(
     tmp_path, capsys, desk_paths, command, key, value, message
@@ -410,19 +423,38 @@ def test_bad_thresholds_are_a_config_error(
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict", "translate", "verify"])
-def test_non_object_model_is_a_config_error(tmp_path, capsys, desk_paths, command):
-    bad = tmp_path / "list.json"
-    bad.write_text("[]")
-    ikg = str(desk_paths["ikg"])
-    argv = {
-        "evaluate": ["--ikg", ikg, "--out", str(tmp_path / "e.json")],
-        "predict": ["--ikg", ikg, "--triple", "icm:PropertyExpectation icm:hasTarget ???"],
-        "translate": ["--ikg", ikg, "--text", "reliable video", "--out", str(tmp_path / "i.ttl")],
-        "verify": ["--intent", ikg],
-    }[command]
+@pytest.mark.parametrize(
+    "repeat",
+    [None, ("entities", 5, 4), ("relations", 2, 0)],
+    ids=["non-object", "repeated-entity", "repeated-relation"],
+)
+def test_malformed_model_is_a_config_error(tmp_path, capsys, desk_paths, command, repeat):
+    if repeat is None:
+        doc, message = [], "the document must hold a JSON object"
+    else:
+        table, at, original = repeat
+        doc = json.loads(desk_paths["model"].read_text())
+        doc[table][at] = doc[table][original]
+        message = f"vocabulary repeats the term {doc[table][original]}"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = model_argv(command, desk_paths, tmp_path)
     rc, _, err = run(capsys, [command, "--model", str(bad), *argv])
     assert rc == EXIT_CONFIG
-    assert err.startswith(f"error: config: model file {bad} is malformed: ")
+    assert err == f"error: config: model file {bad} is malformed: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "translate", "verify"])
+def test_model_without_thresholds_is_a_config_error(tmp_path, capsys, desk_paths, command):
+    doc = json.loads(desk_paths["model"].read_text())
+    doc["thresholds"] = None
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    argv = model_argv(command, desk_paths, tmp_path)
+    rc, _, err = run(capsys, [command, "--model", str(bare), *argv])
+    assert rc == EXIT_CONFIG
+    assert err == "error: config: model carries no thresholds; re-run train\n"
+    assert not (tmp_path / "e.json").exists() and not (tmp_path / "i.ttl").exists()
 
 
 @pytest.mark.parametrize("value", ["x", [], 3], ids=["string", "list", "number"])
@@ -683,10 +715,50 @@ def test_verify_rejects_false_triples(tmp_path, capsys, desk_paths):
          "--intent", str(intent), "--out", str(out)],
     )
     assert rc == EXIT_VERIFICATION_FAILED
+    assert err == (
+        "error: verification-failed: intent 'intent' failed verification:"
+        " icm:Intent icm:hasTarget kpi:latency .;"
+        " kpi:latency icm:hasParameter icm:Intent .;"
+        " nonmcptt:ConvVideo rdfs:subclass icm:Intent .;"
+        " service:GbrResource00 icm:targetResource nonmcptt:ConvVideo .\n"
+    )
     doc = json.loads(out.read_text())
     assert doc["verified"] is False
     assert doc["n_classified"] == 4
     assert all(row["classified"] is False for row in doc["triples"])
+
+
+def test_verify_rows_keep_file_order_and_scalar_scores(tmp_path, capsys, desk_paths):
+    intent = tmp_path / "mixed.ttl"
+    intent.write_text(
+        INTENT_PREFIXES
+        + "icm:ServiceIntent icm:hasExpectation icm:ServiceExpectation .\n"
+        + "icm:Intent icm:hasTarget kpi:latency .\n"
+        + "nonmcptt:ConvVideo icm:targetResource service:NonGBRService .\n"
+        + "icm:ServiceExpectation icm:hasTarget nonmcptt:ConvVideo .\n"
+        + "kpi:latency icm:hasParameter icm:Intent .\n"
+    )
+    out = tmp_path / "verify.json"
+    rc, _, _ = run(
+        capsys,
+        ["verify", "--model", str(desk_paths["model"]),
+         "--intent", str(intent), "--out", str(out)],
+    )
+    doc = json.loads(out.read_text())
+    triples = parse(intent.read_text()).triples
+    rows = doc["triples"]
+    assert [row["triple"] for row in rows] == [str(t) for t in triples]
+    assert ["skipped" in row for row in rows] == [True, False, False, True, False]
+    model = load_model(desk_paths["model"])
+    for row, triple in zip(rows, triples):
+        if "skipped" in row:
+            continue
+        h, r, t = model.vocab.triple_ids(triple)
+        want = score(model, h, r, t)
+        assert row["score"].hex() == want.hex()  # bit for bit, after the JSON round trip
+        assert row["classified"] is (want >= model.thresholds.lookup(r))
+    assert doc["verified"] is all(row.get("classified", True) for row in rows)
+    assert rc == (EXIT_OK if doc["verified"] else EXIT_VERIFICATION_FAILED)
 
 
 def test_verify_rejects_placeholder_intent(tmp_path, capsys, desk_paths):

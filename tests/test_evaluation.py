@@ -18,7 +18,6 @@ from ikge.evaluation import (
     ClassificationMetrics,
     _filter_index,
     _rank_ids,
-    ThresholdTable,
     best_threshold,
     classify,
     evaluate_classification,
@@ -26,8 +25,9 @@ from ikge.evaluation import (
     rank_from_scores,
     rank_triple,
     select_thresholds,
+    verdicts,
 )
-from ikge.model import init_model
+from ikge.model import ThresholdTable, init_model
 from ikge.rdf import Graph, Term, Triple, build_vocab, parse
 
 
@@ -407,7 +407,7 @@ def test_threshold_table_fallback_for_unseen_relation():
 
 def test_threshold_table_document_round_trip():
     table = ThresholdTable({0: 1.5, 3: -0.25}, fallback=0.125)
-    back = ThresholdTable.from_document(table.to_document())
+    back = ThresholdTable.from_document(table.to_document(), 4)
     assert back.per_relation == table.per_relation
     assert back.fallback == table.fallback
 
@@ -429,6 +429,23 @@ def test_classify_threshold_overrides():
     t = pos.triples[0]
     assert not classify(model, t, always_false)
     assert classify(model, t, always_true)
+
+
+def test_verdicts_match_per_row_score_against_lookup():
+    model, pos, neg = separable_fixture()
+    ids = ids_of(model, list(pos.triples) + neg)
+    expected = [kg2e.score(model, *row) for row in ids.tolist()]
+    # Thresholds equal to row scores put rows on the ">=" boundary.
+    table = ThresholdTable({0: expected[1]}, fallback=expected[2])
+    scores, accepted = verdicts(model, ids, table)
+    assert scores.tolist() == expected
+    want = [s >= table.lookup(r) for s, (_, r, _) in zip(expected, ids.tolist())]
+    assert accepted.tolist() == want
+    assert set(want) == {True, False}
+    scores, accepted = verdicts(model, ids[:0], table)
+    assert scores.shape == accepted.shape == (0,)
+    with pytest.raises(IndexError):
+        verdicts(model, [[0, model.vocab.n_relations, 0]], table)
 
 
 def test_classify_rejects_placeholder():

@@ -15,6 +15,7 @@ from ikge.model import (
     EXPECTED_LIKELIHOOD,
     KL_DIVERGENCE,
     Kg2eModel,
+    ThresholdTable,
     _GRAD_FNS,
     apply_constraints,
     constraint_violations,
@@ -27,7 +28,6 @@ from ikge.model import (
     score_candidates,
     score_triples,
 )
-from ikge.evaluation import ThresholdTable
 
 
 def small_vocab(n_entities: int = 4, n_relations: int = 2) -> rdf.Vocab:
@@ -428,6 +428,11 @@ def test_model_from_document_rejects_bad_parameters(name, row, col, value, messa
         ({"0": 1.0, "2": 1.0}, 0.5, "thresholds name a relation id outside the vocabulary"),
         ({"-1": 1.0}, 0.5, "thresholds name a relation id outside the vocabulary"),
         ([["0", 1.0]], 0.5, "thresholds.per_relation must be a JSON object"),
+        ({"00": 1.0}, 0.5, "thresholds key '00' is not a relation id in canonical form"),
+        ({"0": 1.0, "00": 2.0}, 0.5, "thresholds key '00' is not a relation id in canonical form"),
+        ({"0_1": 1.0}, 0.5, "thresholds key '0_1' is not a relation id in canonical form"),
+        ({" 1": 1.0}, 0.5, "thresholds key ' 1' is not a relation id in canonical form"),
+        ({"+1": 1.0}, 0.5, r"thresholds key '\+1' is not a relation id in canonical form"),
     ],
 )
 def test_model_from_document_rejects_bad_thresholds(per_relation, fallback, message):

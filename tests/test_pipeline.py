@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from ikge import pipeline
-from ikge.evaluation import ThresholdTable
 from ikge.ikggen import IkgGenSpec, gen_ikg
-from ikge.model import init_model, score, score_candidates
+from ikge.model import ThresholdTable, init_model, score, score_candidates
 from ikge.pipeline import (
     BlueprintError,
     CorpusHint,

@@ -386,6 +386,20 @@ def test_vocab_errors():
         v.relation_id(Term.iri("ex:unknown"))
 
 
+def test_vocab_rejects_a_repeated_term():
+    a, b, r, s = Term.iri("ex:a"), Term.iri("ex:b"), Term.iri("ex:r"), Term.iri("ex:s")
+    assert Vocab([a, b], [r, s]).n_entities == 2
+    # Of several repeated terms, the one listed first is named.
+    with pytest.raises(ValueError, match="^vocabulary repeats the term ex:a$"):
+        Vocab([a, b, Term.literal("x"), b, a], [r])
+    with pytest.raises(ValueError, match="^vocabulary repeats the term ex:b$"):
+        Vocab([a, b, Term.literal("x"), b], [r])
+    with pytest.raises(ValueError, match='^vocabulary repeats the term "x"'):
+        Vocab([Term.literal("x"), a, Term.literal("x")], [r])
+    with pytest.raises(ValueError, match="^vocabulary repeats the term ex:r$"):
+        Vocab([a], [r, s, r])
+
+
 def test_vocab_triple_ids_and_known_ids():
     g = parse(
         "@prefix ex: <http://e.example/ns#> .\n"
