@@ -20,8 +20,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, ikggen, model as kg2e, pipeline, rdf, training
 
 EXIT_OK = 0
@@ -179,12 +177,7 @@ def _cmd_train(args) -> int:
     graph = _load_graph(args.ikg)
     config = _train_config(args)
     split = training.split_dataset(graph, config.split, config.seed)
-    model = kg2e.init_model(split.vocab, seed=config.seed)
-    report = training.train(model, split, config)
-
-    negatives = split.sampler.sample_many(split.valid_ids, np.random.default_rng((config.seed, 2)))
-    model.thresholds = evaluation.select_thresholds(model, split.valid_ids, negatives)
-    model.train_config = config.to_document()
+    model, report = training.fit(split, config)
     kg2e.save_model(model, args.out)
 
     doc = {
@@ -214,32 +207,14 @@ def _cmd_evaluate(args) -> int:
     except (TypeError, ValueError) as exc:
         raise CliError("config", f"stored training config is malformed: {exc}") from exc
     split = training.split_dataset(graph, config.split, config.seed)
-    if split.vocab != model.vocab:
-        raise rdf.VocabError("IKG vocabulary does not match the model's vocabulary")
-    if model.thresholds is None:
-        raise CliError("config", "model carries no thresholds; re-run train")
-
-    test = split.test_ids
-    known = np.concatenate((split.train_ids, split.valid_ids, test))
-    raw = evaluation.evaluate_ranks(model, test, known, filtered=False)
-    filtered = evaluation.evaluate_ranks(model, test, known, filtered=True)
-    negatives = split.sampler.sample_many(test, np.random.default_rng((config.seed, 3)))
-    classification = evaluation.evaluate_classification(
-        model, test, negatives, model.thresholds
-    )
-
-    doc = {
-        "n_test": len(split.test),
-        "seed": config.seed,
-        "classification": classification.to_document(),
-        "ranks": {"raw": raw.to_document(), "filtered": filtered.to_document()},
-    }
+    doc = evaluation.evaluate(model, split, config)
     _write_json(args.out, doc)
-    acc = classification.accuracy
+    filtered = doc["ranks"]["filtered"]
+    acc = doc["classification"]["accuracy"]
     acc_text = f"{acc:.4f}" if acc is not None else "undefined"
     print(
-        f"wrote {args.out}: filtered mean rank {filtered.mean_rank:.2f}, "
-        f"filtered hits@10 {filtered.hits[10]:.4f}, accuracy {acc_text}"
+        f"wrote {args.out}: filtered mean rank {filtered['mean_rank']:.2f}, "
+        f"filtered hits@10 {filtered['hits']['10']:.4f}, accuracy {acc_text}"
     )
     return EXIT_OK
 
@@ -292,8 +267,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_verify(args) -> int:
     model = _load_model(args.model)
-    if model.thresholds is None:
-        raise CliError("config", "model carries no thresholds; re-run train")
+    thresholds = kg2e.require_thresholds(model)
     intent_graph = _load_graph(args.intent)
     for triple in intent_graph.triples:
         if triple.placeholder_count:
@@ -312,7 +286,7 @@ def _cmd_verify(args) -> int:
             scored.append(row)
     if not scored:
         raise CliError("config", "intent contains no triples the model can classify")
-    scores, accepted = evaluation.verdicts(model, ids, model.thresholds)
+    scores, accepted = evaluation.verdicts(model, ids, thresholds)
     for row, score, ok in zip(scored, scores.tolist(), accepted.tolist()):
         row.update(score=score, classified=ok)
     failing = [row["triple"] for row in scored if not row["classified"]]
@@ -334,8 +308,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_translate(args) -> int:
     model = _load_model(args.model)
-    if model.thresholds is None:
-        raise CliError("config", "model carries no thresholds; re-run train")
     graph = _load_graph(args.ikg)
     corpus_text = _read_text(args.corpus) if args.corpus else _data_text("corpus.tsv")
     corpus = pipeline.load_corpus(corpus_text, graph)

@@ -17,16 +17,23 @@ Classification applies a per-relation ``model.ThresholdTable`` chosen on
 validation data by maximizing accuracy over midpoints of adjacent scores.
 ``verdicts`` judges an id array with one batch score; ``classify`` judges
 one Term-level triple through the scalar ``score``.
+
+``evaluate`` returns what ``ikge evaluate`` writes: the ranks and the
+classification of a split's test rows, for a model ``training.fit`` made.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import model as kg2e
-from .rdf import Graph, Triple
+from .rdf import Graph, Triple, VocabError
+
+if TYPE_CHECKING:
+    from .training import DatasetSplit, TrainConfig
 
 RIGHT = "right"  # (h, r, ?): predict the tail
 LEFT = "left"  # (?, r, t): predict the head
@@ -265,3 +272,26 @@ def evaluate_classification(
     _, neg = verdicts(model, test_neg, thresholds)
     tp, fp = int(pos.sum()), int(neg.sum())
     return ClassificationMetrics.from_counts(tp=tp, tn=len(neg) - fp, fp=fp, fn=len(pos) - tp)
+
+
+def evaluate(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> dict:
+    """The document ``ikge evaluate`` writes to ``eval.json``: raw and
+    filtered ranks of ``split.test_ids`` against all the split's ids, and
+    classification of the test rows against one corruption per row drawn
+    from ``(config.seed, 3)``. The model must share the split's vocabulary
+    (VocabError) and carry thresholds (ValueError)."""
+    if split.vocab != model.vocab:
+        raise VocabError("IKG vocabulary does not match the model's vocabulary")
+    thresholds = kg2e.require_thresholds(model)
+    test = split.test_ids
+    known = np.concatenate((split.train_ids, split.valid_ids, test))
+    raw = evaluate_ranks(model, test, known, filtered=False)
+    filtered = evaluate_ranks(model, test, known, filtered=True)
+    negatives = split.sampler.sample_many(test, np.random.default_rng((config.seed, 3)))
+    classification = evaluate_classification(model, test, negatives, thresholds)
+    return {
+        "n_test": len(test),
+        "seed": config.seed,
+        "classification": classification.to_document(),
+        "ranks": {"raw": raw.to_document(), "filtered": filtered.to_document()},
+    }

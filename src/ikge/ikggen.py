@@ -138,16 +138,11 @@ def _value_pool(kpi: str) -> list[Term]:
 def gen_ikg(spec: IkgGenSpec) -> Graph:
     """Build the desk IKG; triple count hits the target exactly when feasible."""
     rng = np.random.default_rng(spec.seed)
-    triples: list[Triple] = []
-    present: set[Triple] = set()
+    # A dict as an ordered set: insertion order is the output order.
+    triples: dict[Triple, None] = {}
 
-    def add(head: Term, relation: Term, tail: Term) -> bool:
-        t = Triple(head, relation, tail)
-        if t in present:
-            return False
-        present.add(t)
-        triples.append(t)
-        return True
+    def add(head: Term, relation: Term, tail: Term) -> None:
+        triples.setdefault(Triple(head, relation, tail))
 
     intent = _iri("icm:Intent")
     expectation = _iri("icm:Expectation")
@@ -215,16 +210,16 @@ def gen_ikg(spec: IkgGenSpec) -> Graph:
     for s in service_terms:
         for r in resource_terms:
             t = Triple(s, _TARGET_RESOURCE, r)
-            if t not in present:
+            if t not in triples:
                 extras.append(t)
         for k in kpis:
             t = Triple(s, _HAS_PARAMETER, k)
-            if t not in present:
+            if t not in triples:
                 extras.append(t)
     for k in kpis:
         for value in pools[k.text]:
             t = Triple(k, _VALUE_BY, value)
-            if t not in present:
+            if t not in triples:
                 extras.append(t)
 
     lower = int(np.floor(spec.target_triples * (1.0 - COUNT_TOLERANCE)))
@@ -242,10 +237,7 @@ def gen_ikg(spec: IkgGenSpec) -> Graph:
     remaining = min(spec.target_triples - len(triples), len(extras))
     if remaining > 0:
         order = rng.permutation(len(extras))
-        for i in order[:remaining]:
-            t = extras[i]
-            present.add(t)
-            triples.append(t)
+        triples.update(dict.fromkeys(extras[i] for i in order[:remaining]))
 
     return Graph(triples, PREFIXES)
 

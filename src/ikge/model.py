@@ -15,7 +15,8 @@ covariance diagonals into [c_min, c_max].
 
 A model may carry a :class:`ThresholdTable`: a triple is valid iff its
 score reaches its relation's threshold. ``evaluation`` chooses and applies
-the table; loading a stored model checks every parameter and threshold.
+the table, and ``require_thresholds`` is the one check that a model has
+one; loading a stored model checks every parameter and threshold.
 """
 
 from __future__ import annotations
@@ -75,6 +76,13 @@ class ThresholdTable:
         if not all(0 <= r < n_relations for r in table.per_relation):
             raise ValueError("thresholds name a relation id outside the vocabulary")
         return table
+
+
+def require_thresholds(model: Kg2eModel) -> ThresholdTable:
+    """The model's threshold table; ValueError if it carries none."""
+    if model.thresholds is None:
+        raise ValueError("model carries no thresholds; re-run train")
+    return model.thresholds
 
 
 class Kg2eModel:

@@ -511,9 +511,7 @@ def translate(
     VerificationFailedError (carrying the candidate intent) when any
     completed triple fails classification.
     """
-    thresholds = model.thresholds
-    if thresholds is None:
-        raise ValueError("no thresholds available; train or calibrate the model first")
+    thresholds = kg2e.require_thresholds(model)
     matches = extract_keywords(text, corpus)
     template = build_template(matches, ikg, blueprint)
     intent = complete_template(template, model, ikg, hints=merge_hints(matches), k=k)

@@ -1,5 +1,9 @@
 """Margin-ranking training with RMS-scaled updates under the open-world assumption.
 
+``fit`` is what ``ikge train`` runs: ``init_model``, ``train`` and the
+threshold fit on the validation rows. ``evaluation.evaluate`` scores its
+result on the test rows; together they are the one train/evaluate protocol.
+
 A split converts each of its triples to the id form ``(h, r, t)`` once,
 into the ``(n, 3)`` int arrays ``train_ids``, ``valid_ids`` and
 ``test_ids``; training, threshold selection and evaluation read these.
@@ -48,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import model as kg2e
+from . import evaluation, model as kg2e
 from .rdf import Graph, Triple, Vocab, VocabError, build_vocab
 
 # Bounds of the raw PCG64 words the negative sampler decodes.
@@ -89,6 +93,14 @@ class TrainConfig:
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
+        for name in ("epochs", "negatives_per_positive", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
+        for name in ("learning_rate", "rms_decay", "rms_epsilon", "margin"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, not {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.learning_rate <= 0:
@@ -470,3 +482,17 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
         convergence_epoch=convergence_epoch(epoch_losses),
         constraint_violations=kg2e.constraint_violations(model),
     )
+
+
+def fit(split: DatasetSplit, config: TrainConfig) -> tuple[kg2e.Kg2eModel, TrainReport]:
+    """What ``ikge train`` runs: a model at the default dimension trained on
+    ``split``, its thresholds fitted on ``split.valid_ids`` against one
+    corruption per row drawn from ``(config.seed, 2)``, and ``config``
+    stored on it."""
+    model = kg2e.init_model(split.vocab, seed=config.seed)
+    report = train(model, split, config)
+    valid = split.valid_ids
+    negatives = split.sampler.sample_many(valid, np.random.default_rng((config.seed, 2)))
+    model.thresholds = evaluation.select_thresholds(model, valid, negatives)
+    model.train_config = config.to_document()
+    return model, report

@@ -1,22 +1,21 @@
 """Shared fixtures.
 
-The "desk" fixtures replicate the exact artifact chain the CLI produces
-with shipped defaults: generated graph (seed 42), split, trained model
-(seed 27), thresholds fitted on the validation split.  They are session
-scoped because training takes tens of seconds.
+The "desk" fixtures are the artifact chain the CLI produces with shipped
+defaults: generated graph (seed 42), split, and the model ``training.fit``
+returns (seed 27, thresholds fitted on the validation split), which is
+what ``ikge train`` runs.  They are session scoped, so a test session
+trains once.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from ikge import rdf
-from ikge.evaluation import select_thresholds
 from ikge.ikggen import IkgGenSpec, gen_ikg
-from ikge.model import DEFAULT_DIM, init_model, save_model
+from ikge.model import save_model
 from ikge.pipeline import OntologyIndex, load_corpus
-from ikge.training import TrainConfig, split_dataset, train
+from ikge.training import TrainConfig, fit, split_dataset
 
 try:
     from importlib import resources
@@ -45,15 +44,7 @@ def desk_split(desk_ikg, desk_config):
 
 @pytest.fixture(scope="session")
 def desk_run(desk_split, desk_config):
-    # Mirrors the train command: fit, then thresholds from validation
-    # positives vs. sampled negatives, then stash the config used.
-    model = init_model(desk_split.vocab, dim=DEFAULT_DIM, seed=desk_config.seed)
-    report = train(model, desk_split, desk_config)
-    valid = desk_split.valid_ids
-    rng = np.random.default_rng((desk_config.seed, 2))
-    model.thresholds = select_thresholds(model, valid, desk_split.sampler.sample_many(valid, rng))
-    model.train_config = desk_config.to_document()
-    return model, report
+    return fit(desk_split, desk_config)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from scipy.stats import multivariate_normal
 from ikge import rdf
 from ikge.evaluation import (
     ClassificationMetrics,
-    evaluate_classification,
+    evaluate,
     evaluate_ranks,
     rank_triple,
 )
@@ -287,15 +287,9 @@ def test_c5_training_converges_within_bound(desk_report):
 
 
 def test_c6_heldout_accuracy_and_hits(desk_model, desk_split, desk_config):
-    test = desk_split.test_ids
-    known = np.concatenate((desk_split.train_ids, desk_split.valid_ids, test))
-    filtered = evaluate_ranks(desk_model, test, known, filtered=True)
-    assert filtered.hits[10] >= HITS10_BOUND
-
-    rng = np.random.default_rng((desk_config.seed, 3))
-    negatives = desk_split.sampler.sample_many(test, rng)
-    metrics = evaluate_classification(desk_model, test, negatives, desk_model.thresholds)
-    assert metrics.accuracy >= ACCURACY_BOUND
+    doc = evaluate(desk_model, desk_split, desk_config)
+    assert doc["ranks"]["filtered"]["hits"]["10"] >= HITS10_BOUND
+    assert doc["classification"]["accuracy"] >= ACCURACY_BOUND
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from ikge.cli import (
     _categorize,
     main,
 )
+from ikge.evaluation import evaluate
 from ikge.model import load_model, score
 from ikge.pipeline import UnresolvedSlotError, VerificationFailedError, NetworkIntent
 from ikge.rdf import ParseError, PrefixError, VocabError, parse
@@ -274,6 +275,33 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys, desk_paths):
     assert rc == EXIT_CONFIG and "momentum" in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"epochs": 2.5}, "epochs must be an integer, not 2.5"),
+        ({"batch_size": 8.5}, "batch_size must be an integer, not 8.5"),
+        ({"negatives_per_positive": 1.5}, "negatives_per_positive must be an integer, not 1.5"),
+        ({"seed": "27"}, "seed must be an integer, not '27'"),
+        ({"learning_rate": "0.01"}, "learning_rate must be a number, not '0.01'"),
+        ({"epochs": True}, "epochs must be an integer, not True"),
+    ],
+    ids=["float-epochs", "float-batch", "float-negatives", "string-seed", "string-rate", "bool-epochs"],
+)
+def test_train_rejects_wrong_typed_config_fields(tmp_path, capsys, monkeypatch, desk_paths, doc, message):
+    # The config is checked before the split is drawn.
+    monkeypatch.setattr(training, "split_dataset", None)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "m.json"
+    rc, _, err = run(
+        capsys,
+        ["train", "--ikg", str(desk_paths["ikg"]), "--out", str(out), "--config", str(config)],
+    )
+    assert rc == EXIT_CONFIG
+    assert err == f"error: config: {message}\n"
+    assert not out.exists()
+
+
 def test_train_rejects_malformed_config_json(tmp_path, capsys, desk_paths):
     config = tmp_path / "c.json"
     config.write_text("{not json")
@@ -321,6 +349,24 @@ def test_evaluate_desk_model(tmp_path, capsys, desk_paths):
     )
     assert rc == EXIT_OK
     assert out2.read_bytes() == out.read_bytes()
+
+
+def test_train_and_evaluate_write_what_the_library_returns(
+    tmp_path, capsys, desk_paths, desk_model, desk_split, desk_config
+):
+    # desk_paths["model"] is save_model(desk_model), and desk_model is fit's.
+    model = tmp_path / "m.json"
+    rc, _, _ = run(capsys, ["train", "--ikg", str(desk_paths["ikg"]), "--out", str(model)])
+    assert rc == EXIT_OK
+    assert model.read_bytes() == desk_paths["model"].read_bytes()
+    out = tmp_path / "eval.json"
+    rc, _, _ = run(
+        capsys,
+        ["evaluate", "--ikg", str(desk_paths["ikg"]), "--model", str(model), "--out", str(out)],
+    )
+    assert rc == EXIT_OK
+    doc = evaluate(desk_model, desk_split, desk_config)
+    assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_evaluate_vocab_mismatch(tmp_path, capsys, desk_paths):

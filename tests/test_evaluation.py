@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from ikge.evaluation import (
     _rank_ids,
     best_threshold,
     classify,
+    evaluate,
     evaluate_classification,
     evaluate_ranks,
     rank_from_scores,
@@ -28,7 +30,7 @@ from ikge.evaluation import (
     verdicts,
 )
 from ikge.model import ThresholdTable, init_model
-from ikge.rdf import Graph, Term, Triple, build_vocab, parse
+from ikge.rdf import Graph, Term, Triple, VocabError, build_vocab, parse
 
 
 # ---------------------------------------------------------------------------
@@ -588,3 +590,14 @@ def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split
         assert m.n_ranks == len(ranks)
     raw = evaluate_ranks(desk_model, desk_split.test_ids, ids_of(desk_model, known))
     assert m.mean_rank < raw.mean_rank  # the filter removed candidates
+
+
+def test_evaluate_needs_the_split_vocabulary_and_thresholds(desk_model, desk_split, desk_config):
+    other = init_model(build_vocab(parse("@prefix ex: <http://e.example/ns#> .\nex:a ex:r ex:b .")))
+    with pytest.raises(VocabError, match="IKG vocabulary does not match the model's vocabulary"):
+        evaluate(other, desk_split, desk_config)
+    bare = copy.copy(desk_model)
+    bare.thresholds = None
+    with pytest.raises(ValueError) as info:
+        evaluate(bare, desk_split, desk_config)
+    assert str(info.value) == "model carries no thresholds; re-run train"

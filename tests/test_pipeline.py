@@ -634,8 +634,9 @@ def test_translate_no_slots_blueprint(desk_model, desk_ikg, shipped_corpus):
 
 def test_translate_requires_thresholds(desk_ikg, desk_split, shipped_corpus, shipped_blueprint):
     bare = init_model(desk_split.vocab, dim=4, seed=0)  # no thresholds attached
-    with pytest.raises(ValueError, match="thresholds"):
+    with pytest.raises(ValueError) as info:
         translate("reliable video", bare, desk_ikg, shipped_corpus, shipped_blueprint)
+    assert str(info.value) == "model carries no thresholds; re-run train"
 
 
 def test_translate_verification_failure_carries_intent(

@@ -68,6 +68,29 @@ def test_train_config_rejects_bad_values(kwargs):
         TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"epochs": 2.5}, "epochs must be an integer, not 2.5"),
+        ({"epochs": True}, "epochs must be an integer, not True"),
+        ({"batch_size": 8.5}, "batch_size must be an integer, not 8.5"),
+        ({"negatives_per_positive": 1.5}, "negatives_per_positive must be an integer, not 1.5"),
+        ({"seed": "27"}, "seed must be an integer, not '27'"),
+        ({"learning_rate": "0.01"}, "learning_rate must be a number, not '0.01'"),
+        ({"margin": False}, "margin must be a number, not False"),
+        ({"rms_epsilon": None}, "rms_epsilon must be a number, not None"),
+    ],
+)
+def test_train_config_rejects_wrong_types(kwargs, message):
+    with pytest.raises(TypeError) as info:
+        TrainConfig(**kwargs)
+    assert str(info.value) == message
+
+
+def test_train_config_accepts_an_int_for_a_float_field():
+    assert TrainConfig(learning_rate=1, margin=0).to_document()["learning_rate"] == 1
+
+
 def test_train_config_allows_zero_margin():
     assert TrainConfig(margin=0.0).margin == 0.0
 
