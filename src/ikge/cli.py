@@ -108,29 +108,17 @@ def _data_text(name: str) -> str:
     return resources.files("ikge").joinpath("data", name).read_text(encoding="utf-8")
 
 
-def _fractions(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated fractions")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _train_config(args) -> training.TrainConfig:
+def _train_config(path: str | None, epochs: int | None = None) -> training.TrainConfig:
     doc = {}
-    if args.config:
+    if path:
         try:
-            doc = json.loads(_read_text(args.config))
+            doc = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
-            raise CliError("parse", f"config file {args.config}: {exc}") from exc
+            raise CliError("parse", f"config file {path}: {exc}") from exc
         if not isinstance(doc, dict):
-            raise CliError("config", f"config file {args.config} must hold a JSON object")
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.epochs is not None:
-        doc["epochs"] = args.epochs
+            raise CliError("config", f"config file {path} must hold a JSON object")
+    if epochs is not None:
+        doc["epochs"] = epochs
     try:
         return training.TrainConfig.from_document(doc)
     except (TypeError, ValueError) as exc:
@@ -158,7 +146,8 @@ def _cmd_gen_ikg(args) -> int:
 
 def _cmd_split(args) -> int:
     graph = _load_graph(args.ikg)
-    split = training.split_dataset(graph, args.fractions, args.seed)
+    config = _train_config(args.config)
+    split = training.split_dataset(graph, config.split, config.seed)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -175,7 +164,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_train(args) -> int:
     graph = _load_graph(args.ikg)
-    config = _train_config(args)
+    config = _train_config(args.config, args.epochs)
     split = training.split_dataset(graph, config.split, config.seed)
     model, report = training.fit(split, config)
     kg2e.save_model(model, args.out)
@@ -338,29 +327,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = ikggen.IkgGenSpec()
     p = sub.add_parser("gen-ikg", help="generate the deterministic desk IKG")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--services", type=int, default=60)
-    p.add_argument("--resources", type=int, default=15)
-    p.add_argument("--kpis", type=int, default=12)
-    p.add_argument("--target", type=int, default=1575)
+    p.add_argument("--seed", type=int, default=spec.seed)
+    p.add_argument("--services", type=int, default=spec.n_services)
+    p.add_argument("--resources", type=int, default=spec.n_resources)
+    p.add_argument("--kpis", type=int, default=spec.n_kpis)
+    p.add_argument("--target", type=int, default=spec.target_triples)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_gen_ikg)
 
     p = sub.add_parser("split", help="write train/valid/test Turtle files")
     p.add_argument("--ikg", required=True)
     p.add_argument("--out-dir", required=True)
-    # Defaults write the split that train and evaluate derive at the default config.
-    p.add_argument("--seed", type=int, default=training.TrainConfig().seed)
-    p.add_argument("--fractions", type=_fractions, default=training.TrainConfig().split)
+    p.add_argument("--config", help="JSON training config whose seed and split choose the split")
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("train", help="train a model and select thresholds")
     p.add_argument("--ikg", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file with training-config fields")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--epochs", type=int, help="override the config epoch count")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_train)

@@ -89,6 +89,8 @@ class IkgGenSpec:
     target_triples: int = 1575
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_services < 1:
             raise ValueError("n_services must be at least 1")
         if self.n_resources < 1:
@@ -195,10 +197,8 @@ def gen_ikg(spec: IkgGenSpec) -> Graph:
         add(conv_video, _HAS_PARAMETER, kpis[0])
         add(kpis[0], _VALUE_BY, pools[kpis[0].text][0])
 
-    linked_resources = {conv_video}
-    for leaf in service_terms:
-        if leaf not in linked_resources:
-            add(leaf, _TARGET_RESOURCE, resource_terms[rng.integers(len(resource_terms))])
+    for leaf in service_terms[1:]:
+        add(leaf, _TARGET_RESOURCE, resource_terms[rng.integers(len(resource_terms))])
     if kpis:
         for leaf in service_terms[1:]:
             add(leaf, _HAS_PARAMETER, kpis[rng.integers(len(kpis))])

@@ -66,6 +66,10 @@ MAX_ATTEMPTS = 100
 
 def _split_fractions(fractions) -> tuple[float, float, float]:
     """Train/valid/test fractions as floats: three in (0, 1) summing to 1."""
+    if not isinstance(fractions, (list, tuple)) or any(
+        isinstance(f, bool) or not isinstance(f, (int, float)) for f in fractions
+    ):
+        raise TypeError(f"split must be three numbers, not {fractions!r}")
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or any(not 0.0 < f < 1.0 for f in fractions):
         raise ValueError("split must be three fractions in (0, 1)")
@@ -115,6 +119,8 @@ class TrainConfig:
             raise ValueError("negatives_per_positive must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         self.split = _split_fractions(self.split)
 
     @classmethod
@@ -172,9 +178,12 @@ class DatasetSplit:
 
 
 def split_dataset(
-    graph: Graph, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1), seed: int = 0
+    graph: Graph,
+    fractions: tuple[float, float, float] = TrainConfig.split,
+    seed: int = TrainConfig.seed,
 ) -> DatasetSplit:
-    """Seeded shuffle split into train/valid/test.
+    """Seeded shuffle split into train/valid/test; the defaults are
+    ``TrainConfig()``'s, so this is the split ``ikge train`` draws at it.
 
     Valid and test sizes are floor(n * fraction); the remainder goes to
     train, so 1575 triples at (0.8, 0.1, 0.1) give 1261/157/157. The

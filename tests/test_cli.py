@@ -126,6 +126,14 @@ def test_gen_ikg_infeasible_target(tmp_path, capsys):
     assert rc == EXIT_CONFIG and err.startswith("error: config:")
 
 
+def test_gen_ikg_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "g.ttl"
+    rc, _, err = run(capsys, ["gen-ikg", "--out", str(out), "--seed", "-1"])
+    assert rc == EXIT_CONFIG
+    assert err == "error: config: seed must be non-negative\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # split
 
@@ -146,14 +154,53 @@ def test_split_writes_partition(tmp_path, capsys, desk_paths, desk_ikg):
 
 
 def test_split_defaults_to_the_split_train_uses(tmp_path, capsys, desk_paths, desk_ikg):
+    # Without --config the default config's split; with one, that config's.
+    cases = [(None, (1261, 157, 157)), ({"seed": 5, "split": [0.7, 0.2, 0.1]}, (1103, 315, 157))]
+    for i, (doc, sizes) in enumerate(cases):
+        out_dir = tmp_path / f"splits{i}"
+        argv = ["split", "--ikg", str(desk_paths["ikg"]), "--out-dir", str(out_dir)]
+        if doc is not None:
+            (tmp_path / "c.json").write_text(json.dumps(doc))
+            argv += ["--config", str(tmp_path / "c.json")]
+        rc, _, _ = run(capsys, argv)
+        assert rc == EXIT_OK
+        config = TrainConfig.from_document(doc or {})
+        expected = split_dataset(desk_ikg, config.split, config.seed)
+        assert (len(expected.train), len(expected.valid), len(expected.test)) == sizes
+        for name in ("train", "valid", "test"):
+            written = (out_dir / f"{name}.ttl").read_text(encoding="utf-8")
+            assert written == rdf.serialize(getattr(expected, name))
+
+
+def test_split_rejects_unknown_config_key(tmp_path, capsys, desk_paths):
+    config = tmp_path / "c.json"
+    config.write_text('{"seed": 5, "fractions": [0.7, 0.2, 0.1]}')
     out_dir = tmp_path / "splits"
-    rc, _, _ = run(capsys, ["split", "--ikg", str(desk_paths["ikg"]), "--out-dir", str(out_dir)])
-    assert rc == EXIT_OK
-    config = TrainConfig()
-    expected = split_dataset(desk_ikg, config.split, config.seed)
-    for name in ("train", "valid", "test"):
-        written = (out_dir / f"{name}.ttl").read_text(encoding="utf-8")
-        assert written == rdf.serialize(getattr(expected, name))
+    rc, _, err = run(
+        capsys,
+        ["split", "--ikg", str(desk_paths["ikg"]), "--out-dir", str(out_dir), "--config", str(config)],
+    )
+    assert rc == EXIT_CONFIG
+    assert err == "error: config: unknown config keys: ['fractions']\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["split", "--out-dir", "{tmp}/o", "--seed", "3"],
+        ["split", "--out-dir", "{tmp}/o", "--fractions", "0.7,0.2,0.1"],
+        ["train", "--out", "{tmp}/m.json", "--seed", "3"],
+    ],
+    ids=["split-seed", "split-fractions", "train-seed"],
+)
+def test_removed_run_setting_options_are_usage_errors(tmp_path, capsys, desk_paths, argv):
+    # The seed and the split fractions are set only in the --config file.
+    with pytest.raises(SystemExit) as info:
+        main([a.format(tmp=tmp_path) for a in argv] + ["--ikg", str(desk_paths["ikg"])])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[3:])}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_split_missing_input(tmp_path, capsys):
@@ -284,8 +331,14 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys, desk_paths):
         ({"seed": "27"}, "seed must be an integer, not '27'"),
         ({"learning_rate": "0.01"}, "learning_rate must be a number, not '0.01'"),
         ({"epochs": True}, "epochs must be an integer, not True"),
+        ({"split": ["0.8", "0.1", "0.1"]}, "split must be three numbers, not ['0.8', '0.1', '0.1']"),
+        ({"split": "abc"}, "split must be three numbers, not 'abc'"),
+        ({"seed": -1}, "seed must be non-negative"),
     ],
-    ids=["float-epochs", "float-batch", "float-negatives", "string-seed", "string-rate", "bool-epochs"],
+    ids=[
+        "float-epochs", "float-batch", "float-negatives", "string-seed", "string-rate",
+        "bool-epochs", "string-fractions", "string-split", "negative-seed",
+    ],
 )
 def test_train_rejects_wrong_typed_config_fields(tmp_path, capsys, monkeypatch, desk_paths, doc, message):
     # The config is checked before the split is drawn.
@@ -532,6 +585,21 @@ def test_null_train_config_cannot_re_derive_the_split(tmp_path, capsys, desk_pat
     )
     assert rc == EXIT_CONFIG
     assert err == "error: config: model carries no training config; cannot re-derive the split\n"
+
+
+def test_negative_stored_seed_is_a_malformed_training_config(tmp_path, capsys, desk_paths):
+    doc = json.loads(desk_paths["model"].read_text())
+    doc["train_config"]["seed"] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "e.json"
+    rc, _, err = run(
+        capsys,
+        ["evaluate", "--ikg", str(desk_paths["ikg"]), "--model", str(bad), "--out", str(out)],
+    )
+    assert rc == EXIT_CONFIG
+    assert err == "error: config: stored training config is malformed: seed must be non-negative\n"
+    assert not out.exists()
 
 
 def test_evaluate_malformed_ikg(tmp_path, capsys, desk_paths):

@@ -74,6 +74,8 @@ def test_spec_validation():
         IkgGenSpec(n_kpis=-1)
     with pytest.raises(ValueError):
         IkgGenSpec(target_triples=0)
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        IkgGenSpec(seed=-1)
     assert IkgGenSpec(n_kpis=0, target_triples=600).n_kpis == 0
 
 

@@ -58,6 +58,7 @@ def test_train_config_defaults():
         {"margin": -1.0},
         {"negatives_per_positive": 0},
         {"batch_size": 0},
+        {"seed": -1},
         {"split": (0.5, 0.5, 0.5)},
         {"split": (1.0, 0.0, 0.0)},
         {"split": (0.8, 0.2)},
@@ -79,6 +80,8 @@ def test_train_config_rejects_bad_values(kwargs):
         ({"learning_rate": "0.01"}, "learning_rate must be a number, not '0.01'"),
         ({"margin": False}, "margin must be a number, not False"),
         ({"rms_epsilon": None}, "rms_epsilon must be a number, not None"),
+        ({"split": ["0.8", "0.1", "0.1"]}, "split must be three numbers, not ['0.8', '0.1', '0.1']"),
+        ({"split": "abc"}, "split must be three numbers, not 'abc'"),
     ],
 )
 def test_train_config_rejects_wrong_types(kwargs, message):
@@ -127,6 +130,13 @@ def test_split_sizes_default_graph_shape():
     split = split_dataset(g, (0.8, 0.1, 0.1), seed=1)
     assert len(split.valid) == 99 and len(split.test) == 99
     assert len(split.train) == 998 - 99 - 99
+
+
+def test_split_defaults_are_the_default_config():
+    g = line_graph(40)
+    config = TrainConfig()
+    a, b = split_dataset(g), split_dataset(g, config.split, config.seed)
+    assert (a.train, a.valid, a.test) == (b.train, b.valid, b.test)
 
 
 def test_split_deterministic():
