@@ -145,9 +145,8 @@ def _cmd_gen_ikg(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    graph = _load_graph(args.ikg)
     config = _train_config(args.config)
-    split = training.split_dataset(graph, config.split, config.seed)
+    split = training.split_dataset(_load_graph(args.ikg), config.split, config.seed)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -163,10 +162,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    graph = _load_graph(args.ikg)
     config = _train_config(args.config, args.epochs)
-    split = training.split_dataset(graph, config.split, config.seed)
-    model, report = training.fit(split, config)
+    model, report = evaluation.fit(_load_graph(args.ikg), config)
     kg2e.save_model(model, args.out)
 
     doc = {
@@ -188,15 +185,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = _load_model(args.model)
-    graph = _load_graph(args.ikg)
-    if model.train_config is None:
-        raise CliError("config", "model carries no training config; cannot re-derive the split")
-    try:
-        config = training.TrainConfig.from_document(model.train_config)
-    except (TypeError, ValueError) as exc:
-        raise CliError("config", f"stored training config is malformed: {exc}") from exc
-    split = training.split_dataset(graph, config.split, config.seed)
-    doc = evaluation.evaluate(model, split, config)
+    doc = evaluation.evaluate(model, _load_graph(args.ikg))
     _write_json(args.out, doc)
     filtered = doc["ranks"]["filtered"]
     acc = doc["classification"]["accuracy"]
@@ -234,8 +223,6 @@ def _cmd_predict(args) -> int:
     position = "head" if triple.head.is_placeholder else "tail"
     role = pipeline.ROLE_BY_RELATION.get(triple.relation.text, pipeline.ROLE_SERVICE)
     slot = pipeline.Slot(triple=triple, slot_id=0, role=role, position=position)
-    if args.k < 1:
-        raise CliError("config", "-k must be at least 1")
     predictions = pipeline.predict_candidates(model, slot, args.k, graph)
 
     doc = {

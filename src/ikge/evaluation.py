@@ -11,29 +11,28 @@ test triple and reports the rank of the true entity, averaging positions
 over exact score ties. The filtered protocol drops candidates that form
 other known-true triples (never the true entity itself). The known ids
 are indexed once per ranking run: tail ids by ``(h, r)`` and head ids by
-``(r, t)``; a single ``rank_triple`` collects only the entry of its own
-query, skipping known triples with a term outside the model vocabulary.
+``(r, t)``; ``rank_triple`` indexes its known graph the same way, skipping
+known triples with a term outside the model vocabulary.
 Classification applies a per-relation ``model.ThresholdTable`` chosen on
 validation data by maximizing accuracy over midpoints of adjacent scores.
 ``verdicts`` judges an id array with one batch score; ``classify`` judges
 one Term-level triple through the scalar ``score``.
 
-``evaluate`` returns what ``ikge evaluate`` writes: the ranks and the
-classification of a split's test rows, for a model ``training.fit`` made.
+``fit`` and ``evaluate`` are the one train/evaluate protocol, and the only
+owner of a model's split: ``fit(graph, config)`` draws the config's split
+and returns what ``ikge train`` writes; ``evaluate(model, graph)`` draws
+the same split again from the config stored on the model and returns what
+``ikge evaluate`` writes, the ranks and classification of its test rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import model as kg2e
+from . import model as kg2e, training
 from .rdf import Graph, Triple, VocabError
-
-if TYPE_CHECKING:
-    from .training import DatasetSplit, TrainConfig
 
 RIGHT = "right"  # (h, r, ?): predict the tail
 LEFT = "left"  # (?, r, t): predict the head
@@ -115,11 +114,11 @@ def _check_ids(model: kg2e.Kg2eModel, ids) -> np.ndarray:
     return kg2e.check_ids(ids, model.vocab.n_entities, model.vocab.n_relations)
 
 
-def _filter_index(known: np.ndarray) -> dict[tuple, list[int]]:
-    """Known completions of the ``(n, 3)`` id array ``known`` by query:
-    ``(RIGHT, h, r)`` -> tail ids and ``(LEFT, r, t)`` -> head ids."""
+def _filter_index(known) -> dict[tuple, list[int]]:
+    """Known completions of the id rows ``known`` (a list of ``(h, r, t)``)
+    by query: ``(RIGHT, h, r)`` -> tail ids and ``(LEFT, r, t)`` -> head ids."""
     index: dict[tuple, list[int]] = {}
-    for h, r, t in known.tolist():
+    for h, r, t in known:
         index.setdefault((RIGHT, h, r), []).append(t)
         index.setdefault((LEFT, r, t), []).append(h)
     return index
@@ -148,23 +147,12 @@ def rank_triple(
     known: Graph,
     filtered: bool = False,
 ) -> float:
-    """Rank of the true completion among all entities for one side.
-
-    The filtered protocol collects only the known completions of this
-    triple's own query, which is the one entry of ``_filter_index`` it reads.
-    """
+    """Rank of the true completion among all entities for one side; the
+    filtered protocol drops the other completions in ``known``."""
     if side not in (RIGHT, LEFT):
         raise ValueError(f"side must be '{RIGHT}' or '{LEFT}', got {side!r}")
     h, r, t = model.vocab.triple_ids(triple)
-    index = None
-    if filtered:
-        head, relation, tail = triple.head, triple.relation, triple.tail
-        if side == RIGHT:
-            same = (k for k in known.triples if k.head == head and k.relation == relation)
-            index = {(RIGHT, h, r): [kt for _, _, kt in model.vocab.known_ids(same)]}
-        else:
-            same = (k for k in known.triples if k.tail == tail and k.relation == relation)
-            index = {(LEFT, r, t): [kh for kh, _, _ in model.vocab.known_ids(same)]}
+    index = _filter_index(model.vocab.known_ids(known)) if filtered else None
     return _rank_ids(model, h, r, t, side, index)
 
 
@@ -179,7 +167,7 @@ def evaluate_ranks(
     test, known = _check_ids(model, test), _check_ids(model, known)
     if len(test) == 0:
         raise ValueError("test graph is empty")
-    index = _filter_index(known) if filtered else None
+    index = _filter_index(known.tolist()) if filtered else None
     ranks = []
     for h, r, t in test.tolist():
         ranks.append(_rank_ids(model, h, r, t, RIGHT, index))
@@ -274,12 +262,36 @@ def evaluate_classification(
     return ClassificationMetrics.from_counts(tp=tp, tn=len(neg) - fp, fp=fp, fn=len(pos) - tp)
 
 
-def evaluate(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> dict:
-    """The document ``ikge evaluate`` writes to ``eval.json``: raw and
-    filtered ranks of ``split.test_ids`` against all the split's ids, and
-    classification of the test rows against one corruption per row drawn
-    from ``(config.seed, 3)``. The model must share the split's vocabulary
-    (VocabError) and carry thresholds (ValueError)."""
+def fit(graph: Graph, config: training.TrainConfig) -> tuple[kg2e.Kg2eModel, training.TrainReport]:
+    """What ``ikge train`` runs: a model at the default dimension trained on
+    the split ``config`` draws from ``graph``, its thresholds fitted on the
+    split's ``valid_ids`` against one corruption per row drawn from
+    ``(config.seed, 2)``, and ``config`` stored on it."""
+    split = training.split_dataset(graph, config.split, config.seed)
+    model = kg2e.init_model(split.vocab, seed=config.seed)
+    report = training.train(model, split, config)
+    valid = split.valid_ids
+    negatives = split.sampler.sample_many(valid, np.random.default_rng((config.seed, 2)))
+    model.thresholds = select_thresholds(model, valid, negatives)
+    model.train_config = config.to_document()
+    return model, report
+
+
+def evaluate(model: kg2e.Kg2eModel, graph: Graph) -> dict:
+    """The document ``ikge evaluate`` writes to ``eval.json``, for a model
+    ``fit`` made from ``graph``: the split is drawn again from the model's
+    stored training config, and its ``test_ids`` are ranked raw and filtered
+    against all the split's ids and classified against one corruption per
+    row drawn from ``(seed, 3)``. A missing or malformed stored config
+    raises ValueError; so does a model without thresholds. The model must
+    share the split's vocabulary (VocabError)."""
+    if model.train_config is None:
+        raise ValueError("model carries no training config; cannot re-derive the split")
+    try:
+        config = training.TrainConfig.from_document(model.train_config)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"stored training config is malformed: {exc}") from exc
+    split = training.split_dataset(graph, config.split, config.seed)
     if split.vocab != model.vocab:
         raise VocabError("IKG vocabulary does not match the model's vocabulary")
     thresholds = kg2e.require_thresholds(model)

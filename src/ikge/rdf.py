@@ -232,21 +232,6 @@ def term_to_text(term: Term) -> str:
     return body if term.datatype is None else f"{body}^^{term.datatype}"
 
 
-def term_from_text(token: str) -> Term:
-    """Inverse of :func:`term_to_text` for IRI and literal tokens."""
-    token = token.strip()
-    if token == "???":
-        raise ValueError("placeholder token carries no slot id in isolation")
-    if token.startswith("<") and token.endswith(">"):
-        return Term.iri(token[1:-1], prefixed=False)
-    if token.startswith('"'):
-        m = re.fullmatch(r'"((?:[^"\\]|\\.)*)"(?:\^\^(\S+))?', token, re.S)
-        if m is None:
-            raise ValueError(f"malformed literal token: {token!r}")
-        return Term.literal(_unescape_literal(m.group(1)), m.group(2))
-    return Term.iri(token, prefixed=True)
-
-
 class Graph:
     """Immutable ordered triple set with a prefix map.
 
@@ -345,6 +330,30 @@ def _kind(token: str) -> str:
     if len(token) == 1:
         return "bad"
     return {'"': "string", "<": "iriref"}.get(token[0], "pname")
+
+
+def term_from_text(text: str) -> Term:
+    """Inverse of :func:`term_to_text`, read with ``parse``'s scanner:
+    ``text`` must be one IRI token, or one string token with an optional
+    ``^^`` and datatype IRI (ValueError otherwise)."""
+    tokens, end = [], 0
+    while end < len(text):
+        match = _TOKEN_RE.match(text, end)
+        if match.group(1) == "":
+            break
+        tokens.append(match.group(1))
+        end = match.end()
+    kinds = [_kind(token) for token in tokens]
+    if kinds == ["placeholder"]:
+        raise ValueError("placeholder token carries no slot id in isolation")
+    if kinds == ["iriref"]:
+        return Term.iri(tokens[0][1:-1], prefixed=False)
+    if kinds == ["pname"]:
+        return Term.iri(tokens[0], prefixed=True)
+    if kinds in (["string"], ["string", "dtsep", "iriref"], ["string", "dtsep", "pname"]):
+        datatype = tokens[2] if len(tokens) > 1 else None
+        return Term.literal(_unescape_literal(tokens[0][1:-1]), datatype)
+    raise ValueError(f"not one term token: {text!r}")
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:

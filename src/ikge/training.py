@@ -1,8 +1,8 @@
 """Margin-ranking training with RMS-scaled updates under the open-world assumption.
 
-``fit`` is what ``ikge train`` runs: ``init_model``, ``train`` and the
-threshold fit on the validation rows. ``evaluation.evaluate`` scores its
-result on the test rows; together they are the one train/evaluate protocol.
+``evaluation.fit`` is what ``ikge train`` runs: it draws the config's
+split, then ``init_model``, ``train`` and the threshold fit on the
+validation rows.
 
 A split converts each of its triples to the id form ``(h, r, t)`` once,
 into the ``(n, 3)`` int arrays ``train_ids``, ``valid_ids`` and
@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import evaluation, model as kg2e
+from . import model as kg2e
 from .rdf import Graph, Triple, Vocab, VocabError, build_vocab
 
 # Bounds of the raw PCG64 words the negative sampler decodes.
@@ -491,17 +491,3 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
         convergence_epoch=convergence_epoch(epoch_losses),
         constraint_violations=kg2e.constraint_violations(model),
     )
-
-
-def fit(split: DatasetSplit, config: TrainConfig) -> tuple[kg2e.Kg2eModel, TrainReport]:
-    """What ``ikge train`` runs: a model at the default dimension trained on
-    ``split``, its thresholds fitted on ``split.valid_ids`` against one
-    corruption per row drawn from ``(config.seed, 2)``, and ``config``
-    stored on it."""
-    model = kg2e.init_model(split.vocab, seed=config.seed)
-    report = train(model, split, config)
-    valid = split.valid_ids
-    negatives = split.sampler.sample_many(valid, np.random.default_rng((config.seed, 2)))
-    model.thresholds = evaluation.select_thresholds(model, valid, negatives)
-    model.train_config = config.to_document()
-    return model, report

@@ -1,9 +1,9 @@
 """Shared fixtures.
 
 The "desk" fixtures are the artifact chain the CLI produces with shipped
-defaults: generated graph (seed 42), split, and the model ``training.fit``
-returns (seed 27, thresholds fitted on the validation split), which is
-what ``ikge train`` runs.  They are session scoped, so a test session
+defaults: generated graph (seed 42), the model ``evaluation.fit`` returns
+for it (seed 27, thresholds fitted on the validation split), which is what
+``ikge train`` runs, and the split that ``fit`` draws.  They are session scoped, so a test session
 trains once.
 """
 
@@ -12,10 +12,11 @@ from __future__ import annotations
 import pytest
 
 from ikge import rdf
+from ikge.evaluation import fit
 from ikge.ikggen import IkgGenSpec, gen_ikg
 from ikge.model import save_model
 from ikge.pipeline import OntologyIndex, load_corpus
-from ikge.training import TrainConfig, fit, split_dataset
+from ikge.training import TrainConfig, split_dataset
 
 try:
     from importlib import resources
@@ -43,8 +44,8 @@ def desk_split(desk_ikg, desk_config):
 
 
 @pytest.fixture(scope="session")
-def desk_run(desk_split, desk_config):
-    return fit(desk_split, desk_config)
+def desk_run(desk_ikg, desk_config):
+    return fit(desk_ikg, desk_config)
 
 
 @pytest.fixture(scope="session")

@@ -286,8 +286,8 @@ def test_c5_training_converges_within_bound(desk_report):
 # criterion 6: held-out quality bounds
 
 
-def test_c6_heldout_accuracy_and_hits(desk_model, desk_split, desk_config):
-    doc = evaluate(desk_model, desk_split, desk_config)
+def test_c6_heldout_accuracy_and_hits(desk_model, desk_ikg):
+    doc = evaluate(desk_model, desk_ikg)
     assert doc["ranks"]["filtered"]["hits"]["10"] >= HITS10_BOUND
     assert doc["classification"]["accuracy"] >= ACCURACY_BOUND
 

@@ -20,8 +20,8 @@ from ikge.cli import (
     _categorize,
     main,
 )
-from ikge.evaluation import evaluate
-from ikge.model import load_model, score
+from ikge.evaluation import evaluate, fit
+from ikge.model import load_model, save_model, score
 from ikge.pipeline import UnresolvedSlotError, VerificationFailedError, NetworkIntent
 from ikge.rdf import ParseError, PrefixError, VocabError, parse
 from ikge.training import TrainConfig, TrainingDivergedError, split_dataset
@@ -368,6 +368,24 @@ def test_train_rejects_malformed_config_json(tmp_path, capsys, desk_paths):
     assert rc == EXIT_PARSE and err.startswith("error: parse:")
 
 
+@pytest.mark.parametrize("command, out", [("train", "--out"), ("split", "--out-dir")])
+@pytest.mark.parametrize("ikg", ["desk", "missing"])
+def test_config_is_read_before_the_ikg(tmp_path, capsys, monkeypatch, desk_paths, command, out, ikg):
+    # A bad config fails before the IKG is parsed, and wins over a missing IKG.
+    parsed = []
+    monkeypatch.setattr(rdf, "parse", lambda text: parsed.append(text))
+    config = tmp_path / "c.json"
+    config.write_text('{"seed": -1}')
+    path = desk_paths["ikg"] if ikg == "desk" else tmp_path / "missing.ttl"
+    rc, _, err = run(
+        capsys,
+        [command, "--ikg", str(path), out, str(tmp_path / "o"), "--config", str(config)],
+    )
+    assert rc == EXIT_CONFIG
+    assert err == "error: config: seed must be non-negative\n"
+    assert parsed == [] and not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -405,7 +423,7 @@ def test_evaluate_desk_model(tmp_path, capsys, desk_paths):
 
 
 def test_train_and_evaluate_write_what_the_library_returns(
-    tmp_path, capsys, desk_paths, desk_model, desk_split, desk_config
+    tmp_path, capsys, desk_paths, desk_model, desk_ikg
 ):
     # desk_paths["model"] is save_model(desk_model), and desk_model is fit's.
     model = tmp_path / "m.json"
@@ -418,8 +436,34 @@ def test_train_and_evaluate_write_what_the_library_returns(
         ["evaluate", "--ikg", str(desk_paths["ikg"]), "--model", str(model), "--out", str(out)],
     )
     assert rc == EXIT_OK
-    doc = evaluate(desk_model, desk_split, desk_config)
+    doc = evaluate(desk_model, desk_ikg)
     assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_evaluate_draws_the_split_the_model_was_fitted_on(tmp_path, capsys, desk_paths, desk_ikg):
+    # At a non-default config, train writes fit(graph, config) and evaluate
+    # writes evaluate(model, graph): the test rows of the config's own split.
+    doc = {"seed": 5, "split": [0.7, 0.2, 0.1]}
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    model_path = tmp_path / "m.json"
+    rc, _, _ = run(
+        capsys,
+        ["train", "--ikg", str(desk_paths["ikg"]), "--out", str(model_path), "--config", str(config)],
+    )
+    assert rc == EXIT_OK
+    model, _ = fit(desk_ikg, TrainConfig.from_document(doc))
+    save_model(model, tmp_path / "fit.json")
+    assert model_path.read_bytes() == (tmp_path / "fit.json").read_bytes()
+    out = tmp_path / "eval.json"
+    rc, _, _ = run(
+        capsys,
+        ["evaluate", "--ikg", str(desk_paths["ikg"]), "--model", str(model_path), "--out", str(out)],
+    )
+    assert rc == EXIT_OK
+    expected = evaluate(model, desk_ikg)
+    assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert expected["seed"] == 5 and expected["n_test"] == 157
 
 
 def test_evaluate_vocab_mismatch(tmp_path, capsys, desk_paths):
@@ -541,6 +585,25 @@ def test_malformed_model_is_a_config_error(tmp_path, capsys, desk_paths, command
     rc, _, err = run(capsys, [command, "--model", str(bad), *argv])
     assert rc == EXIT_CONFIG
     assert err == f"error: config: model file {bad} is malformed: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict", "translate", "verify"])
+@pytest.mark.parametrize(
+    "token",
+    ["nonmcptt:Stream Video", '"x"^^"y"'],
+    ids=["space", "string-datatype"],
+)
+def test_vocabulary_term_that_is_not_one_token_is_a_malformed_model(
+    tmp_path, capsys, desk_paths, command, token
+):
+    doc = json.loads(desk_paths["model"].read_text())
+    doc["entities"][5] = token
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = model_argv(command, desk_paths, tmp_path)
+    rc, stdout, err = run(capsys, [command, "--model", str(bad), *argv])
+    assert rc == EXIT_CONFIG and stdout == ""
+    assert err == f"error: config: model file {bad} is malformed: not one term token: {token!r}\n"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "translate", "verify"])
@@ -703,6 +766,7 @@ def test_predict_head_value_slot_proposes_no_literals(capsys, desk_paths):
 
 
 def test_predict_rejects_bad_k(capsys, desk_paths):
+    # predict and translate share pipeline.predict_candidates' message.
     rc, _, err = run(
         capsys,
         ["predict", "--model", str(desk_paths["model"]),
@@ -710,6 +774,19 @@ def test_predict_rejects_bad_k(capsys, desk_paths):
          "--triple", "icm:PropertyExpectation icm:hasTarget ???", "-k", "0"],
     )
     assert rc == EXIT_CONFIG
+    assert err == "error: config: k must be at least 1\n"
+
+
+def test_translate_rejects_bad_k(tmp_path, capsys, desk_paths):
+    out = tmp_path / "i.ttl"
+    rc, _, err = run(
+        capsys,
+        ["translate", "--model", str(desk_paths["model"]), "--ikg", str(desk_paths["ikg"]),
+         "--text", "reliable video", "-k", "0", "--out", str(out)],
+    )
+    assert rc == EXIT_CONFIG
+    assert err == "error: config: k must be at least 1\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -569,10 +569,10 @@ def test_id_entry_points_reject_out_of_range_ids(row):
 
 
 def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split):
-    # rank_triple collects only its own query's known completions; each rank
-    # must equal the one evaluate_ranks takes from the index of the whole graph
+    # rank_triple indexes its known graph itself; each rank must equal the
+    # one evaluate_ranks takes from the index of the whole split
     known = desk_split.full_graph()
-    index = _filter_index(ids_of(desk_model, known))
+    index = _filter_index(desk_model.vocab.known_ids(known))
     for filtered in (False, True):
         ranks = []
         for triple in desk_split.test:
@@ -592,12 +592,31 @@ def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split
     assert m.mean_rank < raw.mean_rank  # the filter removed candidates
 
 
-def test_evaluate_needs_the_split_vocabulary_and_thresholds(desk_model, desk_split, desk_config):
+def test_evaluate_needs_the_split_vocabulary_and_thresholds(desk_model, desk_ikg):
     other = init_model(build_vocab(parse("@prefix ex: <http://e.example/ns#> .\nex:a ex:r ex:b .")))
+    other.train_config = desk_model.train_config
     with pytest.raises(VocabError, match="IKG vocabulary does not match the model's vocabulary"):
-        evaluate(other, desk_split, desk_config)
+        evaluate(other, desk_ikg)
     bare = copy.copy(desk_model)
     bare.thresholds = None
     with pytest.raises(ValueError) as info:
-        evaluate(bare, desk_split, desk_config)
+        evaluate(bare, desk_ikg)
     assert str(info.value) == "model carries no thresholds; re-run train"
+
+
+@pytest.mark.parametrize(
+    "stored, message",
+    [
+        (None, "model carries no training config; cannot re-derive the split"),
+        ({"seed": -1}, "stored training config is malformed: seed must be non-negative"),
+        ({"split": "abc"}, "stored training config is malformed: split must be three numbers, not 'abc'"),
+        ({"momentum": 0.9}, "stored training config is malformed: unknown config keys: ['momentum']"),
+    ],
+    ids=["missing", "negative-seed", "string-split", "unknown-key"],
+)
+def test_evaluate_reads_the_split_from_the_stored_config(desk_model, desk_ikg, stored, message):
+    model = copy.copy(desk_model)
+    model.train_config = stored
+    with pytest.raises(ValueError) as info:
+        evaluate(model, desk_ikg)
+    assert str(info.value) == message

@@ -204,6 +204,35 @@ def test_term_from_text_rejects_placeholder():
         term_from_text("???")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "nonmcptt:Stream Video",
+        "ex:a ex:b",
+        "ex:a .",
+        "<http://e/a",
+        '"open',
+        '"x"^^',
+        '"x"^^"y"',
+        '"x" ex:a',
+        "Video",
+        "",
+        "  ",
+    ],
+)
+def test_term_from_text_reads_exactly_one_term_token(text):
+    # The term syntax is parse's: anything but one IRI, or one literal with
+    # an optional datatype IRI, is not a term.
+    with pytest.raises(ValueError, match="^not one term token: "):
+        term_from_text(text)
+
+
+def test_term_from_text_reads_tokens_as_parse_does():
+    statement = '@prefix ex: <http://e/> .\nex:s ex:p {} .'
+    for text in ("ex:a", " <http://e/a> ", '"v"', '"v" ^^ ex:t', '"q\\"\\n"^^<http://e/t>'):
+        assert term_from_text(text) == parse(statement.format(text)).triples[0].tail
+
+
 def test_term_iri_autodetects_prefixed_form():
     assert Term.iri("icm:Intent").prefixed
     assert not Term.iri("http://intent.example/icm#Intent").prefixed
