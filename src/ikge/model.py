@@ -17,10 +17,16 @@ A model may carry a :class:`ThresholdTable`: a triple is valid iff its
 score reaches its relation's threshold. ``evaluation`` chooses and applies
 the table, and ``require_thresholds`` is the one check that a model has
 one; loading a stored model checks every parameter and threshold.
+
+A stored model is one JSON document. Format 2 stores each parameter array
+as ``{"shape": [n, d], "f64le": "<base64 of little-endian float64 bytes>"}``,
+so values round-trip bit-exactly; format 1 stored nested lists of float
+reprs and is still read.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 
@@ -36,7 +42,8 @@ DEFAULT_DIM = 50
 DEFAULT_C_MIN = 0.05
 DEFAULT_C_MAX = 5.0
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+PARAMETER_NAMES = ("entity_means", "entity_covs", "relation_means", "relation_covs")
 
 # Norm slack: rescaling is skipped below it so that re-applying the
 # constraint is an exact no-op despite float rounding.
@@ -122,16 +129,21 @@ class Kg2eModel:
         self.score_kind = score_kind
         self.thresholds = thresholds
         self.train_config = train_config
-        expected = {
-            "entity_means": (vocab.n_entities, dim),
-            "entity_covs": (vocab.n_entities, dim),
-            "relation_means": (vocab.n_relations, dim),
-            "relation_covs": (vocab.n_relations, dim),
-        }
-        for name, shape in expected.items():
+        for name, shape in _parameter_shapes(vocab, dim).items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+
+
+def _parameter_shapes(vocab: Vocab, dim) -> dict[str, tuple]:
+    """The shape of each parameter array, keyed by its name."""
+    n_entities, n_relations = vocab.n_entities, vocab.n_relations
+    return {
+        "entity_means": (n_entities, dim),
+        "entity_covs": (n_entities, dim),
+        "relation_means": (n_relations, dim),
+        "relation_covs": (n_relations, dim),
+    }
 
 
 def init_model(
@@ -172,16 +184,19 @@ def _el_scores(mh, ch, mr, cr, mt, ct) -> np.ndarray:
 
 
 def _kl_scores(mh, ch, mr, cr, mt, ct) -> np.ndarray:
+    # The KG2E energy 0.5 * (sum(ce/cr) + sum(delta^2/cr) - sum(ln(ce/cr)) - d)
+    # with ce / cr computed once. Only arrays made here are written in place,
+    # never an input row view, and each value takes the same operations.
     d = np.shape(mh)[-1]
-    me = mh - mt
-    ce = ch + ct
-    delta = mr - me
-    energy = 0.5 * (
-        (ce / cr).sum(axis=-1)
-        + (delta * delta / cr).sum(axis=-1)
-        - np.log(ce / cr).sum(axis=-1)
-        - d
-    )
+    ratio = ch + ct
+    ratio /= cr
+    delta = mh - mt
+    np.subtract(mr, delta, out=delta)
+    delta *= delta
+    delta /= cr
+    trace = ratio.sum(axis=-1)
+    np.log(ratio, out=ratio)
+    energy = 0.5 * (trace + delta.sum(axis=-1) - ratio.sum(axis=-1) - d)
     return -energy
 
 
@@ -312,25 +327,61 @@ def model_to_document(model: Kg2eModel) -> dict:
         "c_max": model.c_max,
         "entities": [term_to_text(t) for t in model.vocab.entities],
         "relations": [term_to_text(t) for t in model.vocab.relations],
-        "entity_means": model.entity_means.tolist(),
-        "entity_covs": model.entity_covs.tolist(),
-        "relation_means": model.relation_means.tolist(),
-        "relation_covs": model.relation_covs.tolist(),
+        **{name: _array_document(getattr(model, name)) for name in PARAMETER_NAMES},
         "thresholds": None if model.thresholds is None else model.thresholds.to_document(),
         "train_config": model.train_config,
     }
 
 
+def _array_document(arr: np.ndarray) -> dict:
+    data = base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")
+    return {"shape": list(arr.shape), "f64le": data}
+
+
+def _array_from_document(version: int, name: str, value, shape: tuple) -> np.ndarray:
+    """One stored parameter array as a writable native float64 copy.
+
+    Format 1 stores nested lists, whose shape ``Kg2eModel`` checks. Format 2
+    stores ``{"shape", "f64le"}``; ValueError if the shape is not two
+    non-negative ints equal to ``shape``, ``f64le`` is not valid base64, or
+    its byte length does not match the shape.
+    """
+    if version == 1:
+        return np.array(value, dtype=np.float64)
+    if not isinstance(value, dict) or not {"shape", "f64le"} <= value.keys():
+        raise ValueError(f"{name} must be a JSON object with shape and f64le")
+    stored, data = value["shape"], value["f64le"]
+    # Checked before any reshape, which would infer a -1 entry.
+    if not (
+        isinstance(stored, list)
+        and len(stored) == 2
+        and all(type(n) is int and n >= 0 for n in stored)
+    ):
+        shown = json.dumps(stored, default=repr)
+        raise ValueError(f"{name} shape {shown} is not two non-negative integers")
+    if tuple(stored) != shape:
+        raise ValueError(f"{name} has shape {tuple(stored)}, expected {shape}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} f64le is not valid base64: {exc}") from exc
+    expected = 8 * stored[0] * stored[1]
+    if len(raw) != expected:
+        raise ValueError(f"{name} holds {len(raw)} bytes, expected {expected} for shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def model_from_document(doc: dict) -> Kg2eModel:
-    """The model a document stores; ValueError if the document is not a
-    JSON object, a vocabulary term repeats, a parameter is not finite, a
+    """The model a document of format 1 or 2 stores; ValueError if the
+    document is not a JSON object, a vocabulary term repeats, a parameter
+    array is malformed (see ``_array_from_document``) or not finite, a
     covariance lies outside ``[c_min, c_max]``, ``ThresholdTable.from_document``
     rejects the thresholds, or ``train_config`` is neither a JSON object nor
     null."""
     if not isinstance(doc, dict):
         raise ValueError("the document must hold a JSON object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format version {version!r}")
     train_config = doc.get("train_config")
     if train_config is not None and not isinstance(train_config, dict):
@@ -342,20 +393,21 @@ def model_from_document(doc: dict) -> Kg2eModel:
     thresholds = doc.get("thresholds")
     if thresholds is not None:
         thresholds = ThresholdTable.from_document(thresholds, vocab.n_relations)
+    dim = doc["dim"]
     model = Kg2eModel(
         vocab,
-        doc["dim"],
-        np.array(doc["entity_means"], dtype=np.float64),
-        np.array(doc["entity_covs"], dtype=np.float64),
-        np.array(doc["relation_means"], dtype=np.float64),
-        np.array(doc["relation_covs"], dtype=np.float64),
+        dim,
+        *(
+            _array_from_document(version, name, doc[name], shape)
+            for name, shape in _parameter_shapes(vocab, dim).items()
+        ),
         c_min=doc["c_min"],
         c_max=doc["c_max"],
         score_kind=doc["score_kind"],
         thresholds=thresholds,
         train_config=train_config,
     )
-    for name in ("entity_means", "entity_covs", "relation_means", "relation_covs"):
+    for name in PARAMETER_NAMES:
         if not np.isfinite(getattr(model, name)).all():
             raise ValueError(f"{name} holds a non-finite value")
     for name in ("entity_covs", "relation_covs"):
@@ -373,7 +425,7 @@ def _vocab_term(text: str) -> Term:
 
 
 def save_model(model: Kg2eModel, path) -> None:
-    """Write the model as JSON; floats keep their shortest round-trip form."""
+    """Write the model as a format-2 JSON document."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(model_to_document(model), fh, indent=1)
         fh.write("\n")

@@ -9,12 +9,15 @@ trains once.
 
 from __future__ import annotations
 
+import base64
+
+import numpy as np
 import pytest
 
 from ikge import rdf
 from ikge.evaluation import fit
 from ikge.ikggen import IkgGenSpec, gen_ikg
-from ikge.model import save_model
+from ikge.model import PARAMETER_NAMES, model_to_document, save_model
 from ikge.pipeline import OntologyIndex, load_corpus
 from ikge.training import TrainConfig, split_dataset
 
@@ -82,3 +85,31 @@ def shipped_corpus(desk_ikg):
 @pytest.fixture(scope="session")
 def shipped_blueprint() -> rdf.Graph:
     return rdf.parse(_data_text("blueprint.ttl"))
+
+
+def _v1_document(model) -> dict:
+    """``model_to_document(model)`` in format 1: each parameter array a
+    nested list of floats."""
+    doc = model_to_document(model)
+    doc["format_version"] = 1
+    for name in PARAMETER_NAMES:
+        doc[name] = getattr(model, name).tolist()
+    return doc
+
+
+def _set_v2_entry(stored: dict, row: int, col: int, value: float) -> dict:
+    """Set entry ``[row, col]`` of a format-2 stored array, in place."""
+    arr = np.frombuffer(base64.b64decode(stored["f64le"]), dtype="<f8").reshape(stored["shape"]).copy()
+    arr[row, col] = value
+    stored["f64le"] = base64.b64encode(arr.tobytes()).decode("ascii")
+    return stored
+
+
+@pytest.fixture(scope="session")
+def v1_document():
+    return _v1_document
+
+
+@pytest.fixture(scope="session")
+def set_v2_entry():
+    return _set_v2_entry

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
@@ -512,8 +513,8 @@ def model_argv(command, desk_paths, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["evaluate", "translate", "verify"])
-def test_non_finite_model_is_a_config_error(tmp_path, capsys, desk_paths, command):
-    doc = json.loads(desk_paths["model"].read_text())
+def test_non_finite_model_is_a_config_error(tmp_path, capsys, desk_paths, v1_document, command):
+    doc = v1_document(load_model(desk_paths["model"]))
     doc["entity_means"][3][1] = float("nan")
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(doc))
@@ -521,6 +522,68 @@ def test_non_finite_model_is_a_config_error(tmp_path, capsys, desk_paths, comman
     rc, _, err = run(capsys, [command, "--model", str(bad), *argv])
     assert rc == EXIT_CONFIG
     assert err.startswith(f"error: config: model file {bad} is malformed: entity_means")
+
+
+def _b64_bytes(array: dict, end: int) -> str:
+    return base64.b64encode(base64.b64decode(array["f64le"])[:end]).decode("ascii")
+
+
+# Each case edits one array of the desk model's format-2 document; the
+# second argument sets one entry of it.
+V2_ARRAY_DEFECTS = {
+    "bad-base64": ("relation_means", lambda a, _: {**a, "f64le": "****" + a["f64le"]},
+                   "relation_means f64le is not valid base64"),
+    "wrong-shape": ("entity_means", lambda a, _: {**a, "shape": [a["shape"][0], a["shape"][1] - 1]},
+                    "entity_means has shape"),
+    "negative-shape": ("entity_covs", lambda a, _: {**a, "shape": [-1, a["shape"][1]]},
+                       "entity_covs shape [-1, 50] is not two non-negative integers"),
+    "bool-shape": ("relation_covs", lambda a, _: {**a, "shape": [a["shape"][0], True]},
+                   "relation_covs shape"),
+    "truncated": ("entity_means", lambda a, _: {**a, "f64le": _b64_bytes(a, -8)},
+                  "entity_means holds"),
+    "non-finite": ("entity_means", lambda a, put: put(a, 3, 1, float("nan")),
+                   "entity_means holds a non-finite value"),
+    "covariance-out-of-range": ("relation_covs", lambda a, put: put(a, 0, 2, 1e3),
+                                "relation_covs lies outside [c_min, c_max]"),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict", "translate", "verify"])
+@pytest.mark.parametrize("case", V2_ARRAY_DEFECTS)
+def test_malformed_v2_array_is_a_config_error(
+    tmp_path, capsys, desk_paths, set_v2_entry, command, case
+):
+    name, edit, message = V2_ARRAY_DEFECTS[case]
+    doc = json.loads(desk_paths["model"].read_text())
+    doc[name] = edit(doc[name], set_v2_entry)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = model_argv(command, desk_paths, tmp_path)
+    rc, stdout, err = run(capsys, [command, "--model", str(bad), *argv])
+    assert rc == EXIT_CONFIG and stdout == ""
+    assert err.startswith(f"error: config: model file {bad} is malformed: {message}")
+
+
+def test_v1_model_file_writes_the_same_outputs(tmp_path, capsys, desk_paths, v1_document):
+    v1 = tmp_path / "v1.json"
+    with open(v1, "w", encoding="utf-8") as fh:
+        json.dump(v1_document(load_model(desk_paths["model"])), fh, indent=1)
+    ikg = str(desk_paths["ikg"])
+    for tag, model in (("v2", desk_paths["model"]), ("v1", v1)):
+        out = tmp_path / tag
+        out.mkdir()
+        for argv in (
+            ["evaluate", "--ikg", ikg, "--out", str(out / "eval.json")],
+            ["translate", "--ikg", ikg, "--text", "reliable video", "--out", str(out / "intent.ttl"),
+             "--report", str(out / "intent.json")],
+            ["verify", "--intent", str(out / "intent.ttl"), "--out", str(out / "verify.json")],
+            ["predict", "--ikg", ikg, "--triple", "icm:PropertyExpectation icm:hasTarget ???",
+             "-k", "10", "--out", str(out / "predict.json")],
+        ):
+            rc, _, _ = run(capsys, [argv[0], "--model", str(model), *argv[1:]])
+            assert rc == EXIT_OK, argv
+    for name in ("eval.json", "intent.ttl", "intent.json", "verify.json", "predict.json"):
+        assert (tmp_path / "v1" / name).read_bytes() == (tmp_path / "v2" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command", ["translate", "verify"])

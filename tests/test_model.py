@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import base64
 import copy
+import json
 import math
 
 import numpy as np
@@ -14,6 +16,8 @@ from ikge.model import (
     DEFAULT_C_MIN,
     EXPECTED_LIKELIHOOD,
     KL_DIVERGENCE,
+    MODEL_FORMAT_VERSION,
+    PARAMETER_NAMES,
     Kg2eModel,
     ThresholdTable,
     _GRAD_FNS,
@@ -28,6 +32,7 @@ from ikge.model import (
     score_candidates,
     score_triples,
 )
+from ikge.training import TrainConfig, train
 
 
 def small_vocab(n_entities: int = 4, n_relations: int = 2) -> rdf.Vocab:
@@ -328,6 +333,44 @@ def test_score_triples_rejects_out_of_range_ids(row):
         score_triples(m, [row])
 
 
+def kl_scores_oracle(mh, ch, mr, cr, mt, ct) -> np.ndarray:
+    """The KG2E energy formula as first written: ce / cr computed twice."""
+    d = np.shape(mh)[-1]
+    me = mh - mt
+    ce = ch + ct
+    delta = mr - me
+    energy = 0.5 * (
+        (ce / cr).sum(axis=-1)
+        + (delta * delta / cr).sum(axis=-1)
+        - np.log(ce / cr).sum(axis=-1)
+        - d
+    )
+    return -energy
+
+
+def test_kl_kernel_bit_identical_to_the_formula(desk_model):
+    m = desk_model
+    assert m.score_kind == KL_DIVERGENCE
+    em, ec, rm, rc = m.entity_means, m.entity_covs, m.relation_means, m.relation_covs
+    before = [a.copy() for a in (em, ec, rm, rc)]
+    for r in range(m.vocab.n_relations):
+        for e in range(m.vocab.n_entities):
+            tails = score_candidates(m, e, r, 0, position="tail")
+            heads = score_candidates(m, 0, r, e, position="head")
+            assert tails.tobytes() == kl_scores_oracle(em[e], ec[e], rm[r], rc[r], em, ec).tobytes()
+            assert heads.tobytes() == kl_scores_oracle(em, ec, rm[r], rc[r], em[e], ec[e]).tobytes()
+    rng = np.random.default_rng(15)
+    h, t = rng.integers(m.vocab.n_entities, size=(2, 4096))
+    r = rng.integers(m.vocab.n_relations, size=4096)
+    batch = score_triples(m, np.stack([h, r, t], axis=1))
+    assert batch.tobytes() == kl_scores_oracle(em[h], ec[h], rm[r], rc[r], em[t], ec[t]).tobytes()
+    for i in range(200):
+        want = kl_scores_oracle(em[h[i]], ec[h[i]], rm[r[i]], rc[r[i]], em[t[i]], ec[t[i]])
+        assert np.float64(score(m, int(h[i]), int(r[i]), int(t[i]))).tobytes() == want.tobytes()
+    # The kernel writes only arrays it made, never a parameter row.
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, (em, ec, rm, rc)))
+
+
 def test_score_candidates_rejects_bad_position():
     m = init_model(small_vocab(), dim=3, seed=0)
     with pytest.raises(ValueError):
@@ -401,20 +444,77 @@ def test_save_load_file_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_text() == path.read_text()
 
 
-@pytest.mark.parametrize(
-    "name,row,col,value,message",
-    [
-        ("entity_means", 1, 0, math.nan, "entity_means holds a non-finite value"),
-        ("relation_means", 0, 1, -math.inf, "relation_means holds a non-finite value"),
-        ("entity_covs", 2, 1, math.inf, "entity_covs holds a non-finite value"),
-        ("relation_covs", 1, 0, math.nan, "relation_covs holds a non-finite value"),
-        ("entity_covs", 0, 0, DEFAULT_C_MIN / 2, r"entity_covs lies outside \[c_min, c_max\]"),
-        ("relation_covs", 1, 1, DEFAULT_C_MAX * 2, r"relation_covs lies outside \[c_min, c_max\]"),
-    ],
-)
-def test_model_from_document_rejects_bad_parameters(name, row, col, value, message):
-    doc = model_to_document(init_model(small_vocab(), dim=2, seed=0))
+BAD_PARAMETERS = [
+    ("entity_means", 1, 0, math.nan, "entity_means holds a non-finite value"),
+    ("relation_means", 0, 1, -math.inf, "relation_means holds a non-finite value"),
+    ("entity_covs", 2, 1, math.inf, "entity_covs holds a non-finite value"),
+    ("relation_covs", 1, 0, math.nan, "relation_covs holds a non-finite value"),
+    ("entity_covs", 0, 0, DEFAULT_C_MIN / 2, r"entity_covs lies outside \[c_min, c_max\]"),
+    ("relation_covs", 1, 1, DEFAULT_C_MAX * 2, r"relation_covs lies outside \[c_min, c_max\]"),
+]
+
+
+@pytest.mark.parametrize("name,row,col,value,message", BAD_PARAMETERS)
+def test_model_from_document_rejects_bad_parameters(v1_document, name, row, col, value, message):
+    doc = v1_document(init_model(small_vocab(), dim=2, seed=0))
+    model_from_document(doc)
     doc[name][row][col] = value
+    with pytest.raises(ValueError, match=message):
+        model_from_document(doc)
+
+
+@pytest.mark.parametrize("name,row,col,value,message", BAD_PARAMETERS)
+def test_v2_document_rejects_bad_parameters(set_v2_entry, name, row, col, value, message):
+    doc = model_to_document(init_model(small_vocab(), dim=2, seed=0))
+    set_v2_entry(doc[name], row, col, value)
+    with pytest.raises(ValueError, match=message):
+        model_from_document(doc)
+
+
+def b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+# Each case edits one stored array of a dim-1 model over small_vocab(): 4
+# entities, 2 relations. At dim 1 a bool shape entry would equal the shape.
+V2_ARRAY_DEFECTS = {
+    "not-an-object": ("entity_means", lambda a: [[0.0]] * 4, "entity_means must be a JSON object"),
+    "missing-f64le": ("entity_covs", lambda a: {"shape": a["shape"]}, "entity_covs must be a JSON object"),
+    "bad-base64": ("relation_means", lambda a: {**a, "f64le": "!" + a["f64le"][1:]},
+                   "relation_means f64le is not valid base64"),
+    # Lenient decoding would skip the inserted characters and load the array.
+    "inserted-characters": ("entity_covs", lambda a: {**a, "f64le": a["f64le"][:4] + "\n**\n" + a["f64le"][4:]},
+                            "entity_covs f64le is not valid base64"),
+    "bad-padding": ("relation_covs", lambda a: {**a, "f64le": a["f64le"].rstrip("=")},
+                    "relation_covs f64le is not valid base64"),
+    "non-ascii": ("entity_means", lambda a: {**a, "f64le": "é" + a["f64le"][1:]},
+                  "entity_means f64le is not valid base64"),
+    "not-a-string": ("entity_means", lambda a: {**a, "f64le": 0}, "entity_means f64le is not valid base64"),
+    "wrong-shape": ("entity_means", lambda a: {**a, "shape": [2, 2]},
+                    r"entity_means has shape \(2, 2\), expected \(4, 1\)"),
+    "transposed": ("relation_covs", lambda a: {**a, "shape": [1, 2]},
+                   r"relation_covs has shape \(1, 2\), expected \(2, 1\)"),
+    "negative-shape": ("entity_covs", lambda a: {**a, "shape": [-1, 1]},
+                       r"entity_covs shape \[-1, 1\] is not two non-negative integers"),
+    "bool-shape": ("relation_means", lambda a: {**a, "shape": [2, True]},
+                   r"relation_means shape \[2, true\] is not two non-negative integers"),
+    "float-shape": ("relation_means", lambda a: {**a, "shape": [2.0, 1]},
+                    "relation_means shape .* is not two non-negative integers"),
+    "three-axes": ("entity_covs", lambda a: {**a, "shape": [4, 1, 1]},
+                   "entity_covs shape .* is not two non-negative integers"),
+    "truncated": ("entity_covs", lambda a: {**a, "f64le": b64(base64.b64decode(a["f64le"])[:-8])},
+                  "entity_covs holds 24 bytes, expected 32"),
+    "extra-bytes": ("relation_means", lambda a: {**a, "f64le": b64(base64.b64decode(a["f64le"]) + bytes(8))},
+                    "relation_means holds 24 bytes, expected 16"),
+}
+
+
+@pytest.mark.parametrize("case", V2_ARRAY_DEFECTS)
+def test_v2_document_rejects_malformed_arrays(case):
+    name, edit, message = V2_ARRAY_DEFECTS[case]
+    doc = model_to_document(init_model(small_vocab(), dim=1, seed=0))
+    model_from_document(doc)
+    doc[name] = edit(doc[name])
     with pytest.raises(ValueError, match=message):
         model_from_document(doc)
 
@@ -445,13 +545,14 @@ def test_model_from_document_rejects_bad_thresholds(per_relation, fallback, mess
         model_from_document(doc)
 
 
-def test_model_from_document_accepts_covariances_on_the_box_edges():
+def test_model_from_document_accepts_covariances_on_the_box_edges(v1_document):
     m = init_model(small_vocab(), dim=2, seed=0)
     m.entity_covs[0] = [DEFAULT_C_MIN, DEFAULT_C_MAX]
     m.relation_covs[1] = [DEFAULT_C_MAX, DEFAULT_C_MIN]
-    back = model_from_document(model_to_document(m))
-    assert np.array_equal(back.entity_covs, m.entity_covs)
-    assert np.array_equal(back.relation_covs, m.relation_covs)
+    for doc in (v1_document(m), model_to_document(m)):
+        back = model_from_document(doc)
+        assert np.array_equal(back.entity_covs, m.entity_covs)
+        assert np.array_equal(back.relation_covs, m.relation_covs)
 
 
 def test_unknown_format_version_rejected():
@@ -459,3 +560,67 @@ def test_unknown_format_version_rejected():
     doc["format_version"] = 99
     with pytest.raises(ValueError, match="format version"):
         model_from_document(doc)
+
+
+@pytest.mark.parametrize("version", [True, 2.0, "2", None, 0, 3])
+def test_format_version_must_be_a_known_int(version):
+    doc = model_to_document(init_model(small_vocab(), dim=2, seed=0))
+    doc["format_version"] = version
+    with pytest.raises(ValueError, match="format version"):
+        model_from_document(doc)
+
+
+def test_save_writes_format_2_arrays_as_little_endian_base64(tmp_path):
+    m = init_model(small_vocab(), dim=3, seed=4)
+    save_model(m, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text())
+    assert doc["format_version"] == MODEL_FORMAT_VERSION == 2
+    for name in PARAMETER_NAMES:
+        arr = getattr(m, name)
+        assert doc[name] == {"shape": list(arr.shape), "f64le": b64(arr.astype("<f8").tobytes())}
+
+
+def v1_model(tmp_path, v1_document) -> tuple:
+    """A trained-looking model and its format-1 file."""
+    m = init_model(small_vocab(5, 2), dim=4, seed=3)
+    m.thresholds = ThresholdTable({1: -0.75}, fallback=-1.25)
+    m.train_config = {"epochs": 2, "seed": 3}
+    path = tmp_path / "v1.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(v1_document(m), fh, indent=1)
+    return m, path
+
+
+def test_v1_file_and_its_v2_resave_load_identically(tmp_path, v1_document):
+    m, path = v1_model(tmp_path, v1_document)
+    v1 = load_model(path)
+    save_model(v1, tmp_path / "v2.json")
+    v2 = load_model(tmp_path / "v2.json")
+    for name in PARAMETER_NAMES:
+        assert getattr(v1, name).tobytes() == getattr(v2, name).tobytes() == getattr(m, name).tobytes()
+    assert v1.vocab == v2.vocab == m.vocab
+    assert v1.thresholds == v2.thresholds == m.thresholds
+    assert v1.train_config == v2.train_config == m.train_config
+    assert (v1.dim, v1.score_kind, v1.c_min, v1.c_max) == (v2.dim, v2.score_kind, v2.c_min, v2.c_max)
+
+
+def test_loading_v1_and_saving_writes_v2(tmp_path, v1_document):
+    m, path = v1_model(tmp_path, v1_document)
+    save_model(load_model(path), tmp_path / "again.json")
+    again = (tmp_path / "again.json").read_text()
+    assert json.loads(again)["format_version"] == 2
+    save_model(m, tmp_path / "direct.json")
+    assert again == (tmp_path / "direct.json").read_text()
+
+
+def test_loaded_arrays_are_writable_native_copies(tmp_path, desk_model, desk_split):
+    save_model(desk_model, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    for name in PARAMETER_NAMES:
+        arr = getattr(loaded, name)
+        assert arr.flags.writeable and arr.flags.owndata and arr.dtype == np.float64
+        assert arr.dtype.isnative and arr.flags.c_contiguous
+    apply_constraints(loaded)
+    report = train(loaded, desk_split, TrainConfig(epochs=1))
+    assert len(report.epoch_losses) == 1
+    assert not np.array_equal(loaded.entity_means, desk_model.entity_means)
