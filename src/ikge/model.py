@@ -17,6 +17,9 @@ A model may carry a :class:`ThresholdTable`: a triple is valid iff its
 score reaches its relation's threshold. ``evaluation`` chooses and applies
 the table, and ``require_thresholds`` is the one check that a model has
 one; loading a stored model checks every parameter and threshold.
+A stored number must be a JSON number (``require_number``, as in a training
+config); ``rdf.term_from_text``, the one reader of a stored term, reads each
+vocabulary entry.
 
 A stored model is one JSON document. Format 2 stores each parameter array
 as ``{"shape": [n, d], "f64le": "<base64 of little-endian float64 bytes>"}``,
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rdf import Term, Vocab, term_from_text, term_to_text
+from .rdf import Vocab, term_from_text, term_to_text
 
 EXPECTED_LIKELIHOOD = "expected_likelihood"
 KL_DIVERGENCE = "kl_divergence"
@@ -48,6 +51,19 @@ PARAMETER_NAMES = ("entity_means", "entity_covs", "relation_means", "relation_co
 # Norm slack: rescaling is skipped below it so that re-applying the
 # constraint is an exact no-op despite float rounding.
 _NORM_TOL = 1e-9
+
+
+def is_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is a number, an int when ``integer``: what a stored
+    or configured number must be. A bool or a string is neither."""
+    return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+
+
+def require_number(name: str, value, integer: bool = False):
+    """``value`` itself if :func:`is_number`; TypeError naming ``name`` otherwise."""
+    if not is_number(value, integer):
+        raise TypeError(f"{name} must be {'an integer' if integer else 'a number'}, not {value!r}")
+    return value
 
 
 @dataclass
@@ -70,14 +86,17 @@ class ThresholdTable:
     def from_document(cls, doc: dict, n_relations: int) -> "ThresholdTable":
         """The table a document stores; ValueError if ``per_relation`` is not
         a JSON object, a key is not a relation id written as ``str(id)``, an
-        id lies outside ``[0, n_relations)``, or a threshold is not finite."""
+        id lies outside ``[0, n_relations)``, or a threshold is not finite;
+        TypeError if a threshold is not a number."""
         per_relation = doc["per_relation"]
         if not isinstance(per_relation, dict):
             raise ValueError("thresholds.per_relation must be a JSON object")
-        table = cls({int(r): float(v) for r, v in per_relation.items()}, float(doc["fallback"]))
-        for key in per_relation:
+        for key, value in per_relation.items():
+            require_number(f"thresholds.per_relation[{key!r}]", value)
             if key != str(int(key)):
                 raise ValueError(f"thresholds key {key!r} is not a relation id in canonical form")
+        fallback = require_number("thresholds.fallback", doc["fallback"])
+        table = cls({int(r): float(v) for r, v in per_relation.items()}, float(fallback))
         if not np.isfinite([table.fallback, *table.per_relation.values()]).all():
             raise ValueError("thresholds hold a non-finite value")
         if not all(0 <= r < n_relations for r in table.per_relation):
@@ -377,7 +396,8 @@ def model_from_document(doc: dict) -> Kg2eModel:
     array is malformed (see ``_array_from_document``) or not finite, a
     covariance lies outside ``[c_min, c_max]``, ``ThresholdTable.from_document``
     rejects the thresholds, or ``train_config`` is neither a JSON object nor
-    null."""
+    null; TypeError if ``dim`` is not an int, ``c_min`` or ``c_max`` not a
+    number, or the vocabulary not lists of strings."""
     if not isinstance(doc, dict):
         raise ValueError("the document must hold a JSON object")
     version = doc.get("format_version")
@@ -386,14 +406,15 @@ def model_from_document(doc: dict) -> Kg2eModel:
     train_config = doc.get("train_config")
     if train_config is not None and not isinstance(train_config, dict):
         raise ValueError("train_config must be a JSON object or null")
-    vocab = Vocab(
-        [_vocab_term(s) for s in doc["entities"]],
-        [_vocab_term(s) for s in doc["relations"]],
-    )
+    tables = ("entities", "relations")
+    for name in tables:
+        if not isinstance(doc[name], list) or not all(isinstance(s, str) for s in doc[name]):
+            raise TypeError(f"{name} must be a list of term strings")
+    vocab = Vocab(*([term_from_text(s) for s in doc[name]] for name in tables))
     thresholds = doc.get("thresholds")
     if thresholds is not None:
         thresholds = ThresholdTable.from_document(thresholds, vocab.n_relations)
-    dim = doc["dim"]
+    dim = require_number("dim", doc["dim"], integer=True)
     model = Kg2eModel(
         vocab,
         dim,
@@ -401,8 +422,8 @@ def model_from_document(doc: dict) -> Kg2eModel:
             _array_from_document(version, name, doc[name], shape)
             for name, shape in _parameter_shapes(vocab, dim).items()
         ),
-        c_min=doc["c_min"],
-        c_max=doc["c_max"],
+        c_min=require_number("c_min", doc["c_min"]),
+        c_max=require_number("c_max", doc["c_max"]),
         score_kind=doc["score_kind"],
         thresholds=thresholds,
         train_config=train_config,
@@ -415,13 +436,6 @@ def model_from_document(doc: dict) -> Kg2eModel:
         if (covs < model.c_min).any() or (covs > model.c_max).any():
             raise ValueError(f"{name} lies outside [c_min, c_max]")
     return model
-
-
-def _vocab_term(text: str) -> Term:
-    term = term_from_text(text)
-    if term.is_placeholder:
-        raise ValueError("placeholder term in stored vocabulary")
-    return term
 
 
 def save_model(model: Kg2eModel, path) -> None:

@@ -14,6 +14,8 @@ token strings, whose text tells their kind, then reads statements from it.
 Within one parse every distinct IRI token and every distinct ``(lexical,
 datatype)`` literal is a single shared Term, checked when first read. No
 offsets are kept: a ParseError rescans up to its token for line and column.
+``term_from_text`` is the one reader of a stored term, such as a model's
+vocabulary entry: one ``findall`` pass of the same scanner over its text.
 Terms and triples hash once, at construction, and compare by identity first.
 """
 
@@ -189,7 +191,8 @@ def escape_literal(text: str) -> str:
 
 
 def _unescape_literal(raw: str) -> str:
-    """Decode the escapes of a literal body. Its ParseError carries line 0,
+    """Decode the escapes of a string token's body, in which the scanner pairs
+    every backslash with the next character. Its ParseError carries line 0,
     col 0; ``parse`` re-raises it at the literal's token."""
     if "\\" not in raw:
         return raw
@@ -201,8 +204,6 @@ def _unescape_literal(raw: str) -> str:
             out.append(ch)
             i += 1
             continue
-        if i + 1 >= len(raw):
-            raise ParseError("dangling escape in literal", 0, 0)
         nxt = raw[i + 1]
         if nxt in _LITERAL_UNESCAPES:
             out.append(_LITERAL_UNESCAPES[nxt])
@@ -336,13 +337,8 @@ def term_from_text(text: str) -> Term:
     """Inverse of :func:`term_to_text`, read with ``parse``'s scanner:
     ``text`` must be one IRI token, or one string token with an optional
     ``^^`` and datatype IRI (ValueError otherwise)."""
-    tokens, end = [], 0
-    while end < len(text):
-        match = _TOKEN_RE.match(text, end)
-        if match.group(1) == "":
-            break
-        tokens.append(match.group(1))
-        end = match.end()
+    tokens = _TOKEN_RE.findall(text)
+    del tokens[tokens.index("") :]
     kinds = [_kind(token) for token in tokens]
     if kinds == ["placeholder"]:
         raise ValueError("placeholder token carries no slot id in isolation")

@@ -66,9 +66,7 @@ MAX_ATTEMPTS = 100
 
 def _split_fractions(fractions) -> tuple[float, float, float]:
     """Train/valid/test fractions as floats: three in (0, 1) summing to 1."""
-    if not isinstance(fractions, (list, tuple)) or any(
-        isinstance(f, bool) or not isinstance(f, (int, float)) for f in fractions
-    ):
+    if not isinstance(fractions, (list, tuple)) or not all(map(kg2e.is_number, fractions)):
         raise TypeError(f"split must be three numbers, not {fractions!r}")
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or any(not 0.0 < f < 1.0 for f in fractions):
@@ -98,13 +96,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "negatives_per_positive", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, not {value!r}")
+            kg2e.require_number(name, getattr(self, name), integer=True)
         for name in ("learning_rate", "rms_decay", "rms_epsilon", "margin"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"{name} must be a number, not {value!r}")
+            kg2e.require_number(name, getattr(self, name))
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.learning_rate <= 0:

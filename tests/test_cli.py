@@ -212,6 +212,13 @@ def test_split_missing_input(tmp_path, capsys):
     assert rc == EXIT_IO and err.startswith("error: io:")
 
 
+def test_split_out_dir_under_a_file_is_an_io_error(tmp_path, capsys, desk_paths):
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "splits"
+    rc, _, err = run(capsys, ["split", "--ikg", str(desk_paths["ikg"]), "--out-dir", str(out_dir)])
+    assert rc == EXIT_IO and err.startswith(f"error: io: cannot create {out_dir}:")
+
+
 def test_split_out_of_range_escape_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.ttl"
     bad.write_text('@prefix ex: <http://e.example/ns#> .\nex:a ex:r "\\U00110000" .\n')
@@ -369,6 +376,16 @@ def test_train_rejects_malformed_config_json(tmp_path, capsys, desk_paths):
     assert rc == EXIT_PARSE and err.startswith("error: parse:")
 
 
+def test_train_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys, desk_paths):
+    config = tmp_path / "c.json"
+    config.write_text("[1,2]")
+    argv = ["train", "--ikg", str(desk_paths["ikg"]), "--out", str(tmp_path / "m.json")]
+    rc, _, err = run(capsys, [*argv, "--config", str(config)])
+    assert rc == EXIT_CONFIG
+    assert err == f"error: config: config file {config} must hold a JSON object\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("command, out", [("train", "--out"), ("split", "--out-dir")])
 @pytest.mark.parametrize("ikg", ["desk", "missing"])
 def test_config_is_read_before_the_ikg(tmp_path, capsys, monkeypatch, desk_paths, command, out, ikg):
@@ -488,6 +505,17 @@ def test_evaluate_missing_model_file(tmp_path, capsys, desk_paths):
          "--model", str(tmp_path / "missing.json"), "--out", str(tmp_path / "e.json")],
     )
     assert rc == EXIT_IO
+
+
+def test_evaluate_out_in_a_missing_directory_is_an_io_error(tmp_path, capsys, desk_paths):
+    out = tmp_path / "missing" / "e.json"
+    rc, stdout, err = run(
+        capsys,
+        ["evaluate", "--ikg", str(desk_paths["ikg"]), "--model", str(desk_paths["model"]),
+         "--out", str(out)],
+    )
+    assert rc == EXIT_IO and stdout == ""
+    assert err.startswith(f"error: io: cannot write {out}:")
 
 
 def test_evaluate_invalid_model_json(tmp_path, capsys, desk_paths):
@@ -652,12 +680,16 @@ def test_malformed_model_is_a_config_error(tmp_path, capsys, desk_paths, command
 
 @pytest.mark.parametrize("command", ["evaluate", "predict", "translate", "verify"])
 @pytest.mark.parametrize(
-    "token",
-    ["nonmcptt:Stream Video", '"x"^^"y"'],
-    ids=["space", "string-datatype"],
+    "token, message",
+    [
+        ("nonmcptt:Stream Video", "not one term token: 'nonmcptt:Stream Video'"),
+        ('"x"^^"y"', """not one term token: '"x"^^"y"'"""),
+        ("???", "placeholder token carries no slot id in isolation"),
+    ],
+    ids=["space", "string-datatype", "placeholder"],
 )
 def test_vocabulary_term_that_is_not_one_token_is_a_malformed_model(
-    tmp_path, capsys, desk_paths, command, token
+    tmp_path, capsys, desk_paths, command, token, message
 ):
     doc = json.loads(desk_paths["model"].read_text())
     doc["entities"][5] = token
@@ -666,7 +698,39 @@ def test_vocabulary_term_that_is_not_one_token_is_a_malformed_model(
     argv = model_argv(command, desk_paths, tmp_path)
     rc, stdout, err = run(capsys, [command, "--model", str(bad), *argv])
     assert rc == EXIT_CONFIG and stdout == ""
-    assert err == f"error: config: model file {bad} is malformed: not one term token: {token!r}\n"
+    assert err == f"error: config: model file {bad} is malformed: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify"])
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d["thresholds"]["per_relation"].update({"3": " 1e3 "}),
+         "thresholds.per_relation['3'] must be a number, not ' 1e3 '"),
+        (lambda d: d["thresholds"]["per_relation"].update({"3": "0.5"}),
+         "thresholds.per_relation['3'] must be a number, not '0.5'"),
+        (lambda d: d["thresholds"].update(fallback=False),
+         "thresholds.fallback must be a number, not False"),
+        (lambda d: d.update(c_max="5.0"), "c_max must be a number, not '5.0'"),
+        (lambda d: d.update(dim=50.0), "dim must be an integer, not 50.0"),
+        (lambda d: d.update(entities=[1, 2]), "entities must be a list of term strings"),
+    ],
+    ids=["padded-threshold", "string-threshold", "bool-fallback", "string-c-max", "float-dim",
+         "int-entities"],
+)
+@pytest.mark.parametrize("version", [1, 2])
+def test_wrong_typed_model_field_is_a_config_error(
+    tmp_path, capsys, desk_paths, v1_document, command, edit, message, version
+):
+    model = load_model(desk_paths["model"])
+    doc = v1_document(model) if version == 1 else json.loads(desk_paths["model"].read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = model_argv(command, desk_paths, tmp_path)
+    rc, stdout, err = run(capsys, [command, "--model", str(bad), *argv])
+    assert rc == EXIT_CONFIG and stdout == ""
+    assert err == f"error: config: model file {bad} is malformed: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "translate", "verify"])
@@ -812,6 +876,17 @@ def test_predict_triple_errors_are_placed_within_the_argument(capsys, desk_paths
     assert rc == EXIT_PARSE and err.startswith(f"error: parse: {position}")
 
 
+def test_predict_triple_with_two_statements_is_a_config_error(capsys, desk_paths):
+    triple = "icm:PropertyExpectation icm:hasTarget ??? . kpi:latency icm:valueBy ???"
+    rc, stdout, err = run(
+        capsys,
+        ["predict", "--model", str(desk_paths["model"]), "--ikg", str(desk_paths["ikg"]),
+         "--triple", triple],
+    )
+    assert rc == EXIT_CONFIG and stdout == ""
+    assert err == "error: config: --triple must contain exactly one statement\n"
+
+
 def test_predict_head_value_slot_proposes_no_literals(capsys, desk_paths):
     # A literal is never a subject, so a value slot in head position draws
     # from the non-literal entities, not from the relation's literal tails.
@@ -894,6 +969,19 @@ def test_translate_then_verify_chain(tmp_path, capsys, desk_paths):
     assert len(skipped) == 2  # instance-level scaffolding is not scoreable
     classified = [row for row in doc["triples"] if "classified" in row]
     assert all(row["classified"] for row in classified)
+
+
+def test_translate_corpus_with_an_empty_keyword_is_a_parse_error(tmp_path, capsys, desk_paths):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("video\tservice\tservice:VideoService\n \tservice\tservice:VideoService\n")
+    out = tmp_path / "i.ttl"
+    rc, stdout, err = run(
+        capsys,
+        ["translate", "--model", str(desk_paths["model"]), "--ikg", str(desk_paths["ikg"]),
+         "--corpus", str(corpus), "--text", "reliable video", "--out", str(out)],
+    )
+    assert rc == EXIT_PARSE and stdout == "" and not out.exists()
+    assert err == "error: parse: line 2, col 1: empty keyword\n"
 
 
 def test_translate_deterministic(tmp_path, capsys, desk_paths):

@@ -545,6 +545,44 @@ def test_model_from_document_rejects_bad_thresholds(per_relation, fallback, mess
         model_from_document(doc)
 
 
+# Each case stores one number or vocabulary entry as another JSON type.
+WRONG_TYPED_FIELDS = {
+    "padded-string-threshold": (
+        lambda d: d["thresholds"]["per_relation"].update({"1": " 1e3 "}),
+        r"thresholds.per_relation\['1'\] must be a number, not ' 1e3 '",
+    ),
+    "string-threshold": (
+        lambda d: d["thresholds"]["per_relation"].update({"0": "0.5"}),
+        r"thresholds.per_relation\['0'\] must be a number, not '0.5'",
+    ),
+    "bool-fallback": (
+        lambda d: d["thresholds"].update(fallback=False),
+        "thresholds.fallback must be a number, not False",
+    ),
+    "string-c-min": (lambda d: d.update(c_min="0.05"), "c_min must be a number, not '0.05'"),
+    "bool-c-max": (lambda d: d.update(c_max=True), "c_max must be a number, not True"),
+    "float-dim": (lambda d: d.update(dim=2.0), "dim must be an integer, not 2.0"),
+    "int-entities": (lambda d: d.update(entities=[1, 2]), "entities must be a list of term strings"),
+    "null-relation": (
+        lambda d: d["relations"].__setitem__(1, None), "relations must be a list of term strings"
+    ),
+    "string-entities": (lambda d: d.update(entities="ex:e0"), "entities must be a list of term strings"),
+}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("case", WRONG_TYPED_FIELDS)
+def test_stored_fields_must_hold_their_json_type(v1_document, version, case):
+    edit, message = WRONG_TYPED_FIELDS[case]
+    m = init_model(small_vocab(), dim=2, seed=0)
+    m.thresholds = ThresholdTable({0: 1.0, 1: -1.0}, fallback=0.5)
+    doc = v1_document(m) if version == 1 else model_to_document(m)
+    model_from_document(doc)
+    edit(doc)
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        model_from_document(doc)
+
+
 def test_model_from_document_accepts_covariances_on_the_box_edges(v1_document):
     m = init_model(small_vocab(), dim=2, seed=0)
     m.entity_covs[0] = [DEFAULT_C_MIN, DEFAULT_C_MAX]
@@ -616,6 +654,8 @@ def test_loading_v1_and_saving_writes_v2(tmp_path, v1_document):
 def test_loaded_arrays_are_writable_native_copies(tmp_path, desk_model, desk_split):
     save_model(desk_model, tmp_path / "model.json")
     loaded = load_model(tmp_path / "model.json")
+    save_model(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
     for name in PARAMETER_NAMES:
         arr = getattr(loaded, name)
         assert arr.flags.writeable and arr.flags.owndata and arr.dtype == np.float64

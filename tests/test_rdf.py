@@ -233,6 +233,100 @@ def test_term_from_text_reads_tokens_as_parse_does():
         assert term_from_text(text) == parse(statement.format(text)).triples[0].tail
 
 
+# The term reader as it was before it took its tokens from one ``findall``
+# call: a copy of it and of its unescaping, over the same scanner. It is the
+# oracle for every outcome of ``term_from_text``.
+def _reference_unescape_literal(raw: str) -> str:
+    if "\\" not in raw:
+        return raw
+    out = []
+    i = 0
+    while i < len(raw):
+        ch = raw[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        if i + 1 >= len(raw):
+            raise ParseError("dangling escape in literal", 0, 0)
+        nxt = raw[i + 1]
+        if nxt in rdf._LITERAL_UNESCAPES:
+            out.append(rdf._LITERAL_UNESCAPES[nxt])
+            i += 2
+        elif nxt in ("u", "U"):
+            width = 4 if nxt == "u" else 8
+            hexpart = raw[i + 2 : i + 2 + width]
+            if len(hexpart) != width or not re.fullmatch(r"[0-9A-Fa-f]+", hexpart):
+                raise ParseError("malformed unicode escape in literal", 0, 0)
+            code = int(hexpart, 16)
+            if code > sys.maxunicode:
+                raise ParseError("unicode escape past U+10FFFF in literal", 0, 0)
+            out.append(chr(code))
+            i += 2 + width
+        else:
+            raise ParseError(f"unsupported escape '\\{nxt}' in literal", 0, 0)
+    return "".join(out)
+
+
+def _reference_term_from_text(text: str) -> Term:
+    tokens, end = [], 0
+    while end < len(text):
+        match = rdf._TOKEN_RE.match(text, end)
+        if match.group(1) == "":
+            break
+        tokens.append(match.group(1))
+        end = match.end()
+    kinds = [rdf._kind(token) for token in tokens]
+    if kinds == ["placeholder"]:
+        raise ValueError("placeholder token carries no slot id in isolation")
+    if kinds == ["iriref"]:
+        return Term.iri(tokens[0][1:-1], prefixed=False)
+    if kinds == ["pname"]:
+        return Term.iri(tokens[0], prefixed=True)
+    if kinds in (["string"], ["string", "dtsep", "iriref"], ["string", "dtsep", "pname"]):
+        datatype = tokens[2] if len(tokens) > 1 else None
+        return Term.literal(_reference_unescape_literal(tokens[0][1:-1]), datatype)
+    raise ValueError(f"not one term token: {text!r}")
+
+
+def _term_outcome(read, text: str):
+    try:
+        return ("term", read(text))
+    except (rdf.RdfError, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+# Whole tokens and the characters that start, end or break one.
+_TERM_PIECES = [
+    "ex:a", "<http://e/a>", '"v"', "^^", "xsd:s", "???", "@prefix", "# c\n",
+    '"', "\\", "\\u00e9", "\\U00110000", "\\n", "\\q", ":", ".", "<", ">", "?",
+    "^", "@", "#", "a", "0", "_", "-", "u", " ", "\t", "\r", "\n", "%", "é",
+]
+_pieces = st.lists(st.sampled_from(_TERM_PIECES), max_size=8).map("".join)
+# A string token's body, with good and bad escapes.
+_string_body = st.lists(
+    st.sampled_from(["v", " ", "é", "\\\\", '\\"', "\\n", "\\q", "\\u00e9", "\\u12",
+                     "\\U0001F600", "\\U00110000"]),
+    max_size=4,
+).map("".join)
+# One term token with an optional datatype, then mostly nothing.
+_near_term = st.tuples(
+    st.sampled_from(["", " ", "\n# c\n"]),
+    st.one_of(st.sampled_from(["ex:a", ":", "ex:", "<http://e/a>", "<>", "???"]),
+              _string_body.map('"{}"'.format)),
+    st.sampled_from(["", "", "^^xsd:s", " ^^ <http://e/t>", "^^ex:", '^^"x"', "^^", "^^???"]),
+    st.sampled_from(["", "", "", "", " ", "\t# c", " .", "ex:a", '"', "\\"]),
+).map("".join)
+_noise = st.one_of(_pieces, st.text(alphabet="".join(set("".join(_TERM_PIECES))), max_size=12))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_near_term, _noise)
+def test_term_from_text_matches_the_match_loop_reader(near_term, noise):
+    for text in (near_term, noise):
+        assert _term_outcome(term_from_text, text) == _term_outcome(_reference_term_from_text, text)
+
+
 def test_term_iri_autodetects_prefixed_form():
     assert Term.iri("icm:Intent").prefixed
     assert not Term.iri("http://intent.example/icm#Intent").prefixed
@@ -319,6 +413,14 @@ def test_pickled_terms_rehash_in_another_process(tmp_path):
     assert all(t in set(g.triples) for t in triples) and all(t in g for t in triples)
 
 
+def test_triple_survives_a_pickle_round_trip():
+    t = Triple(Term.iri("ex:a"), Term.iri("ex:r"), Term.literal("v", "xsd:string"))
+    data = pickle.dumps(t)
+    assert b"_hash" not in data  # rebuilt from its terms, not copied with its hash
+    back = pickle.loads(data)
+    assert back is not t and back == t and hash(back) == hash(t)
+
+
 def test_escape_literal_round_trip():
     text = 'a\\b "c" \n\r\t end'
     g = parse(f'<http://e/a> <http://e/r> "{escape_literal(text)}" .')
@@ -350,6 +452,13 @@ def test_graph_equality_is_order_insensitive():
     assert Graph([t1], EX) != Graph([t1], {"ex": "http://elsewhere/"})
     with pytest.raises(PrefixError):
         Graph([t1], {})  # prefixed term with no mapping
+
+
+def test_graph_rejects_an_unresolved_datatype_prefix():
+    t = Triple(Term.iri("http://e/a", prefixed=False), Term.iri("ex:r"), Term.literal("v", "zz:dt"))
+    with pytest.raises(PrefixError, match=r"^unresolved prefix 'zz:' in datatype zz:dt$"):
+        Graph([t], EX)
+    assert Graph([t], {**EX, "zz": "http://z/"}).triples == (t,)
 
 
 def test_graph_contains_matches_linear_scan():

@@ -176,6 +176,9 @@ def test_split_errors():
         split_dataset(g, (0.8, 0.1, 0.2))
     with pytest.raises(ValueError):
         split_dataset(g, (0.8, 0.2))
+    # Each held-out part takes floor(2 * 0.5) = 1 triple.
+    with pytest.raises(ValueError, match="split leaves no training triples"):
+        split_dataset(line_graph(2), (1e-10, 0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
