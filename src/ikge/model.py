@@ -114,9 +114,10 @@ def require_thresholds(model: Kg2eModel) -> ThresholdTable:
 class Kg2eModel:
     """Embedding table pair plus scoring configuration.
 
-    Parameter arrays are float64 with shape (count, dim). ``thresholds``
-    is an optional :class:`ThresholdTable`; ``train_config`` keeps the
-    training configuration document for reproducible downstream splits.
+    Parameter arrays are float64 with shape (count, dim), dim at least 1
+    (checked first). ``thresholds`` is an optional :class:`ThresholdTable`;
+    ``train_config`` keeps the training configuration document for
+    reproducible downstream splits.
     """
 
     def __init__(
@@ -133,6 +134,8 @@ class Kg2eModel:
         thresholds=None,
         train_config: dict | None = None,
     ):
+        if dim < 1:
+            raise ValueError("dim must be at least 1")
         if score_kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {score_kind!r}")
         if not 0 < c_min < c_max:
@@ -179,19 +182,13 @@ def init_model(
     """
     if vocab.n_entities == 0 or vocab.n_relations == 0:
         raise ValueError("vocabulary must contain at least one entity and one relation")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    # Built before the draws, so that its check of ``dim`` comes first.
+    shapes = _parameter_shapes(vocab, dim).values()
+    model = Kg2eModel(vocab, dim, *map(np.ones, shapes), score_kind=score_kind)
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
-    model = Kg2eModel(
-        vocab,
-        dim,
-        rng.uniform(-bound, bound, (vocab.n_entities, dim)),
-        np.ones((vocab.n_entities, dim)),
-        rng.uniform(-bound, bound, (vocab.n_relations, dim)),
-        np.ones((vocab.n_relations, dim)),
-        score_kind=score_kind,
-    )
+    for means in (model.entity_means, model.relation_means):
+        means[...] = rng.uniform(-bound, bound, means.shape)
     apply_constraints(model)
     return model
 
@@ -392,12 +389,13 @@ def _array_from_document(version: int, name: str, value, shape: tuple) -> np.nda
 
 def model_from_document(doc: dict) -> Kg2eModel:
     """The model a document of format 1 or 2 stores; ValueError if the
-    document is not a JSON object, a vocabulary term repeats, a parameter
-    array is malformed (see ``_array_from_document``) or not finite, a
-    covariance lies outside ``[c_min, c_max]``, ``ThresholdTable.from_document``
-    rejects the thresholds, or ``train_config`` is neither a JSON object nor
-    null; TypeError if ``dim`` is not an int, ``c_min`` or ``c_max`` not a
-    number, or the vocabulary not lists of strings."""
+    document is not a JSON object, a vocabulary term repeats, ``dim`` is
+    below 1, a parameter array is malformed (see ``_array_from_document``)
+    or not finite, a covariance lies outside ``[c_min, c_max]``,
+    ``ThresholdTable.from_document`` rejects the thresholds, or
+    ``train_config`` is neither a JSON object nor null; TypeError if
+    ``dim`` is not an int, ``c_min`` or ``c_max`` not a number, or the
+    vocabulary not lists of strings."""
     if not isinstance(doc, dict):
         raise ValueError("the document must hold a JSON object")
     version = doc.get("format_version")

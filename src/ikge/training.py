@@ -27,22 +27,26 @@ that drawing, scoring and updating pair by pair would:
   epoch's permutation, making per triple the draws a single sample
   call makes. Nothing else draws in between, so the stream is unchanged;
   a batch is ``batch_size * negatives_per_positive`` consecutive rows.
-* Scores. A batch's b positives and their b negatives form one 2b-row id
-  array: one gather of the six parameter blocks, one score call, and one
-  gradient call on the rows of the active pairs. Both functions are
-  elementwise with per-row reductions, so a row's value does not depend
-  on the rows beside it.
-* Updates. Gradients are summed per touched row with one ``np.add.at``
-  per table, mean and covariance halves side by side, in the order
-  positive heads, positive tails, negative heads, negative tails: each
-  row adds the same terms in the same order from zero. The RMS step reads
-  and writes the touched rows only.
-* Constraints. The whole model is constrained after the first batch;
-  after a later batch, only the rows it updated. The rule acts on each
-  row alone and is idempotent, so a row no batch has updated since the
-  whole-model application is already a fixed point. That holds for a
-  model passed in outside its constraints too, which is why the first
-  application covers every row.
+* Scores. Training works on one table, copied from the model at the
+  start: entity rows, then relation rows, each row the mean and then the
+  covariance. A batch's b positives and their b negatives form one 2b-row
+  id array; each side is one gather of table rows, the six kernel inputs
+  are column views of those, then one score call and one gradient call on
+  the rows of the active pairs. Both functions are elementwise with
+  per-row reductions, so a row's value does not depend on the rows
+  beside it.
+* Updates. Gradients are summed per touched row with one ``np.bincount``
+  over compact slots, in the order positive heads, positive tails,
+  negative heads, negative tails, then relations: bincount adds in input
+  order from zero, so each row adds the same terms in the same order. One
+  RMS step reads and writes the touched rows only. At the end of each
+  epoch the table is copied back into the model's own arrays.
+* Constraints. Each batch constrains the rows it updated, and the first
+  batch then the whole table. The rule acts on each row alone and is
+  idempotent, so a row no batch has updated since the whole-table
+  application is already a fixed point. That holds for a model passed in
+  outside its constraints too, which is why the first application covers
+  every row.
 """
 
 from __future__ import annotations
@@ -400,81 +404,89 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
     n_rows = n * npp
     batch_rows = min(config.batch_size, n) * npp
 
-    em, ec = model.entity_means, model.entity_covs
-    rm, rc = model.relation_means, model.relation_covs
-    dim = em.shape[1]
+    n_e = split.vocab.n_entities
+    arrays = tuple(getattr(model, name) for name in kg2e.PARAMETER_NAMES)
+    dim = arrays[0].shape[1]
     grad_fn = kg2e._GRAD_FNS[model.score_kind]
     score_fn = kg2e._SCORE_FNS[model.score_kind]
     lr, rho, eps = config.learning_rate, config.rms_decay, config.rms_epsilon
-    # Per table: means, covariances, the RMS state of each row (mean half,
-    # then covariance half) and each id's slot in a batch's accumulator. A
-    # slot is read only where the same batch wrote it, so it is never reset.
-    entities = (em, ec, np.zeros((len(em), 2 * dim)), np.empty(len(em), dtype=np.intp))
-    relations = (rm, rc, np.zeros((len(rm), 2 * dim)), np.empty(len(rm), dtype=np.intp))
-    positions = np.arange(4 * batch_rows)
+    # The working table: entity rows, then relation rows, each the mean and
+    # then the covariance; the RMS state of each entry; and each row's slot
+    # in a batch's accumulator. A slot is read only where the same batch
+    # wrote it, so it is never reset.
+    table = np.block([[arrays[0], arrays[1]], [arrays[2], arrays[3]]])
+    state = np.zeros_like(table)
+    slot = np.empty(len(table), dtype=np.intp)
+    positions = np.arange(5 * batch_rows)
+    width = 2 * dim
+    columns = np.arange(width)
+    # The table's parts in the order of ``arrays``.
+    parts = (table[:n_e, :dim], table[:n_e, dim:], table[n_e:, :dim], table[n_e:, dim:])
 
-    def update(table, ids, grads, b, constrain):
-        """Sum ``grads`` (mean half, then covariance half) per id in order,
-        take the RMS step on the touched rows and, when asked, constrain them."""
-        means, covs, state, slot = table
+    def kernel_args(sides):
+        """Mean and covariance columns of the head, relation and tail rows."""
+        return [half for side in sides for half in (side[:, :dim], side[:, dim:])]
+
+    def update(ids, grads, b):
+        """Sum ``grads`` per table row of ``ids`` in order, then take the RMS
+        step on the touched rows and constrain them. A function so that its
+        temporaries are freed before the next batch allocates its own."""
         own = positions[: len(ids)]
         slot[ids] = own
-        inv = slot[ids]
-        first = inv == own
-        acc = np.zeros_like(grads)
-        np.add.at(acc, inv, grads)
-        rows, g = ids[first], acc[first] / b
-        s = rho * state[rows] + (1.0 - rho) * g * g
-        state[rows] = s
-        step = lr * g / np.sqrt(s + eps)
-        m, c = means[rows] + step[:, :dim], covs[rows] + step[:, dim:]
-        if constrain:
-            kg2e.constrain_rows(m, c, model.c_min, model.c_max)
-        means[rows] = m
-        covs[rows] = c
+        touched = ids[slot[ids] == own]
+        slot[touched] = own[: len(touched)]
+        flat = (slot[ids] * width)[:, None] + columns
+        g = np.bincount(flat.ravel(), weights=grads.ravel()).reshape(-1, width) / b
+        s = rho * state[touched] + (1.0 - rho) * g * g
+        state[touched] = s
+        theta = table[touched] + lr * g / np.sqrt(s + eps)
+        kg2e.constrain_rows(theta[:, :dim], theta[:, dim:], model.c_min, model.c_max)
+        table[touched] = theta
 
-    constrained = False
     epoch_losses: list[float] = []
-    for _epoch in range(config.epochs):
-        # The epoch's negatives in one draw, straight after the permutation.
+    for epoch in range(config.epochs):
+        # The epoch's negatives in one draw, straight after the permutation;
+        # then relation ids become table rows.
         pos = pos_ids[:, np.repeat(rng.permutation(n), npp)]
         neg = sampler.sample_many(pos.T, rng).T
+        pos[1] += n_e
+        neg[1] = pos[1]
         loss_sum = 0.0
         for lo in range(0, n_rows, batch_rows):
             hi = lo + batch_rows
             # A batch's positives, then their negatives, as one id array.
             h, r, t = np.concatenate((pos[:, lo:hi], neg[:, lo:hi]), axis=1)
             b = len(h) // 2
-            params = (em[h], ec[h], rm[r], rc[r], em[t], ec[t])
-            scores = score_fn(*params)
+            sides = table[h], table[r], table[t]
+            scores = score_fn(*kernel_args(sides))
             losses = np.maximum(0.0, config.margin - scores[:b] + scores[b:])
             loss_sum += float(losses.sum())
 
             active = np.flatnonzero(losses > 0.0)
             a = len(active)
             if a:
-                # Active pairs: positives, then their negatives.
-                rows = np.concatenate((active, active + b))
-                g_mh, g_mr, g_mt, g_ch, g_cr, g_ct = grad_fn(*(p[rows] for p in params))
-                g_h = np.concatenate((g_mh, g_ch), axis=1)
-                g_t = np.concatenate((g_mt, g_ct), axis=1)
-                g_r = np.concatenate((g_mr, g_cr), axis=1)
-                ha, ta = h[rows], t[rows]
+                if a < b:
+                    # Active pairs: positives, then their negatives.
+                    rows = np.concatenate((active, active + b))
+                    h, r, t = h[rows], r[rows], t[rows]
+                    sides = tuple(side[rows] for side in sides)
+                g_mh, g_mr, g_mt, g_ch, g_cr, g_ct = grad_fn(*kernel_args(sides))
                 # Ascent on positives, descent on negatives, summed per row
                 # in the order positive heads, positive tails, negative
-                # heads, negative tails.
-                update(
-                    entities,
-                    np.concatenate((ha[:a], ta[:a], ha[a:], ta[a:])),
-                    np.concatenate((g_h[:a], g_t[:a], -g_h[a:], -g_t[a:])),
-                    b,
-                    constrained,
-                )
-                update(relations, r[active], g_r[:a] - g_r[a:], b, constrained)
-            if not constrained:
-                kg2e.apply_constraints(model)
-                constrained = True
+                # heads, negative tails, then the relations.
+                ids = np.concatenate((h[:a], t[:a], h[a:], t[a:], r[:a]))
+                grads = np.empty((len(ids), width))
+                halves = ((g_mh, g_mr, g_mt), (g_ch, g_cr, g_ct))
+                for out, (g_h, g_r, g_t) in zip((grads[:, :dim], grads[:, dim:]), halves):
+                    np.concatenate(
+                        (g_h[:a], g_t[:a], -g_h[a:], -g_t[a:], g_r[:a] - g_r[a:]), out=out
+                    )
+                update(ids, grads, b)
+            if epoch == lo == 0:
+                kg2e.constrain_rows(table[:, :dim], table[:, dim:], model.c_min, model.c_max)
 
+        for array, part in zip(arrays, parts):
+            array[...] = part
         mean_loss = loss_sum / n_rows
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(f"non-finite mean loss at epoch {len(epoch_losses) + 1}")

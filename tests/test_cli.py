@@ -22,7 +22,7 @@ from ikge.cli import (
     main,
 )
 from ikge.evaluation import evaluate, fit
-from ikge.model import load_model, save_model, score
+from ikge.model import PARAMETER_NAMES, load_model, save_model, score
 from ikge.pipeline import UnresolvedSlotError, VerificationFailedError, NetworkIntent
 from ikge.rdf import ParseError, PrefixError, VocabError, parse
 from ikge.training import TrainConfig, TrainingDivergedError, split_dataset
@@ -731,6 +731,27 @@ def test_wrong_typed_model_field_is_a_config_error(
     rc, stdout, err = run(capsys, [command, "--model", str(bad), *argv])
     assert rc == EXIT_CONFIG and stdout == ""
     assert err == f"error: config: model file {bad} is malformed: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify"])
+@pytest.mark.parametrize("version", [1, 2])
+def test_zero_dim_model_is_a_config_error(
+    tmp_path, capsys, desk_paths, v1_document, command, version
+):
+    # Arrays of shape [n, 0] score every triple -0.0, which every threshold
+    # table would pass; a model of dim below 1 is refused on load.
+    model = load_model(desk_paths["model"])
+    doc = v1_document(model) if version == 1 else json.loads(desk_paths["model"].read_text())
+    for name in PARAMETER_NAMES:
+        n = len(getattr(model, name))
+        doc[name] = [[]] * n if version == 1 else {"shape": [n, 0], "f64le": ""}
+    doc["dim"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = model_argv(command, desk_paths, tmp_path)
+    rc, stdout, err = run(capsys, [command, "--model", str(bad), *argv])
+    assert rc == EXIT_CONFIG and stdout == ""
+    assert err == f"error: config: model file {bad} is malformed: dim must be at least 1\n"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "translate", "verify"])

@@ -172,10 +172,15 @@ def test_init_model_satisfies_constraints():
 
 def test_init_model_validation():
     v = small_vocab()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dim must be at least 1$"):
         init_model(v, dim=0, seed=0)
     with pytest.raises(ValueError):
+        init_model(v, dim=-1, seed=0)
+    with pytest.raises(ValueError):
         init_model(v, dim=4, seed=0, score_kind="nope")
+    empty = (np.zeros((4, 0)), np.ones((4, 0)), np.zeros((2, 0)), np.ones((2, 0)))
+    with pytest.raises(ValueError, match="^dim must be at least 1$"):
+        Kg2eModel(v, 0, *empty)
     params = (np.zeros((4, 4)), np.ones((4, 4)), np.zeros((2, 4)), np.ones((2, 4)))
     with pytest.raises(ValueError, match="covariance bounds"):
         Kg2eModel(v, 4, *params, c_min=0.0)

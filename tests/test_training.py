@@ -810,8 +810,14 @@ _SMALL_SPEC = IkgGenSpec(seed=5, n_services=6, n_resources=3, n_kpis=3, target_t
 
 
 def assert_train_matches_reference(model, split, config):
-    """Train a copy of ``model`` each way; returns the reference's outcome."""
+    """Train a copy of ``model`` each way; returns the reference's outcome.
+
+    Ours must update the copy's own four arrays in place, as the reference
+    does, also when training diverges: the same objects, each owning its
+    memory, so none shares it with another or with a working table.
+    """
     ours, theirs = copy.deepcopy(model), copy.deepcopy(model)
+    arrays = [getattr(ours, name) for name in _PARAMS]
     try:
         want = _reference_train(theirs, split, config)
     except TrainingDivergedError as exc:
@@ -820,8 +826,9 @@ def assert_train_matches_reference(model, split, config):
         want = exc
     else:
         assert train(ours, split, config) == want
-    for name in _PARAMS:
-        assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), name
+    for name, array in zip(_PARAMS, arrays):
+        assert getattr(ours, name) is array and array.flags.owndata, name
+        assert array.tobytes() == getattr(theirs, name).tobytes(), name
     return want
 
 
@@ -830,17 +837,40 @@ def small_split():
     return split_dataset(gen_ikg(_SMALL_SPEC), seed=3)
 
 
+@pytest.fixture(scope="module")
+def two_entity_split():
+    """Every triple over two entities and two relations, all in train."""
+    lines = ["@prefix ex: <http://e.example/ns#> ."]
+    lines += [f"ex:{h} ex:{r} ex:{t} ." for h in "ab" for r in "rs" for t in "ab"]
+    split = split_dataset(parse("\n".join(lines)), seed=0)
+    assert len(split.train) == 8
+    return split
+
+
+# Per case: the split fixture and the model dim. At dim 1 a table row's
+# mean/covariance split sits at column 1. In the two-entity graph every id
+# repeats many times in a batch, and every corruption is a known triple,
+# so every negative is a forced accept.
+_ORACLE_CASES = {
+    "desk": ("desk_split", DEFAULT_DIM),
+    "small": ("small_split", 8),
+    "small-dim1": ("small_split", 1),
+    "two-entity": ("two_entity_split", 8),
+}
+
+
 @pytest.mark.parametrize("score_kind", [KL_DIVERGENCE, EXPECTED_LIKELIHOOD])
-@pytest.mark.parametrize("graph", ["desk", "small"])
+@pytest.mark.parametrize("graph", list(_ORACLE_CASES))
 @pytest.mark.parametrize(
-    "npp,batch_size,epochs", [(1, 64, 6), (2, 64, 4), (3, 7, 3), (1, 1, 1), (1, 5000, 5)]
+    "npp,batch_size,epochs",
+    [(1, 64, 6), (2, 64, 4), (3, 7, 3), (1, 1, 1), (1, 5000, 5), (3, 5000, 4)],
 )
 def test_train_matches_reference(request, graph, score_kind, npp, batch_size, epochs):
-    split = request.getfixturevalue(f"{graph}_split")
+    fixture, dim = _ORACLE_CASES[graph]
+    split = request.getfixturevalue(fixture)
     config = TrainConfig(
         epochs=epochs, batch_size=batch_size, negatives_per_positive=npp, seed=27
     )
-    dim = DEFAULT_DIM if graph == "desk" else 8
     report = assert_train_matches_reference(
         init_model(split.vocab, dim=dim, seed=config.seed, score_kind=score_kind), split, config
     )
