@@ -307,75 +307,81 @@ def _cmd_translate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GEN_DEFAULTS = ikggen.IkgGenSpec()
+_REQUIRED = {"required": True}
+
+# Each subcommand's help line, handler and arguments; an argument is its flag
+# and the keywords of ``add_argument``.
+COMMANDS = {
+    "gen-ikg": ("generate the deterministic desk IKG", _cmd_gen_ikg, [
+        ("--out", _REQUIRED),
+        ("--seed", {"type": int, "default": _GEN_DEFAULTS.seed}),
+        ("--services", {"type": int, "default": _GEN_DEFAULTS.n_services}),
+        ("--resources", {"type": int, "default": _GEN_DEFAULTS.n_resources}),
+        ("--kpis", {"type": int, "default": _GEN_DEFAULTS.n_kpis}),
+        ("--target", {"type": int, "default": _GEN_DEFAULTS.target_triples}),
+        ("--report", {}),
+    ]),
+    "split": ("write train/valid/test Turtle files", _cmd_split, [
+        ("--ikg", _REQUIRED),
+        ("--out-dir", _REQUIRED),
+        ("--config", {"help": "JSON training config whose seed and split choose the split"}),
+    ]),
+    "train": ("train a model and select thresholds", _cmd_train, [
+        ("--ikg", _REQUIRED),
+        ("--out", _REQUIRED),
+        ("--config", {"help": "JSON file with training-config fields"}),
+        ("--epochs", {"type": int, "help": "override the config epoch count"}),
+        ("--report", {}),
+    ]),
+    "evaluate": ("rank and classification metrics on the test split", _cmd_evaluate, [
+        ("--ikg", _REQUIRED), ("--model", _REQUIRED), ("--out", _REQUIRED),
+    ]),
+    "predict": ("top-k completions for a ??? triple", _cmd_predict, [
+        ("--model", _REQUIRED),
+        ("--ikg", _REQUIRED),
+        ("--triple", {"required": True, "help": 'e.g. "icm:Target icm:targetResource ???"'}),
+        ("-k", {"type": int, "default": 10}),
+        ("--out", {}),
+    ]),
+    "verify": ("classify every triple of an intent file", _cmd_verify, [
+        ("--model", _REQUIRED), ("--intent", _REQUIRED), ("--out", {}),
+    ]),
+    "translate": ("free text to a verified network intent", _cmd_translate, [
+        ("--model", _REQUIRED),
+        ("--ikg", _REQUIRED),
+        ("--text", _REQUIRED),
+        ("--corpus", {"help": "keyword corpus TSV (default: shipped corpus)"}),
+        ("--blueprint", {"help": "intent blueprint Turtle (default: shipped blueprint)"}),
+        ("-k", {"type": int, "default": 10}),
+        ("--out", _REQUIRED),
+        ("--report", {}),
+    ]),
+}
+
+
+def build_parser(commands: dict = COMMANDS) -> argparse.ArgumentParser:
+    """The ``ikge`` parser with the ``COMMANDS`` entries given; its usage names them all."""
     parser = argparse.ArgumentParser(
         prog="ikge",
         description="Gaussian knowledge-graph embeddings for intent translation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    spec = ikggen.IkgGenSpec()
-    p = sub.add_parser("gen-ikg", help="generate the deterministic desk IKG")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=spec.seed)
-    p.add_argument("--services", type=int, default=spec.n_services)
-    p.add_argument("--resources", type=int, default=spec.n_resources)
-    p.add_argument("--kpis", type=int, default=spec.n_kpis)
-    p.add_argument("--target", type=int, default=spec.target_triples)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_gen_ikg)
-
-    p = sub.add_parser("split", help="write train/valid/test Turtle files")
-    p.add_argument("--ikg", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", help="JSON training config whose seed and split choose the split")
-    p.set_defaults(func=_cmd_split)
-
-    p = sub.add_parser("train", help="train a model and select thresholds")
-    p.add_argument("--ikg", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON file with training-config fields")
-    p.add_argument("--epochs", type=int, help="override the config epoch count")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("evaluate", help="rank and classification metrics on the test split")
-    p.add_argument("--ikg", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("predict", help="top-k completions for a ??? triple")
-    p.add_argument("--model", required=True)
-    p.add_argument("--ikg", required=True)
-    p.add_argument("--triple", required=True, help='e.g. "icm:Target icm:targetResource ???"')
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("verify", help="classify every triple of an intent file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--intent", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("translate", help="free text to a verified network intent")
-    p.add_argument("--model", required=True)
-    p.add_argument("--ikg", required=True)
-    p.add_argument("--text", required=True)
-    p.add_argument("--corpus", help="keyword corpus TSV (default: shipped corpus)")
-    p.add_argument("--blueprint", help="intent blueprint Turtle (default: shipped blueprint)")
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_translate)
-
+    # Set for a part only: a metavar also renames the argument in errors.
+    metavar = None if commands.keys() == COMMANDS.keys() else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, func, arguments) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    # Only the named subcommand's parser is built; ``--help`` or a typo gets all.
+    args = build_parser({name: COMMANDS[name]} if name in COMMANDS else COMMANDS).parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single taxonomy boundary

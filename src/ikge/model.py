@@ -134,8 +134,7 @@ class Kg2eModel:
         thresholds=None,
         train_config: dict | None = None,
     ):
-        if dim < 1:
-            raise ValueError("dim must be at least 1")
+        shapes = _parameter_shapes(vocab, dim)
         if score_kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {score_kind!r}")
         if not 0 < c_min < c_max:
@@ -151,14 +150,17 @@ class Kg2eModel:
         self.score_kind = score_kind
         self.thresholds = thresholds
         self.train_config = train_config
-        for name, shape in _parameter_shapes(vocab, dim).items():
+        for name, shape in shapes.items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
 
 
 def _parameter_shapes(vocab: Vocab, dim) -> dict[str, tuple]:
-    """The shape of each parameter array, keyed by its name."""
+    """The shape of each parameter array, keyed by its name; ValueError if
+    ``dim`` is below 1, before any array of that shape is made or read."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
     n_entities, n_relations = vocab.n_entities, vocab.n_relations
     return {
         "entity_means": (n_entities, dim),
@@ -182,7 +184,7 @@ def init_model(
     """
     if vocab.n_entities == 0 or vocab.n_relations == 0:
         raise ValueError("vocabulary must contain at least one entity and one relation")
-    # Built before the draws, so that its check of ``dim`` comes first.
+    # Built before any array, so that its check of ``dim`` comes first.
     shapes = _parameter_shapes(vocab, dim).values()
     model = Kg2eModel(vocab, dim, *map(np.ones, shapes), score_kind=score_kind)
     rng = np.random.default_rng(seed)
@@ -413,13 +415,11 @@ def model_from_document(doc: dict) -> Kg2eModel:
     if thresholds is not None:
         thresholds = ThresholdTable.from_document(thresholds, vocab.n_relations)
     dim = require_number("dim", doc["dim"], integer=True)
+    shapes = _parameter_shapes(vocab, dim)  # checks dim before any array is read
     model = Kg2eModel(
         vocab,
         dim,
-        *(
-            _array_from_document(version, name, doc[name], shape)
-            for name, shape in _parameter_shapes(vocab, dim).items()
-        ),
+        *(_array_from_document(version, name, doc[name], shape) for name, shape in shapes.items()),
         c_min=require_number("c_min", doc["c_min"]),
         c_max=require_number("c_max", doc["c_max"]),
         score_kind=doc["score_kind"],

@@ -37,7 +37,7 @@ from .rdf import (
     TermKind,
     Triple,
     VocabError,
-    build_vocab,
+    require_complete,
     term_from_text,
     term_to_text,
 )
@@ -183,10 +183,10 @@ def load_corpus(text: str, ikg: Graph) -> KeywordCorpus:
 
     Keywords are lower-cased and must be words of ``[a-z0-9]+``, the tokens
     ``extract_keywords`` matches, or they could never match; every term
-    must resolve against the IKG vocabulary so hints can never point
-    outside the graph.
+    must be a term of the IKG, which must be complete, so hints can never
+    point outside the graph.
     """
-    vocab = build_vocab(ikg)
+    require_complete(ikg)
     entries: dict[str, list[CorpusHint]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -209,7 +209,7 @@ def load_corpus(text: str, ikg: Graph) -> KeywordCorpus:
             term = term_from_text(parts[2].strip())
         except ValueError as exc:
             raise ParseError(str(exc), lineno, 1) from None
-        if term not in vocab:
+        if term not in ikg.terms:
             raise ParseError(f"hint term {parts[2].strip()} not in the IKG vocabulary", lineno, 1)
         entries.setdefault(keyword, []).append(CorpusHint(role, term))
     return KeywordCorpus(entries)

@@ -15,8 +15,13 @@ Within one parse every distinct IRI token and every distinct ``(lexical,
 datatype)`` literal is a single shared Term, checked when first read. No
 offsets are kept: a ParseError rescans up to its token for line and column.
 ``term_from_text`` is the one reader of a stored term, such as a model's
-vocabulary entry: one ``findall`` pass of the same scanner over its text.
-Terms and triples hash once, at construction, and compare by identity first.
+vocabulary entry: one ``fullmatch`` on the scanner's prefixed-name pattern
+reads a prefixed name or an escape-free string typed by one, and one
+``findall`` pass of the scanner any other text.
+Terms and triples hash once, at construction, and compare by identity first;
+``Triple`` is slotted, with its own ``__init__``. A ``Graph`` keeps the
+distinct terms of its prefix check as ``terms``: no ``Vocab`` is needed to
+ask whether a term occurs in it.
 """
 
 from __future__ import annotations
@@ -138,22 +143,26 @@ class Term:
         return term_to_text(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Triple:
     """Three terms; equal when the terms are equal, hashed once at construction."""
+
+    __slots__ = ("head", "relation", "tail", "_hash")
 
     head: Term
     relation: Term
     tail: Term
 
-    def __post_init__(self):
-        if self.relation.kind is not TermKind.IRI:
+    def __init__(self, head: Term, relation: Term, tail: Term):
+        if relation.kind is not TermKind.IRI:
             raise ValueError("relation must be an IRI term")
-        if self.head.kind is TermKind.LITERAL:
+        if head.kind is TermKind.LITERAL:
             raise ValueError("literal not allowed in subject position")
-        object.__setattr__(
-            self, "_hash", hash((self.head._hash, self.relation._hash, self.tail._hash))
-        )
+        # The slots' own setters: the frozen class's ``__setattr__`` refuses.
+        _set_head(self, head)
+        _set_relation(self, relation)
+        _set_tail(self, tail)
+        _set_hash(self, hash((head._hash, relation._hash, tail._hash)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -180,6 +189,11 @@ class Triple:
 
     def __str__(self) -> str:
         return f"{self.head} {self.relation} {self.tail} ."
+
+
+_set_head, _set_relation, _set_tail, _set_hash = (
+    Triple.__dict__[name].__set__ for name in Triple.__slots__
+)
 
 
 _LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -238,22 +252,25 @@ class Graph:
 
     Duplicates collapse on construction; ``duplicates_collapsed`` reports
     how many were dropped. Every prefixed name used by a triple must
-    resolve via ``prefix_map``.
+    resolve via ``prefix_map``. ``terms`` lists each distinct term once.
     """
 
-    __slots__ = ("triples", "prefix_map", "duplicates_collapsed", "_index")
+    __slots__ = ("triples", "prefix_map", "duplicates_collapsed", "terms", "_index")
 
     def __init__(self, triples=(), prefix_map: dict[str, str] | None = None):
         prefix_map = dict(prefix_map or {})
         triples = tuple(triples)
         index = dict.fromkeys(triples)  # keeps the first of each, in order
-        # Each distinct term once, in order of first use: the first
-        # unresolved one is the one reported.
-        for term in dict.fromkeys(term for t in index for term in (t.head, t.relation, t.tail)):
+        # In order of first use, so the first unresolved term is the one
+        # reported; by identity first, as a parse shares one Term per term.
+        by_id = {id(term): term for t in index for term in (t.head, t.relation, t.tail)}
+        terms = dict.fromkeys(by_id.values())
+        for term in terms:
             _check_resolvable(term, prefix_map)
         object.__setattr__(self, "triples", tuple(index))
         object.__setattr__(self, "prefix_map", prefix_map)
         object.__setattr__(self, "duplicates_collapsed", len(triples) - len(index))
+        object.__setattr__(self, "terms", terms.keys())
         object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
@@ -298,11 +315,14 @@ def _check_resolvable(term: Term, prefix_map: dict[str, str]) -> None:
 # any other character, a bad one. The token alternatives start with distinct
 # characters, so their order only decides how soon the common ones (prefixed
 # names, dots) are tried.
+_PNAME = r"(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?"
+# Most terms ``term_to_text`` writes: a prefixed name, or an escape-free string typed by one.
+_PLAIN_TERM_RE = re.compile(rf'({_PNAME})|"([^"\\\n]*)"\^\^({_PNAME})')
 _TOKEN_RE = re.compile(
     r"""
     [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
     (
-      (?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?
+      """ + _PNAME + r"""
     | \.
     | "(?:[^"\\\n]|\\.)*"
     | \^\^
@@ -337,6 +357,8 @@ def term_from_text(text: str) -> Term:
     """Inverse of :func:`term_to_text`, read with ``parse``'s scanner:
     ``text`` must be one IRI token, or one string token with an optional
     ``^^`` and datatype IRI (ValueError otherwise)."""
+    if plain := _PLAIN_TERM_RE.fullmatch(text):
+        return Term.iri(text, prefixed=True) if plain[1] else Term.literal(plain[2], plain[3])
     tokens = _TOKEN_RE.findall(text)
     del tokens[tokens.index("") :]
     kinds = [_kind(token) for token in tokens]
@@ -365,9 +387,9 @@ def parse(text: str) -> Graph:
     resolve against a previously seen ``@prefix`` directive. Each distinct
     IRI token and each distinct ``(lexical, datatype)`` literal becomes one
     shared Term; its checks run the first time it is read, which is enough
-    because the prefix map only grows. A statement of three IRI tokens read
-    before and a ``.`` is built straight from the interned Terms; every
-    other statement goes through ``read_term``.
+    because the prefix map only grows. A head and relation, and an IRI tail,
+    that were read before are taken straight from the interned Terms; any
+    other term goes through ``read_term``.
     """
     tokens = _TOKEN_RE.findall(text)
     prefix_map: dict[str, str] = {}
@@ -446,19 +468,12 @@ def parse(text: str) -> Graph:
         raise error(index, f"expected an IRI, got {tokens[index]!r}")
 
     while True:
-        if (
-            (head := iris.get(tokens[pos])) is not None
-            and (relation := iris.get(tokens[pos + 1])) is not None
-            and (tail := iris.get(tokens[pos + 2])) is not None
-            and tokens[pos + 3] == "."
-        ):
-            triples.append(Triple(head, relation, tail))
-            pos += 4
-            continue
         token = tokens[pos]
-        if token == "":
+        if (head := iris.get(token)) and (relation := iris.get(tokens[pos + 1])):
+            pos += 2
+        elif token == "":
             break
-        if token == "@prefix":
+        elif token == "@prefix":
             label = tokens[pos + 1]
             if _kind(label) != "pname" or label.partition(":")[2]:
                 raise error(pos + 1, "expected a 'prefix:' label after @prefix")
@@ -470,9 +485,13 @@ def parse(text: str) -> Graph:
             prefix_map[label[:-1]] = target[1:-1]
             pos += 4
             continue
-        head = read_term("head")
-        relation = read_term("relation")
-        tail = read_term("tail")
+        else:
+            head = read_term("head")
+            relation = read_term("relation")
+        if tail := iris.get(tokens[pos]):
+            pos += 1
+        else:
+            tail = read_term("tail")
         if tokens[pos] != ".":
             raise error(pos, "expected '.' after triple")
         pos += 1
@@ -573,13 +592,18 @@ class Vocab:
         return f"Vocab({self.n_entities} entities, {self.n_relations} relations)"
 
 
+def require_complete(graph: Graph) -> None:
+    """VocabError if a term of the graph is a placeholder."""
+    if any(term.kind is TermKind.PLACEHOLDER for term in graph.terms):
+        raise VocabError("placeholder term in graph; vocabulary needs a complete graph")
+
+
 def build_vocab(graph: Graph) -> Vocab:
     """Index a complete graph; placeholder terms are rejected."""
+    require_complete(graph)
     # Dicts as ordered sets: a key keeps the place of its first insertion.
     entities: dict[Term, None] = {}
     relations: dict[Term, None] = {}
     for t in graph.triples:
-        if t.placeholder_count:
-            raise VocabError("placeholder term in graph; vocabulary needs a complete graph")
         entities[t.head] = entities[t.tail] = relations[t.relation] = None
     return Vocab(entities, relations)

@@ -87,6 +87,74 @@ def test_stderr_line_format(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# argument parsing
+
+COMMANDS = ["gen-ikg", "split", "train", "evaluate", "predict", "verify", "translate"]
+TOP_USAGE = "usage: ikge [-h] {" + ",".join(COMMANDS) + "} ...\n"
+
+
+@pytest.fixture
+def usage_exit(capsys, monkeypatch):
+    """``main(argv)``'s exit code, stdout and stderr for an argv that argparse
+    ends; at 80 columns, so that the usage line is not wrapped."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run_usage(argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        return info.value.code, captured.out, captured.err
+
+    return run_usage
+
+
+def test_top_level_help_lists_every_subcommand(usage_exit):
+    code, out, _ = usage_exit(["--help"])
+    assert code == 0 and out.startswith(TOP_USAGE)
+    listed = out.split("positional arguments:", 1)[1]
+    assert [name for name in COMMANDS if f"    {name} " in listed] == COMMANDS
+
+
+def test_subcommand_help_exits_zero(usage_exit):
+    code, out, _ = usage_exit(["translate", "--help"])
+    assert code == 0 and out.startswith("usage: ikge translate [-h] --model MODEL --ikg IKG")
+
+
+def test_unknown_subcommand_is_a_usage_error_listing_the_choices(usage_exit):
+    code, out, err = usage_exit(["tranlsate", "--model", "m.json"])
+    assert code == 2 and out == "" and err.startswith(TOP_USAGE)
+    message = err.splitlines()[-1]
+    assert message.startswith("ikge: error: argument command: invalid choice: 'tranlsate'")
+    choices = message.split("choose from", 1)[1]
+    assert all(name in choices for name in COMMANDS)
+
+
+def test_missing_subcommand_is_a_usage_error(usage_exit):
+    code, _, err = usage_exit([])
+    assert code == 2
+    assert err == TOP_USAGE + "ikge: error: the following arguments are required: command\n"
+
+
+def test_unrecognized_argument_prints_the_full_usage(usage_exit):
+    # The error comes from the top-level parser, whose usage names every
+    # subcommand even when only the chosen one was built.
+    code, _, err = usage_exit(["verify", "--model", "m.json", "--intent", "i.ttl", "--bogus"])
+    assert code == 2
+    assert err == TOP_USAGE + "ikge: error: unrecognized arguments: --bogus\n"
+
+
+def test_main_calls_do_not_share_defaults(tmp_path, capsys, desk_paths):
+    out = tmp_path / "p.json"
+    argv = ["predict", "--model", str(desk_paths["model"]), "--ikg", str(desk_paths["ikg"]),
+            "--triple", "icm:PropertyExpectation icm:hasTarget ???", "--out", str(out)]
+    assert run(capsys, argv + ["-k", "3"])[0] == EXIT_OK
+    assert json.loads(out.read_text())["k"] == 3
+    assert run(capsys, argv)[0] == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["k"] == 10 and len(doc["predictions"]) == 10
+
+
+# ---------------------------------------------------------------------------
 # gen-ikg
 
 
@@ -754,6 +822,24 @@ def test_zero_dim_model_is_a_config_error(
     assert err == f"error: config: model file {bad} is malformed: dim must be at least 1\n"
 
 
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("dim", [0, -1])
+def test_dim_below_one_is_named_whatever_the_stored_arrays(
+    tmp_path, capsys, desk_paths, v1_document, version, dim
+):
+    # The arrays keep their (n, 50) shapes; format 2 names dim, as format 1
+    # does, not the first array whose shape disagrees with it.
+    model = load_model(desk_paths["model"])
+    doc = v1_document(model) if version == 1 else json.loads(desk_paths["model"].read_text())
+    doc["dim"] = dim
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = model_argv("verify", desk_paths, tmp_path)
+    rc, stdout, err = run(capsys, ["verify", "--model", str(bad), *argv])
+    assert rc == EXIT_CONFIG and stdout == ""
+    assert err == f"error: config: model file {bad} is malformed: dim must be at least 1\n"
+
+
 @pytest.mark.parametrize("command", ["evaluate", "translate", "verify"])
 def test_model_without_thresholds_is_a_config_error(tmp_path, capsys, desk_paths, command):
     doc = json.loads(desk_paths["model"].read_text())
@@ -1003,6 +1089,19 @@ def test_translate_corpus_with_an_empty_keyword_is_a_parse_error(tmp_path, capsy
     )
     assert rc == EXIT_PARSE and stdout == "" and not out.exists()
     assert err == "error: parse: line 2, col 1: empty keyword\n"
+
+
+def test_translate_on_an_ikg_with_a_placeholder_is_a_vocab_error(tmp_path, capsys, desk_paths):
+    ikg = tmp_path / "ikg.ttl"
+    ikg.write_text(desk_paths["ikg"].read_text() + "icm:Intent icm:hasTarget ??? .\n")
+    out = tmp_path / "i.ttl"
+    rc, stdout, err = run(
+        capsys,
+        ["translate", "--model", str(desk_paths["model"]), "--ikg", str(ikg),
+         "--text", "reliable video", "--out", str(out)],
+    )
+    assert rc == EXIT_VOCAB and stdout == "" and not out.exists()
+    assert err == "error: vocab: placeholder term in graph; vocabulary needs a complete graph\n"
 
 
 def test_translate_deterministic(tmp_path, capsys, desk_paths):

@@ -174,7 +174,7 @@ def test_init_model_validation():
     v = small_vocab()
     with pytest.raises(ValueError, match="^dim must be at least 1$"):
         init_model(v, dim=0, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dim must be at least 1$"):
         init_model(v, dim=-1, seed=0)
     with pytest.raises(ValueError):
         init_model(v, dim=4, seed=0, score_kind="nope")
@@ -586,6 +586,20 @@ def test_stored_fields_must_hold_their_json_type(v1_document, version, case):
     edit(doc)
     with pytest.raises(TypeError, match=f"^{message}$"):
         model_from_document(doc)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("dim", [0, -1])
+def test_stored_dim_below_one_is_refused_before_any_array_is_read(v1_document, version, dim):
+    m = init_model(small_vocab(), dim=2, seed=0)
+    doc = v1_document(m) if version == 1 else model_to_document(m)
+    doc["dim"] = dim  # the arrays keep their stored shape (n, 2)
+    with pytest.raises(ValueError, match="^dim must be at least 1$"):
+        model_from_document(doc)
+    if version == 2:
+        doc["entity_means"]["f64le"] = "!"  # never decoded
+        with pytest.raises(ValueError, match="^dim must be at least 1$"):
+            model_from_document(doc)
 
 
 def test_model_from_document_accepts_covariances_on_the_box_edges(v1_document):

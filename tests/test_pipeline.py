@@ -38,7 +38,7 @@ from ikge.pipeline import (
     translate,
     verify_intent,
 )
-from ikge.rdf import Graph, ParseError, Term, Triple, build_vocab, parse, serialize
+from ikge.rdf import Graph, ParseError, Term, Triple, VocabError, build_vocab, parse, serialize
 
 PREFIX_BLOCK = (
     "@prefix icm: <http://intent.example/icm#> .\n"
@@ -163,6 +163,23 @@ def test_load_corpus_accepts_multiword_and_mixed_case_keywords(toy_ikg):
 def test_load_corpus_rejects_placeholder_term(toy_ikg):
     with pytest.raises(ParseError):
         load_corpus("video\tservice\t???\n", toy_ikg)
+
+
+def test_load_corpus_accepts_a_relation_or_literal_tail_hint(toy_ikg):
+    # icm:hasTarget is only ever a relation, "20ms" only ever a tail: each is
+    # a term of the IKG, so a hint may name it.
+    corpus = load_corpus('target\tservice\ticm:hasTarget\nquick\tvalue\t"20ms"^^xsd:string\n',
+                         toy_ikg)
+    assert corpus.entries["target"][0].term == Term.iri("icm:hasTarget")
+    assert corpus.entries["quick"][0].term == Term.literal("20ms", "xsd:string")
+    with pytest.raises(ParseError, match='^line 1, col 1: hint term "20ms" not in the IKG'):
+        load_corpus('quick\tvalue\t"20ms"\n', toy_ikg)  # no datatype: another term
+
+
+def test_load_corpus_rejects_an_ikg_with_a_placeholder():
+    ikg = parse(TOY_IKG_TEXT + "icm:Intent icm:hasTarget ??? .\n")
+    with pytest.raises(VocabError, match="^placeholder term in graph"):
+        load_corpus(TOY_CORPUS_TEXT, ikg)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import os
 import pickle
 import re
@@ -309,13 +311,24 @@ _string_body = st.lists(
                      "\\U0001F600", "\\U00110000"]),
     max_size=4,
 ).map("".join)
-# One term token with an optional datatype, then mostly nothing.
+# A prefix and a local part, each a prefixed name's or close to one: the
+# local part may start or end with "." or "-", the prefix with a digit.
+_pname = st.tuples(
+    st.sampled_from(["", "", "ex", "x", "a-b_1", "Z9", "1x", "-a"]),
+    st.text(alphabet="aZ0_.-", max_size=5),
+).map(":".join)
+# One term token with an optional datatype, then mostly nothing. Bare prefixed
+# names and typed strings without escapes take ``term_from_text``'s fast path;
+# around them whitespace, a comment or a "." sends a text to the scanner.
 _near_term = st.tuples(
-    st.sampled_from(["", " ", "\n# c\n"]),
+    st.sampled_from(["", "", " ", "\t", "\n# c\n", "# c\n"]),
     st.one_of(st.sampled_from(["ex:a", ":", "ex:", "<http://e/a>", "<>", "???"]),
-              _string_body.map('"{}"'.format)),
-    st.sampled_from(["", "", "^^xsd:s", " ^^ <http://e/t>", "^^ex:", '^^"x"', "^^", "^^???"]),
-    st.sampled_from(["", "", "", "", " ", "\t# c", " .", "ex:a", '"', "\\"]),
+              _pname, _string_body.map('"{}"'.format)),
+    st.one_of(st.sampled_from(["", "", "^^xsd:s", " ^^ <http://e/t>", "^^ex:", '^^"x"', "^^",
+                               "^^???"]),
+              _pname.map("^^{}".format)),
+    st.sampled_from(["", "", "", "", " ", "\n", "\t# c", " # c", " .", ".", "..", "ex:a", '"',
+                     "\\"]),
 ).map("".join)
 _noise = st.one_of(_pieces, st.text(alphabet="".join(set("".join(_TERM_PIECES))), max_size=12))
 
@@ -327,6 +340,18 @@ def test_term_from_text_matches_the_match_loop_reader(near_term, noise):
         assert _term_outcome(term_from_text, text) == _term_outcome(_reference_term_from_text, text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [":", "ex:a", "ex:a.b", "ex:a-", "ex:_", "a-b_1:Z9", "ex:a.", "ex:a..", "ex:.a", "ex:-a",
+     "1x:a", "-a:b", "ex:a:b", " ex:a", "ex:a ", "\nex:a", "ex:a\n", "ex:a# c", "# c\nex:a",
+     "ex:a .", '"v"^^ex:a', '"v"^^:', '""^^ex:a', '"é v"^^a-b:c.d', '"v"^^ex:a.', '"v" ^^ex:a',
+     '"v"^^ ex:a', '"v"^^ex:a ', '"\\n"^^ex:a', '"v\\"^^ex:a', '"v"^^1x:a', '"v"^^<http://e/t>',
+     '"v"', '"v"^^ex:a ex:b'],
+)
+def test_term_from_text_fast_path_agrees_with_the_scanner(text):
+    assert _term_outcome(term_from_text, text) == _term_outcome(_reference_term_from_text, text)
+
+
 def test_term_iri_autodetects_prefixed_form():
     assert Term.iri("icm:Intent").prefixed
     assert not Term.iri("http://intent.example/icm#Intent").prefixed
@@ -336,13 +361,33 @@ def test_triple_validation():
     a = Term.iri("ex:a")
     r = Term.iri("ex:r")
     lit = Term.literal("v")
-    with pytest.raises(ValueError):
-        Triple(lit, r, a)  # literal head
-    with pytest.raises(ValueError):
-        Triple(a, lit, a)  # literal relation
-    with pytest.raises(ValueError):
-        Triple(a, Term.placeholder(0), a)  # placeholder relation
+    with pytest.raises(ValueError, match="^literal not allowed in subject position$"):
+        Triple(lit, r, a)
+    with pytest.raises(ValueError, match="^relation must be an IRI term$"):
+        Triple(a, lit, a)
+    with pytest.raises(ValueError, match="^relation must be an IRI term$"):
+        Triple(a, Term.placeholder(0), a)
+    with pytest.raises(ValueError, match="^relation must be an IRI term$"):
+        Triple(lit, lit, a)  # the relation is checked first
     assert str(Triple(a, r, lit)) == 'ex:a ex:r "v" .'
+
+
+def test_triple_is_a_frozen_slotted_dataclass():
+    a, r, lit = Term.iri("ex:a"), Term.iri("ex:r"), Term.literal("v", "xsd:string")
+    t = Triple(a, r, lit)
+    for name in ("head", "relation", "tail", "_hash", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, a)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del t.head
+    assert not hasattr(t, "__dict__")
+    assert [(f.name, f.type, f.init) for f in dataclasses.fields(Triple)] == [
+        ("head", "Term", True), ("relation", "Term", True), ("tail", "Term", True)
+    ]
+    assert astuple(t) == (astuple(a), astuple(r), astuple(lit))
+    assert Triple(head=a, relation=r, tail=lit) == t
+    assert dataclasses.replace(t, tail=a) == Triple(a, r, a)
+    assert repr(t) == f"Triple(head={a!r}, relation={r!r}, tail={lit!r})"
 
 
 def _fresh(term: Term) -> Term:
@@ -419,6 +464,8 @@ def test_triple_survives_a_pickle_round_trip():
     assert b"_hash" not in data  # rebuilt from its terms, not copied with its hash
     back = pickle.loads(data)
     assert back is not t and back == t and hash(back) == hash(t)
+    assert back.head == t.head and back.relation == t.relation and back.tail == t.tail
+    assert copy.deepcopy(t) == t and hash(copy.copy(t)) == hash(t)
 
 
 def test_escape_literal_round_trip():
@@ -459,6 +506,17 @@ def test_graph_rejects_an_unresolved_datatype_prefix():
     with pytest.raises(PrefixError, match=r"^unresolved prefix 'zz:' in datatype zz:dt$"):
         Graph([t], EX)
     assert Graph([t], {**EX, "zz": "http://z/"}).triples == (t,)
+
+
+def test_graph_terms_are_its_distinct_terms_in_order_of_first_use():
+    g = parse('@prefix ex: <http://e.example/ns#> .\nex:a ex:r "v" .\nex:b ex:r ex:a .\nex:a ex:s ??? .\n')
+    a, r, v, b, s = (Term.iri("ex:a"), Term.iri("ex:r"), Term.literal("v"), Term.iri("ex:b"),
+                     Term.iri("ex:s"))
+    assert list(g.terms) == [a, r, v, b, s, Term.placeholder(0)]
+    # Equal terms that are distinct objects still count once.
+    fresh = Graph([Triple(*map(_fresh, (t.head, t.relation, t.tail))) for t in g.triples], EX)
+    assert list(fresh.terms) == list(g.terms)
+    assert Term.literal("v", "xsd:string") not in g.terms and list(Graph().terms) == []
 
 
 def test_graph_contains_matches_linear_scan():
