@@ -13,6 +13,11 @@ provided, both "higher is better":
 Gradients are analytic; constraints keep mean norms at most 1 and clamp
 covariance diagonals into [c_min, c_max].
 
+The model owns the parameter layout: two tables, ``means`` and ``covs``,
+entity rows then relation rows, which scoring indexes and training updates
+in place. The four arrays a model file and the constructor name are views
+of their row blocks.
+
 A model may carry a :class:`ThresholdTable`: a triple is valid iff its
 score reaches its relation's threshold. ``evaluation`` chooses and applies
 the table, and ``require_thresholds`` is the one check that a model has
@@ -112,12 +117,14 @@ def require_thresholds(model: Kg2eModel) -> ThresholdTable:
 
 
 class Kg2eModel:
-    """Embedding table pair plus scoring configuration.
+    """Embedding tables plus scoring configuration.
 
-    Parameter arrays are float64 with shape (count, dim), dim at least 1
-    (checked first). ``thresholds`` is an optional :class:`ThresholdTable`;
-    ``train_config`` keeps the training configuration document for
-    reproducible downstream splits.
+    ``means`` and ``covs`` are C-contiguous float64 tables, a row per entity
+    and then per relation (relation r at ``n_entities + r``), into which the
+    constructor copies the four arrays after checking ``dim`` and their
+    shapes; read-only properties of their names give the row-block views.
+    ``thresholds`` is an optional :class:`ThresholdTable`; ``train_config``
+    keeps the training config document for reproducible downstream splits.
     """
 
     def __init__(
@@ -139,21 +146,26 @@ class Kg2eModel:
             raise ValueError(f"unknown score kind {score_kind!r}")
         if not 0 < c_min < c_max:
             raise ValueError("covariance bounds must satisfy 0 < c_min < c_max")
+        given = (entity_means, entity_covs, relation_means, relation_covs)
+        em, ec, rm, rc = (np.asarray(arr, dtype=np.float64) for arr in given)
+        for (name, shape), arr in zip(shapes.items(), (em, ec, rm, rc)):
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
         self.vocab = vocab
         self.dim = int(dim)
-        self.entity_means = np.asarray(entity_means, dtype=np.float64)
-        self.entity_covs = np.asarray(entity_covs, dtype=np.float64)
-        self.relation_means = np.asarray(relation_means, dtype=np.float64)
-        self.relation_covs = np.asarray(relation_covs, dtype=np.float64)
+        self.means, self.covs = np.concatenate((em, rm)), np.concatenate((ec, rc))
         self.c_min = float(c_min)
         self.c_max = float(c_max)
         self.score_kind = score_kind
         self.thresholds = thresholds
         self.train_config = train_config
-        for name, shape in shapes.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+
+    # Views computed on each read, never stored: a deep copy copies each
+    # array on its own, so stored views would come loose from its tables.
+    entity_means = property(lambda self: self.means[: self.vocab.n_entities])
+    entity_covs = property(lambda self: self.covs[: self.vocab.n_entities])
+    relation_means = property(lambda self: self.means[self.vocab.n_entities :])
+    relation_covs = property(lambda self: self.covs[self.vocab.n_entities :])
 
 
 def _parameter_shapes(vocab: Vocab, dim) -> dict[str, tuple]:
@@ -179,18 +191,16 @@ def init_model(
     """Seeded initialization: means uniform in +-6/sqrt(dim), covariances 1,
     covariance bounds ``[DEFAULT_C_MIN, DEFAULT_C_MAX]``.
 
-    Entity rows are drawn before relation rows, so a fixed seed yields
-    bitwise-identical parameter arrays.
+    One draw fills ``means`` in row order, entity rows before relation
+    rows, so a fixed seed yields bitwise-identical parameter arrays.
     """
     if vocab.n_entities == 0 or vocab.n_relations == 0:
         raise ValueError("vocabulary must contain at least one entity and one relation")
     # Built before any array, so that its check of ``dim`` comes first.
     shapes = _parameter_shapes(vocab, dim).values()
     model = Kg2eModel(vocab, dim, *map(np.ones, shapes), score_kind=score_kind)
-    rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
-    for means in (model.entity_means, model.relation_means):
-        means[...] = rng.uniform(-bound, bound, means.shape)
+    model.means[...] = np.random.default_rng(seed).uniform(-bound, bound, model.means.shape)
     apply_constraints(model)
     return model
 
@@ -252,9 +262,8 @@ def _check_triple(model: Kg2eModel, h: int, r: int, t: int) -> None:
 def score(model: Kg2eModel, h: int, r: int, t: int) -> float:
     """Score of one id triple; bit-identical to its row of :func:`score_triples`."""
     _check_triple(model, h, r, t)
-    em, ec = model.entity_means, model.entity_covs
-    rm, rc = model.relation_means, model.relation_covs
-    return float(_SCORE_FNS[model.score_kind](em[h], ec[h], rm[r], rc[r], em[t], ec[t]))
+    m, c, r = model.means, model.covs, model.vocab.n_entities + r
+    return float(_SCORE_FNS[model.score_kind](m[h], c[h], m[r], c[r], m[t], c[t]))
 
 
 def check_ids(ids, n_entities: int, n_relations: int) -> np.ndarray:
@@ -274,10 +283,10 @@ def score_triples(model: Kg2eModel, ids) -> np.ndarray:
     Summation order matches the scalar path, so entry i is bit-identical
     to ``score(model, *ids[i])``.
     """
-    h, r, t = check_ids(ids, model.vocab.n_entities, model.vocab.n_relations).T
-    em, ec = model.entity_means, model.entity_covs
-    rm, rc = model.relation_means, model.relation_covs
-    return _SCORE_FNS[model.score_kind](em[h], ec[h], rm[r], rc[r], em[t], ec[t])
+    n_e = model.vocab.n_entities
+    h, r, t = check_ids(ids, n_e, model.vocab.n_relations).T
+    m, c, r = model.means, model.covs, n_e + r
+    return _SCORE_FNS[model.score_kind](m[h], c[h], m[r], c[r], m[t], c[t])
 
 
 def score_candidates(model: Kg2eModel, h: int, r: int, t: int, position: str) -> np.ndarray:
@@ -292,8 +301,9 @@ def score_candidates(model: Kg2eModel, h: int, r: int, t: int, position: str) ->
     # Only the fixed side's entity is an input; 0 stands in for the free one.
     _check_triple(model, 0 if position == "head" else h, r, 0 if position == "tail" else t)
     fn = _SCORE_FNS[model.score_kind]
-    em, ec = model.entity_means, model.entity_covs
-    rm, rc = model.relation_means[r], model.relation_covs[r]
+    n_e = model.vocab.n_entities
+    em, ec = model.means[:n_e], model.covs[:n_e]
+    rm, rc = model.means[n_e + r], model.covs[n_e + r]
     if position == "tail":
         return fn(em[h], ec[h], rm, rc, em, ec)
     return fn(em, ec, rm, rc, em[t], ec[t])
@@ -304,8 +314,7 @@ def apply_constraints(model: Kg2eModel) -> Kg2eModel:
 
     Idempotent: a second application leaves every array bit-identical.
     """
-    constrain_rows(model.entity_means, model.entity_covs, model.c_min, model.c_max)
-    constrain_rows(model.relation_means, model.relation_covs, model.c_min, model.c_max)
+    constrain_rows(model.means, model.covs, model.c_min, model.c_max)
     return model
 
 
@@ -327,13 +336,10 @@ def constrain_rows(means: np.ndarray, covs: np.ndarray, c_min: float, c_max: flo
 def constraint_violations(model: Kg2eModel) -> int:
     """Count rows violating the norm bound or covariance box, each by more
     than ``_NORM_TOL``."""
-    count = 0
-    for means in (model.entity_means, model.relation_means):
-        count += int((np.linalg.norm(means, axis=1) > 1.0 + _NORM_TOL).sum())
-    for covs in (model.entity_covs, model.relation_covs):
-        bad = (covs < model.c_min - _NORM_TOL) | (covs > model.c_max + _NORM_TOL)
-        count += int(bad.any(axis=1).sum())
-    return count
+    over = np.linalg.norm(model.means, axis=1) > 1.0 + _NORM_TOL
+    covs = model.covs
+    outside = (covs < model.c_min - _NORM_TOL) | (covs > model.c_max + _NORM_TOL)
+    return int(over.sum() + outside.any(axis=1).sum())
 
 
 def model_to_document(model: Kg2eModel) -> dict:
@@ -357,7 +363,7 @@ def _array_document(arr: np.ndarray) -> dict:
 
 
 def _array_from_document(version: int, name: str, value, shape: tuple) -> np.ndarray:
-    """One stored parameter array as a writable native float64 copy.
+    """One stored parameter array, which ``Kg2eModel`` copies into its tables.
 
     Format 1 stores nested lists, whose shape ``Kg2eModel`` checks. Format 2
     stores ``{"shape", "f64le"}``; ValueError if the shape is not two
@@ -386,7 +392,7 @@ def _array_from_document(version: int, name: str, value, shape: tuple) -> np.nda
     expected = 8 * stored[0] * stored[1]
     if len(raw) != expected:
         raise ValueError(f"{name} holds {len(raw)} bytes, expected {expected} for shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def model_from_document(doc: dict) -> Kg2eModel:

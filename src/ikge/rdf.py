@@ -276,6 +276,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # Rebuilt (the slots refuse a restore); repeats keep duplicates_collapsed.
+        return (Graph, (self.triples + self.triples[:1] * self.duplicates_collapsed, self.prefix_map))
+
     def contains(self, triple: Triple) -> bool:
         return triple in self._index
 

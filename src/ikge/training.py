@@ -27,22 +27,21 @@ that drawing, scoring and updating pair by pair would:
   epoch's permutation, making per triple the draws a single sample
   call makes. Nothing else draws in between, so the stream is unchanged;
   a batch is ``batch_size * negatives_per_positive`` consecutive rows.
-* Scores. Training works on one table, copied from the model at the
-  start: entity rows, then relation rows, each row the mean and then the
-  covariance. A batch's b positives and their b negatives form one 2b-row
-  id array; each side is one gather of table rows, the six kernel inputs
-  are column views of those, then one score call and one gradient call on
-  the rows of the active pairs. Both functions are elementwise with
-  per-row reductions, so a row's value does not depend on the rows
-  beside it.
-* Updates. Gradients are summed per touched row with one ``np.bincount``
-  over compact slots, in the order positive heads, positive tails,
-  negative heads, negative tails, then relations: bincount adds in input
-  order from zero, so each row adds the same terms in the same order. One
-  RMS step reads and writes the touched rows only. At the end of each
-  epoch the table is copied back into the model's own arrays.
+* Scores. Training reads and writes the model's own tables, with no
+  copy. A batch's b positives and their b negatives form one 2b-row id
+  array, relation ids offset to their rows; the six kernel inputs are
+  gathers of contiguous ``means`` and ``covs`` rows, then one score call
+  and one gradient call on the rows of the active pairs. Both functions
+  are elementwise with per-row reductions, so a row's value does not
+  depend on the rows beside it.
+* Updates. Gradients are summed per touched row, its mean then its
+  covariance, with one ``np.bincount`` over compact slots, in the order
+  positive heads, positive tails, negative heads, negative tails, then
+  relations: bincount adds in input order from zero, so each row adds the
+  same terms in the same order. One RMS step reads and writes the touched
+  rows only; its two halves update those rows of the two tables.
 * Constraints. Each batch constrains the rows it updated, and the first
-  batch then the whole table. The rule acts on each row alone and is
+  batch then the whole model. The rule acts on each row alone and is
   idempotent, so a row no batch has updated since the whole-table
   application is already a fixed point. That holds for a model passed in
   outside its constraints too, which is why the first application covers
@@ -405,31 +404,22 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
     batch_rows = min(config.batch_size, n) * npp
 
     n_e = split.vocab.n_entities
-    arrays = tuple(getattr(model, name) for name in kg2e.PARAMETER_NAMES)
-    dim = arrays[0].shape[1]
+    means, covs, dim = model.means, model.covs, model.dim
     grad_fn = kg2e._GRAD_FNS[model.score_kind]
     score_fn = kg2e._SCORE_FNS[model.score_kind]
     lr, rho, eps = config.learning_rate, config.rms_decay, config.rms_epsilon
-    # The working table: entity rows, then relation rows, each the mean and
-    # then the covariance; the RMS state of each entry; and each row's slot
-    # in a batch's accumulator. A slot is read only where the same batch
-    # wrote it, so it is never reset.
-    table = np.block([[arrays[0], arrays[1]], [arrays[2], arrays[3]]])
-    state = np.zeros_like(table)
-    slot = np.empty(len(table), dtype=np.intp)
-    positions = np.arange(5 * batch_rows)
+    # The RMS state of each row, its mean and then its covariance; and each
+    # row's slot in a batch's accumulator. A slot is read only where the
+    # same batch wrote it, so it is never reset.
     width = 2 * dim
+    state = np.zeros((len(means), width))
+    slot = np.empty(len(means), dtype=np.intp)
+    positions = np.arange(5 * batch_rows)
     columns = np.arange(width)
-    # The table's parts in the order of ``arrays``.
-    parts = (table[:n_e, :dim], table[:n_e, dim:], table[n_e:, :dim], table[n_e:, dim:])
-
-    def kernel_args(sides):
-        """Mean and covariance columns of the head, relation and tail rows."""
-        return [half for side in sides for half in (side[:, :dim], side[:, dim:])]
 
     def update(ids, grads, b):
-        """Sum ``grads`` per table row of ``ids`` in order, then take the RMS
-        step on the touched rows and constrain them. A function so that its
+        """Sum ``grads`` per row of ``ids`` in order, then take the RMS step
+        on the touched rows and constrain them. A function so that its
         temporaries are freed before the next batch allocates its own."""
         own = positions[: len(ids)]
         slot[ids] = own
@@ -439,9 +429,10 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
         g = np.bincount(flat.ravel(), weights=grads.ravel()).reshape(-1, width) / b
         s = rho * state[touched] + (1.0 - rho) * g * g
         state[touched] = s
-        theta = table[touched] + lr * g / np.sqrt(s + eps)
-        kg2e.constrain_rows(theta[:, :dim], theta[:, dim:], model.c_min, model.c_max)
-        table[touched] = theta
+        step = lr * g / np.sqrt(s + eps)
+        m, c = means[touched] + step[:, :dim], covs[touched] + step[:, dim:]
+        kg2e.constrain_rows(m, c, model.c_min, model.c_max)
+        means[touched], covs[touched] = m, c
 
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
@@ -457,8 +448,8 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
             # A batch's positives, then their negatives, as one id array.
             h, r, t = np.concatenate((pos[:, lo:hi], neg[:, lo:hi]), axis=1)
             b = len(h) // 2
-            sides = table[h], table[r], table[t]
-            scores = score_fn(*kernel_args(sides))
+            sides = means[h], covs[h], means[r], covs[r], means[t], covs[t]
+            scores = score_fn(*sides)
             losses = np.maximum(0.0, config.margin - scores[:b] + scores[b:])
             loss_sum += float(losses.sum())
 
@@ -470,7 +461,7 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
                     rows = np.concatenate((active, active + b))
                     h, r, t = h[rows], r[rows], t[rows]
                     sides = tuple(side[rows] for side in sides)
-                g_mh, g_mr, g_mt, g_ch, g_cr, g_ct = grad_fn(*kernel_args(sides))
+                g_mh, g_mr, g_mt, g_ch, g_cr, g_ct = grad_fn(*sides)
                 # Ascent on positives, descent on negatives, summed per row
                 # in the order positive heads, positive tails, negative
                 # heads, negative tails, then the relations.
@@ -483,10 +474,8 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
                     )
                 update(ids, grads, b)
             if epoch == lo == 0:
-                kg2e.constrain_rows(table[:, :dim], table[:, dim:], model.c_min, model.c_max)
+                kg2e.constrain_rows(means, covs, model.c_min, model.c_max)
 
-        for array, part in zip(arrays, parts):
-            array[...] = part
         mean_loss = loss_sum / n_rows
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(f"non-finite mean loss at epoch {len(epoch_losses) + 1}")

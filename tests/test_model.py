@@ -6,6 +6,7 @@ import base64
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,64 @@ def test_init_model_validation():
         Kg2eModel(v, 4, *params, c_min=0.0)
     with pytest.raises(ValueError, match="covariance bounds"):
         Kg2eModel(v, 4, *params, c_min=2.0, c_max=1.0)
+
+
+# ---------------------------------------------------------------------------
+# parameter tables
+
+
+def test_model_keeps_two_tables_and_the_named_arrays_view_them():
+    rng = np.random.default_rng(0)
+    given = [rng.uniform(0.1, 1.0, shape) for shape in ((4, 3), (4, 3), (2, 3), (2, 3))]
+    m = Kg2eModel(small_vocab(4, 2), 3, *given)
+    for table in (m.means, m.covs):
+        assert table.shape == (6, 3) and table.dtype == np.float64
+        assert table.flags.c_contiguous and table.flags.owndata and table.flags.writeable
+    assert m.means.tobytes() == np.concatenate((given[0], given[2])).tobytes()
+    assert m.covs.tobytes() == np.concatenate((given[1], given[3])).tobytes()
+    for name, arr in zip(PARAMETER_NAMES, given):
+        view = getattr(m, name)
+        assert view.base is (m.covs if name.endswith("covs") else m.means), name
+        assert view.tobytes() == arr.tobytes(), name
+    # Relation r is row n_entities + r of each table.
+    m.relation_means[1, 2] = 7.0
+    m.entity_covs[3, 0] = 8.0
+    assert m.means[5, 2] == 7.0 and m.covs[3, 0] == 8.0
+
+
+def test_model_does_not_alias_the_callers_arrays():
+    table = np.arange(18, dtype=np.float64).reshape(6, 3)
+    given = [table[:4], table[:4] + 1.0, table[4:], np.ones((2, 3), dtype=np.float32)]
+    m = Kg2eModel(small_vocab(4, 2), 3, *given)
+    assert not any(np.shares_memory(a, t) for a in (table, *given) for t in (m.means, m.covs))
+    saved = table.copy(), m.means.copy(), m.covs.copy()
+    m.means += 1.0
+    assert np.array_equal(table, saved[0])
+    table[:] = -1.0
+    given[3][:] = 2.0
+    assert np.array_equal(m.means, saved[1] + 1.0) and np.array_equal(m.covs, saved[2])
+
+
+@pytest.mark.parametrize("name", PARAMETER_NAMES)
+def test_named_arrays_cannot_be_rebound(name):
+    m = init_model(small_vocab(), dim=3, seed=0)
+    with pytest.raises(AttributeError):
+        setattr(m, name, np.zeros_like(getattr(m, name)))
+    with pytest.raises(AttributeError):
+        delattr(m, name)
+
+
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("shape", [(5, 3), (4, 2), (3,)])
+def test_constructor_names_the_array_of_a_wrong_shape(index, shape):
+    # Rows are counted from the array's own table: 4 entities, 2 relations.
+    shape = (shape[0] - 2 * (index >= 2), *shape[1:])
+    params = [np.zeros((4, 3)), np.ones((4, 3)), np.zeros((2, 3)), np.ones((2, 3))]
+    expected = params[index].shape
+    params[index] = np.ones(shape)
+    message = f"^{PARAMETER_NAMES[index]} has shape {re.escape(str(shape))}, expected {re.escape(str(expected))}$"
+    with pytest.raises(ValueError, match=message):
+        Kg2eModel(small_vocab(4, 2), 3, *params)
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +734,14 @@ def test_loaded_arrays_are_writable_native_copies(tmp_path, desk_model, desk_spl
     loaded = load_model(tmp_path / "model.json")
     save_model(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+    tables = loaded.means, loaded.covs
+    for table in tables:
+        assert table.flags.writeable and table.flags.owndata and table.dtype == np.float64
+        assert table.dtype.isnative and table.flags.c_contiguous
     for name in PARAMETER_NAMES:
         arr = getattr(loaded, name)
-        assert arr.flags.writeable and arr.flags.owndata and arr.dtype == np.float64
-        assert arr.dtype.isnative and arr.flags.c_contiguous
+        assert arr.base is tables[name.endswith("covs")], name
+        assert arr.flags.writeable and arr.flags.c_contiguous, name
     apply_constraints(loaded)
     report = train(loaded, desk_split, TrainConfig(epochs=1))
     assert len(report.epoch_losses) == 1

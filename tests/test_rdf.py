@@ -491,6 +491,21 @@ def test_graph_is_immutable():
         g.triples = ()
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    '@prefix ex: <http://e.example/ns#> .\nex:a ex:r "v" .\nex:b ex:r ex:a .\nex:a ex:r "v" .\n'
+    'ex:a ex:s ??? .\nex:b ex:r ex:a .\nex:b ex:r ex:a .\n',
+], ids=["empty", "duplicates"])
+def test_graph_copies_and_pickles(text):
+    g = parse(text)
+    for again in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert again == g and again.triples == g.triples and again.prefix_map == g.prefix_map
+        assert again.duplicates_collapsed == g.duplicates_collapsed == (3 if text else 0)
+        assert list(again.terms) == list(g.terms)
+        with pytest.raises(AttributeError):
+            again.triples = ()
+
+
 def test_graph_equality_is_order_insensitive():
     t1 = triple("ex:a", "ex:r", "ex:b")
     t2 = triple("ex:b", "ex:r", "ex:a")

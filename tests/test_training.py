@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -812,12 +813,12 @@ _SMALL_SPEC = IkgGenSpec(seed=5, n_services=6, n_resources=3, n_kpis=3, target_t
 def assert_train_matches_reference(model, split, config):
     """Train a copy of ``model`` each way; returns the reference's outcome.
 
-    Ours must update the copy's own four arrays in place, as the reference
-    does, also when training diverges: the same objects, each owning its
-    memory, so none shares it with another or with a working table.
+    Ours must update the copy's own two tables in place, as the reference
+    updates its arrays, also when training diverges: the same objects,
+    each owning its memory, with each named array a view of them.
     """
     ours, theirs = copy.deepcopy(model), copy.deepcopy(model)
-    arrays = [getattr(ours, name) for name in _PARAMS]
+    tables = ours.means, ours.covs
     try:
         want = _reference_train(theirs, split, config)
     except TrainingDivergedError as exc:
@@ -826,8 +827,11 @@ def assert_train_matches_reference(model, split, config):
         want = exc
     else:
         assert train(ours, split, config) == want
-    for name, array in zip(_PARAMS, arrays):
-        assert getattr(ours, name) is array and array.flags.owndata, name
+    assert ours.means is tables[0] and ours.covs is tables[1]
+    assert tables[0].flags.owndata and tables[1].flags.owndata
+    for name in _PARAMS:
+        array = getattr(ours, name)
+        assert array.base is tables[name.endswith("covs")], name
         assert array.tobytes() == getattr(theirs, name).tobytes(), name
     return want
 
@@ -892,6 +896,24 @@ def test_train_matches_reference_from_outside_constraints(small_split, score_kin
     assert kg2e.constraint_violations(model) > 0
     config = TrainConfig(epochs=2, batch_size=batch_size, seed=4)
     assert assert_train_matches_reference(model, small_split, config).constraint_violations == 0
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"]
+)
+def test_copied_model_trains_its_own_tables(small_split, clone):
+    # A copy's named arrays stay views of the copy's tables, so training it
+    # reaches the reference's bytes and leaves the original as it was.
+    model = init_model(small_split.vocab, dim=8, seed=1)
+    before = model.means.tobytes(), model.covs.tobytes()
+    ours, theirs = clone(model), copy.deepcopy(model)
+    config = TrainConfig(epochs=2, batch_size=7, seed=4)
+    assert train(ours, small_split, config) == _reference_train(theirs, small_split, config)
+    for name in _PARAMS:
+        assert getattr(ours, name).base is (ours.covs if name.endswith("covs") else ours.means)
+        assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), name
+    assert (model.means.tobytes(), model.covs.tobytes()) == before
+    assert ours.means.tobytes() != before[0]
 
 
 def test_train_matches_reference_on_divergence():
