@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# The desk command-line loop: writes every file of one run into the directory
+# given as the first argument. It runs `ikge` as found on PATH, which imports
+# the ikge package first on PYTHONPATH; CI runs it under two hash seeds, and
+# once with the source tree of the base commit (see compare-base-outputs.sh).
+set -euo pipefail
+out="$1"
+mkdir -p "$out"
+ikge gen-ikg --out "$out/ikg.ttl" --report "$out/gen.json"
+ikge split --ikg "$out/ikg.ttl" --out-dir "$out/splits"
+# A non-default split, chosen by the training config's seed and split.
+echo '{"seed": 5, "split": [0.7, 0.2, 0.1]}' > "$out/cfg.json"
+ikge split --ikg "$out/ikg.ttl" --config "$out/cfg.json" --out-dir "$out/splits5"
+ikge train --ikg "$out/ikg.ttl" --out "$out/model.json" --report "$out/train.json"
+ikge evaluate --ikg "$out/ikg.ttl" --model "$out/model.json" --out "$out/eval.json"
+# A model fitted at that config; evaluate re-derives its split
+# from the config stored in the model file.
+ikge train --ikg "$out/ikg.ttl" --config "$out/cfg.json" --out "$out/model5.json" \
+  --report "$out/train5.json"
+ikge evaluate --ikg "$out/ikg.ttl" --model "$out/model5.json" --out "$out/eval5.json"
+# Small batches of several negatives each: ids repeat within a
+# batch, so training sums many gradient rows per parameter row.
+echo '{"negatives_per_positive": 2, "batch_size": 7, "epochs": 3}' > "$out/cfg-b7.json"
+ikge train --ikg "$out/ikg.ttl" --config "$out/cfg-b7.json" --out "$out/model-b7.json" \
+  --report "$out/train-b7.json"
+ikge translate --model "$out/model.json" --ikg "$out/ikg.ttl" --text "reliable video" \
+  --out "$out/intent.ttl" --report "$out/intent.json"
+ikge verify --model "$out/model.json" --intent "$out/intent.ttl" --out "$out/verify.json"
+# A format-1 copy of model.json (arrays as nested lists of floats):
+# evaluate and verify on it write the same bytes as on format 2.
+python -c 'import json, sys; from ikge.model import PARAMETER_NAMES, load_model, model_to_document; m = load_model(sys.argv[1]); d = model_to_document(m); d.update({n: getattr(m, n).tolist() for n in PARAMETER_NAMES}, format_version=1); f = open(sys.argv[2], "w", encoding="utf-8"); json.dump(d, f, indent=1); f.close()' \
+  "$out/model.json" "$out/model-v1.json"
+ikge evaluate --ikg "$out/ikg.ttl" --model "$out/model-v1.json" --out "$out/eval-v1.json"
+ikge verify --model "$out/model-v1.json" --intent "$out/intent.ttl" --out "$out/verify-v1.json"
+cmp "$out/eval.json" "$out/eval-v1.json"
+cmp "$out/verify.json" "$out/verify-v1.json"
+# A false intent: one skipped row, then rows that classify false
+# and true. Its verify exits 7 and must still write the report.
+printf '%s\n' \
+  '@prefix icm: <http://intent.example/icm#> .' \
+  '@prefix kpi: <http://intent.example/kpi#> .' \
+  '@prefix nonmcptt: <http://intent.example/nonmcptt#> .' \
+  '@prefix service: <http://intent.example/service#> .' \
+  'icm:ServiceIntent icm:hasExpectation icm:ServiceExpectation .' \
+  'icm:Intent icm:hasTarget kpi:latency .' \
+  'nonmcptt:ConvVideo icm:targetResource service:NonGBRService .' \
+  'kpi:latency icm:hasParameter icm:Intent .' > "$out/bad.ttl"
+ikge verify --model "$out/model.json" --intent "$out/bad.ttl" \
+  --out "$out/verify-bad.json" || test $? -eq 7
+ikge predict --model "$out/model.json" --ikg "$out/ikg.ttl" \
+  --triple "icm:PropertyExpectation icm:hasTarget ???" -k 10 --out "$out/predict.json"
+ikge predict --model "$out/model.json" --ikg "$out/ikg.ttl" \
+  --triple "kpi:latency icm:valueBy ???" -k 10 --out "$out/predict-value.json"
+ikge predict --model "$out/model.json" --ikg "$out/ikg.ttl" \
+  --triple '??? icm:valueBy "150ms"^^xsd:string' -k 10 --out "$out/predict-value-head.json"

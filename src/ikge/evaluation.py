@@ -8,10 +8,10 @@ converts its own.
 
 Ranking scores every entity as a replacement for the missing side of a
 test triple and reports the rank of the true entity, averaging positions
-over exact score ties. The filtered protocol drops candidates that form
-other known-true triples (never the true entity itself). The known ids
-are indexed once per ranking run: tail ids by ``(h, r)`` and head ids by
-``(r, t)``; ``rank_triple`` indexes its known graph the same way, skipping
+over exact score ties. The filtered protocol drops the query's other known
+completions (never the true entity itself): the ids that a filter index,
+built once per ranking run, lists under ``(h, r)`` (tails) or ``(r, t)``
+(heads). ``rank_triple`` indexes its known graph the same way, skipping
 known triples with a term outside the model vocabulary.
 Classification applies a per-relation ``model.ThresholdTable`` chosen on
 validation data by maximizing accuracy over midpoints of adjacent scores.
@@ -93,18 +93,15 @@ class ClassificationMetrics:
         return asdict(self)
 
 
-def rank_from_scores(scores: np.ndarray, true_index: int, keep: np.ndarray | None = None) -> float:
+def rank_from_scores(scores: np.ndarray, true_index: int, drop=()) -> float:
     """Rank of the true candidate with mean-tie policy.
 
-    ``keep`` masks candidates out of consideration (filtered protocol);
-    the true candidate always stays in. With b strictly better scores and
-    m tied scores (the true one included) the rank is b + (m + 1) / 2.
+    ``drop`` lists candidate ids to leave out (filtered protocol; repeats
+    allowed); the true candidate always stays in. With b strictly better
+    scores and m tied scores (the true one included) the rank is b + (m + 1) / 2.
     """
     true_score = scores[true_index]
-    if keep is not None:
-        keep = keep.copy()
-        keep[true_index] = True
-        scores = scores[keep]
+    scores = np.delete(scores, [i for i in drop if i != true_index])
     better = int((scores > true_score).sum())
     tied = int((scores == true_score).sum())
     return better + (tied + 1) / 2.0
@@ -126,18 +123,14 @@ def _filter_index(known) -> dict[tuple, list[int]]:
 
 def _rank_ids(model: kg2e.Kg2eModel, h: int, r: int, t: int, side: str, index) -> float:
     """Rank of one id triple's true completion; ``index`` is a filter
-    index, or None for the raw protocol."""
+    index, empty for the raw protocol."""
     if side == RIGHT:
         scores = kg2e.score_candidates(model, h, r, t, position="tail")
         true_index, query = t, (RIGHT, h, r)
     else:
         scores = kg2e.score_candidates(model, h, r, t, position="head")
         true_index, query = h, (LEFT, r, t)
-    keep = None
-    if index is not None:
-        keep = np.ones(len(scores), dtype=bool)
-        keep[index.get(query, [])] = False
-    return rank_from_scores(scores, true_index, keep)
+    return rank_from_scores(scores, true_index, index.get(query, ()))
 
 
 def rank_triple(
@@ -152,7 +145,7 @@ def rank_triple(
     if side not in (RIGHT, LEFT):
         raise ValueError(f"side must be '{RIGHT}' or '{LEFT}', got {side!r}")
     h, r, t = model.vocab.triple_ids(triple)
-    index = _filter_index(model.vocab.known_ids(known)) if filtered else None
+    index = _filter_index(model.vocab.known_ids(known)) if filtered else {}
     return _rank_ids(model, h, r, t, side, index)
 
 
@@ -167,7 +160,7 @@ def evaluate_ranks(
     test, known = _check_ids(model, test), _check_ids(model, known)
     if len(test) == 0:
         raise ValueError("test graph is empty")
-    index = _filter_index(known.tolist()) if filtered else None
+    index = _filter_index(known.tolist()) if filtered else {}
     ranks = []
     for h, r, t in test.tolist():
         ranks.append(_rank_ids(model, h, r, t, RIGHT, index))

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +99,7 @@ class ThresholdTable:
             raise ValueError("thresholds.per_relation must be a JSON object")
         for key, value in per_relation.items():
             require_number(f"thresholds.per_relation[{key!r}]", value)
-            if key != str(int(key)):
+            if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
                 raise ValueError(f"thresholds key {key!r} is not a relation id in canonical form")
         fallback = require_number("thresholds.fallback", doc["fallback"])
         table = cls({int(r): float(v) for r, v in per_relation.items()}, float(fallback))
@@ -400,8 +401,8 @@ def model_from_document(doc: dict) -> Kg2eModel:
     document is not a JSON object, a vocabulary term repeats, ``dim`` is
     below 1, a parameter array is malformed (see ``_array_from_document``)
     or not finite, a covariance lies outside ``[c_min, c_max]``,
-    ``ThresholdTable.from_document`` rejects the thresholds, or
-    ``train_config`` is neither a JSON object nor null; TypeError if
+    ``thresholds`` or ``train_config`` is neither a JSON object nor null,
+    or ``ThresholdTable.from_document`` rejects the thresholds; TypeError if
     ``dim`` is not an int, ``c_min`` or ``c_max`` not a number, or the
     vocabulary not lists of strings."""
     if not isinstance(doc, dict):
@@ -409,9 +410,9 @@ def model_from_document(doc: dict) -> Kg2eModel:
     version = doc.get("format_version")
     if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format version {version!r}")
-    train_config = doc.get("train_config")
-    if train_config is not None and not isinstance(train_config, dict):
-        raise ValueError("train_config must be a JSON object or null")
+    for name in ("train_config", "thresholds"):
+        if doc.get(name) is not None and not isinstance(doc[name], dict):
+            raise ValueError(f"{name} must be a JSON object or null")
     tables = ("entities", "relations")
     for name in tables:
         if not isinstance(doc[name], list) or not all(isinstance(s, str) for s in doc[name]):
@@ -430,7 +431,7 @@ def model_from_document(doc: dict) -> Kg2eModel:
         c_max=require_number("c_max", doc["c_max"]),
         score_kind=doc["score_kind"],
         thresholds=thresholds,
-        train_config=train_config,
+        train_config=doc.get("train_config"),
     )
     for name in PARAMETER_NAMES:
         if not np.isfinite(getattr(model, name)).all():

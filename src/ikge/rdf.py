@@ -18,6 +18,8 @@ offsets are kept: a ParseError rescans up to its token for line and column.
 vocabulary entry: one ``fullmatch`` on the scanner's prefixed-name pattern
 reads a prefixed name or an escape-free string typed by one, and one
 ``findall`` pass of the scanner any other text.
+The escape set has one table: ``escape_literal`` translates by it, and a
+literal is unescaped by one ``re.sub`` that reads it backwards.
 Terms and triples hash once, at construction, and compare by identity first;
 ``Triple`` is slotted, with its own ``__init__``. A ``Graph`` keeps the
 distinct terms of its prefix check as ``terms``: no ``Vocab`` is needed to
@@ -196,45 +198,33 @@ _set_head, _set_relation, _set_tail, _set_hash = (
 )
 
 
-_LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_LITERAL_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_LITERAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
+_LITERAL_UNESCAPES = {escape[1]: chr(code) for code, escape in _LITERAL_ESCAPES.items()}
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 
 
 def escape_literal(text: str) -> str:
-    return "".join(_LITERAL_ESCAPES.get(ch, ch) for ch in text)
+    return text.translate(_LITERAL_ESCAPES)
+
+
+def _unescape(match: re.Match) -> str:
+    short, long, char = match.groups()
+    if char is None:
+        code = int(short or long, 16)
+        if code > sys.maxunicode:
+            raise ParseError("unicode escape past U+10FFFF in literal", 0, 0)
+        return chr(code)
+    if char in _LITERAL_UNESCAPES:
+        return _LITERAL_UNESCAPES[char]
+    message = "malformed unicode escape" if char in "uU" else f"unsupported escape '\\{char}'"
+    raise ParseError(f"{message} in literal", 0, 0)
 
 
 def _unescape_literal(raw: str) -> str:
     """Decode the escapes of a string token's body, in which the scanner pairs
-    every backslash with the next character. Its ParseError carries line 0,
-    col 0; ``parse`` re-raises it at the literal's token."""
-    if "\\" not in raw:
-        return raw
-    out = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        nxt = raw[i + 1]
-        if nxt in _LITERAL_UNESCAPES:
-            out.append(_LITERAL_UNESCAPES[nxt])
-            i += 2
-        elif nxt in ("u", "U"):
-            width = 4 if nxt == "u" else 8
-            hexpart = raw[i + 2 : i + 2 + width]
-            if len(hexpart) != width or not re.fullmatch(r"[0-9A-Fa-f]+", hexpart):
-                raise ParseError("malformed unicode escape in literal", 0, 0)
-            code = int(hexpart, 16)
-            if code > sys.maxunicode:
-                raise ParseError("unicode escape past U+10FFFF in literal", 0, 0)
-            out.append(chr(code))
-            i += 2 + width
-        else:
-            raise ParseError(f"unsupported escape '\\{nxt}' in literal", 0, 0)
-    return "".join(out)
+    every backslash with the next character. The first bad escape raises a
+    ParseError at line 0, col 0; ``parse`` re-raises it at the literal's token."""
+    return _ESCAPE_RE.sub(_unescape, raw) if "\\" in raw else raw
 
 
 def term_to_text(term: Term) -> str:
@@ -250,16 +240,15 @@ def term_to_text(term: Term) -> str:
 class Graph:
     """Immutable ordered triple set with a prefix map.
 
-    Duplicates collapse on construction; ``duplicates_collapsed`` reports
-    how many were dropped. Every prefixed name used by a triple must
-    resolve via ``prefix_map``. ``terms`` lists each distinct term once.
+    Duplicates collapse on construction. Every prefixed name used by a
+    triple must resolve via ``prefix_map``. ``terms`` lists each distinct
+    term once.
     """
 
-    __slots__ = ("triples", "prefix_map", "duplicates_collapsed", "terms", "_index")
+    __slots__ = ("triples", "prefix_map", "terms", "_index")
 
     def __init__(self, triples=(), prefix_map: dict[str, str] | None = None):
         prefix_map = dict(prefix_map or {})
-        triples = tuple(triples)
         index = dict.fromkeys(triples)  # keeps the first of each, in order
         # In order of first use, so the first unresolved term is the one
         # reported; by identity first, as a parse shares one Term per term.
@@ -269,7 +258,6 @@ class Graph:
             _check_resolvable(term, prefix_map)
         object.__setattr__(self, "triples", tuple(index))
         object.__setattr__(self, "prefix_map", prefix_map)
-        object.__setattr__(self, "duplicates_collapsed", len(triples) - len(index))
         object.__setattr__(self, "terms", terms.keys())
         object.__setattr__(self, "_index", index)
 
@@ -277,8 +265,7 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
-        # Rebuilt (the slots refuse a restore); repeats keep duplicates_collapsed.
-        return (Graph, (self.triples + self.triples[:1] * self.duplicates_collapsed, self.prefix_map))
+        return (Graph, (self.triples, self.prefix_map))  # the slots refuse a restore
 
     def contains(self, triple: Triple) -> bool:
         return triple in self._index

@@ -694,10 +694,15 @@ def test_v1_model_file_writes_the_same_outputs(tmp_path, capsys, desk_paths, v1_
         ("0_1", 0.0, "thresholds key '0_1' is not a relation id in canonical form"),
         (" 1", 0.0, "thresholds key ' 1' is not a relation id in canonical form"),
         ("+1", 0.0, "thresholds key '+1' is not a relation id in canonical form"),
+        ("abc", 0.0, "thresholds key 'abc' is not a relation id in canonical form"),
+        ("1.5", 0.0, "thresholds key '1.5' is not a relation id in canonical form"),
+        (None, [], "thresholds must be a JSON object or null"),
+        (None, "x", "thresholds must be a JSON object or null"),
     ],
     ids=[
         "nan-fallback", "nan-relation", "unknown-relation", "list-per-relation",
-        "leading-zero", "underscore", "space", "plus",
+        "leading-zero", "underscore", "space", "plus", "letters", "decimal",
+        "list-thresholds", "string-thresholds",
     ],
 )
 def test_bad_thresholds_are_a_config_error(
@@ -713,7 +718,9 @@ def test_bad_thresholds_are_a_config_error(
     assert rc == EXIT_OK
     doc = json.loads(desk_paths["model"].read_text())
     thresholds = doc["thresholds"]
-    if key in thresholds:
+    if key is None:  # the whole table
+        doc["thresholds"] = value
+    elif key in thresholds:
         thresholds[key] = value
     else:
         thresholds["per_relation"][key] = value

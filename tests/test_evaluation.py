@@ -51,17 +51,22 @@ def test_rank_mean_tie_convention():
     assert rank_from_scores(np.full(5, 2.0), 4) == 3.0
 
 
-def test_rank_keep_mask_removes_competitors():
+def test_rank_drop_removes_competitors():
     scores = np.array([5.0, 4.0, 3.0, 2.0])
-    keep = np.array([False, False, True, True])
     assert rank_from_scores(scores, 2) == 3.0
-    assert rank_from_scores(scores, 2, keep=keep) == 1.0
+    assert rank_from_scores(scores, 2, drop=[0, 1]) == 1.0
 
 
 def test_rank_true_index_always_kept():
     scores = np.array([5.0, 4.0, 3.0])
-    keep = np.zeros(3, dtype=bool)  # mask drops everything, true stays
-    assert rank_from_scores(scores, 1, keep=keep) == 1.0
+    assert rank_from_scores(scores, 1, drop=[0, 1, 2]) == 1.0  # drops everything, true stays
+
+
+def test_rank_drop_is_a_set_that_never_holds_the_true_id():
+    scores = np.array([5.0, 4.0, 4.0, 3.0, 4.0])
+    # 0 and the true id 2 repeat: 0 and 4 leave, one tie stays, rank 0 + (2 + 1) / 2
+    assert rank_from_scores(scores, 2, drop=[0, 2, 0, 4, 2]) == 1.5
+    assert rank_from_scores(scores, 2, drop=(2, 2)) == rank_from_scores(scores, 2) == 3.0
 
 
 def test_rank_invariant_under_positive_affine_transform():
@@ -262,6 +267,15 @@ def test_indexed_filter_matches_brute_force(case):
         assert m.mean_rank == float(arr.mean())
         assert m.hits == {p: float((arr <= p).mean()) for p in (1, 3, 10)}
         assert m.n_ranks == 2 * len(test)
+
+
+def test_duplicated_known_rows_filter_as_one():
+    # the filter index lists a known row once per copy; dropping is by id
+    model, test, known = filter_fixtures()[-1]
+    test, known = ids_of(model, test), ids_of(model, known)
+    once = evaluate_ranks(model, test, known, filtered=True)
+    for twice in (np.concatenate((known, known)), np.concatenate((known, test, test))):
+        assert evaluate_ranks(model, test, twice, filtered=True) == once
 
 
 def test_filtered_ranks_differ_from_raw_on_dense_fixture():
@@ -579,7 +593,7 @@ def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split
             h, r, t = desk_model.vocab.triple_ids(triple)
             for side in (RIGHT, LEFT):
                 got = rank_triple(desk_model, triple, side, known, filtered=filtered)
-                assert got == _rank_ids(desk_model, h, r, t, side, index if filtered else None)
+                assert got == _rank_ids(desk_model, h, r, t, side, index if filtered else {})
                 ranks.append(got)
         arr = np.array(ranks)
         m = evaluate_ranks(

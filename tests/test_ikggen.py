@@ -10,7 +10,6 @@ from ikge.rdf import Term, Triple, build_vocab, parse, serialize
 
 def test_default_spec_hits_target_exactly(desk_ikg):
     assert len(desk_ikg) == 1575
-    assert desk_ikg.duplicates_collapsed == 0
     anchor = Triple(
         Term.iri("service:GBR"),
         Term.iri("rdfs:subclass"),

@@ -597,6 +597,8 @@ def test_v2_document_rejects_malformed_arrays(case):
         ({"0_1": 1.0}, 0.5, "thresholds key '0_1' is not a relation id in canonical form"),
         ({" 1": 1.0}, 0.5, "thresholds key ' 1' is not a relation id in canonical form"),
         ({"+1": 1.0}, 0.5, r"thresholds key '\+1' is not a relation id in canonical form"),
+        ({"abc": 1.0}, 0.5, "thresholds key 'abc' is not a relation id in canonical form"),
+        ({"1.5": 1.0}, 0.5, r"thresholds key '1\.5' is not a relation id in canonical form"),
     ],
 )
 def test_model_from_document_rejects_bad_thresholds(per_relation, fallback, message):
@@ -606,6 +608,14 @@ def test_model_from_document_rejects_bad_thresholds(per_relation, fallback, mess
     model_from_document(doc)
     doc["thresholds"] = {"per_relation": per_relation, "fallback": fallback}
     with pytest.raises(ValueError, match=message):
+        model_from_document(doc)
+
+
+@pytest.mark.parametrize("thresholds", [[], "x"], ids=["list", "string"])
+def test_model_from_document_rejects_non_object_thresholds(thresholds):
+    doc = model_to_document(init_model(small_vocab(), dim=2, seed=0))
+    doc["thresholds"] = thresholds
+    with pytest.raises(ValueError, match="^thresholds must be a JSON object or null$"):
         model_from_document(doc)
 
 
