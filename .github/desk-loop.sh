@@ -23,6 +23,8 @@ ikge evaluate --ikg "$out/ikg.ttl" --model "$out/model5.json" --out "$out/eval5.
 echo '{"negatives_per_positive": 2, "batch_size": 7, "epochs": 3}' > "$out/cfg-b7.json"
 ikge train --ikg "$out/ikg.ttl" --config "$out/cfg-b7.json" --out "$out/model-b7.json" \
   --report "$out/train-b7.json"
+# Ranks of a weakly trained model, whose scores are less separated.
+ikge evaluate --ikg "$out/ikg.ttl" --model "$out/model-b7.json" --out "$out/eval-b7.json"
 ikge translate --model "$out/model.json" --ikg "$out/ikg.ttl" --text "reliable video" \
   --out "$out/intent.ttl" --report "$out/intent.json"
 ikge verify --model "$out/model.json" --intent "$out/intent.ttl" --out "$out/verify.json"

@@ -100,7 +100,7 @@ def _load_model(path: str) -> kg2e.Kg2eModel:
         raise CliError("parse", f"model file {path} is not valid JSON: {exc}") from exc
     try:
         return kg2e.model_from_document(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError("config", f"model file {path} is malformed: {exc}") from exc
 
 

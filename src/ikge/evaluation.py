@@ -8,11 +8,12 @@ converts its own.
 
 Ranking scores every entity as a replacement for the missing side of a
 test triple and reports the rank of the true entity, averaging positions
-over exact score ties. The filtered protocol drops the query's other known
-completions (never the true entity itself): the ids that a filter index,
-built once per ranking run, lists under ``(h, r)`` (tails) or ``(r, t)``
-(heads). ``rank_triple`` indexes its known graph the same way, skipping
-known triples with a term outside the model vocabulary.
+over exact score ties; each distinct query, ``(h, r, ?)`` or ``(?, r, t)``,
+is scored once per protocol for all the test rows that ask it. The filtered
+protocol drops the query's other known completions (never the true entity
+itself): the ids that a filter index, built once per ranking run, lists
+under ``(h, r)`` (tails) or ``(r, t)`` (heads). ``rank_triple`` indexes its
+known graph the same way, skipping triples outside the model vocabulary.
 Classification applies a per-relation ``model.ThresholdTable`` chosen on
 validation data by maximizing accuracy over midpoints of adjacent scores.
 ``verdicts`` judges an id array with one batch score; ``classify`` judges
@@ -121,16 +122,15 @@ def _filter_index(known) -> dict[tuple, list[int]]:
     return index
 
 
-def _rank_ids(model: kg2e.Kg2eModel, h: int, r: int, t: int, side: str, index) -> float:
-    """Rank of one id triple's true completion; ``index`` is a filter
-    index, empty for the raw protocol."""
+def _query_ranks(model: kg2e.Kg2eModel, key: tuple, trues, index) -> list[float]:
+    """Ranks of the true ids ``trues`` of the query ``key`` (a filter index key),
+    all from one score vector; ``index`` is a filter index, empty for raw ranks."""
+    side, a, b = key
     if side == RIGHT:
-        scores = kg2e.score_candidates(model, h, r, t, position="tail")
-        true_index, query = t, (RIGHT, h, r)
+        scores = kg2e.score_candidates(model, a, b, 0, position="tail")
     else:
-        scores = kg2e.score_candidates(model, h, r, t, position="head")
-        true_index, query = h, (LEFT, r, t)
-    return rank_from_scores(scores, true_index, index.get(query, ()))
+        scores = kg2e.score_candidates(model, 0, a, b, position="head")
+    return [rank_from_scores(scores, true, index.get(key, ())) for true in trues]
 
 
 def rank_triple(
@@ -146,7 +146,8 @@ def rank_triple(
         raise ValueError(f"side must be '{RIGHT}' or '{LEFT}', got {side!r}")
     h, r, t = model.vocab.triple_ids(triple)
     index = _filter_index(model.vocab.known_ids(known)) if filtered else {}
-    return _rank_ids(model, h, r, t, side, index)
+    key, true = ((RIGHT, h, r), t) if side == RIGHT else ((LEFT, r, t), h)
+    return _query_ranks(model, key, [true], index)[0]
 
 
 def evaluate_ranks(
@@ -161,17 +162,20 @@ def evaluate_ranks(
     if len(test) == 0:
         raise ValueError("test graph is empty")
     index = _filter_index(known.tolist()) if filtered else {}
-    ranks = []
-    for h, r, t in test.tolist():
-        ranks.append(_rank_ids(model, h, r, t, RIGHT, index))
-        ranks.append(_rank_ids(model, h, r, t, LEFT, index))
-    arr = np.array(ranks)
+    groups: dict[tuple, list[tuple[int, int]]] = {}  # query key -> [(rank slot, true id)]
+    for i, (h, r, t) in enumerate(test.tolist()):
+        groups.setdefault((RIGHT, h, r), []).append((2 * i, t))
+        groups.setdefault((LEFT, r, t), []).append((2 * i + 1, h))
+    arr = np.empty(2 * len(test))
+    for key, members in groups.items():
+        slots, trues = zip(*members)
+        arr[list(slots)] = _query_ranks(model, key, trues, index)
     return RankMetrics(
         mean_rank=float(arr.mean()),
         hits={p: float((arr <= p).mean()) for p in HITS_AT},
         side="both",
         filtered=filtered,
-        n_ranks=len(ranks),
+        n_ranks=len(arr),
     )
 
 

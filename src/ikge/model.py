@@ -90,10 +90,13 @@ class ThresholdTable:
 
     @classmethod
     def from_document(cls, doc: dict, n_relations: int) -> "ThresholdTable":
-        """The table a document stores; ValueError if ``per_relation`` is not
-        a JSON object, a key is not a relation id written as ``str(id)``, an
-        id lies outside ``[0, n_relations)``, or a threshold is not finite;
-        TypeError if a threshold is not a number."""
+        """The table a document stores; ValueError if a field is missing,
+        ``per_relation`` is not a JSON object, a key is not a relation id
+        written as ``str(id)``, an id lies outside ``[0, n_relations)``, or a
+        threshold is not finite; TypeError if a threshold is not a number."""
+        for name in ("per_relation", "fallback"):
+            if name not in doc:
+                raise ValueError(f"thresholds.{name} is missing")
         per_relation = doc["per_relation"]
         if not isinstance(per_relation, dict):
             raise ValueError("thresholds.per_relation must be a JSON object")
@@ -398,18 +401,21 @@ def _array_from_document(version: int, name: str, value, shape: tuple) -> np.nda
 
 def model_from_document(doc: dict) -> Kg2eModel:
     """The model a document of format 1 or 2 stores; ValueError if the
-    document is not a JSON object, a vocabulary term repeats, ``dim`` is
-    below 1, a parameter array is malformed (see ``_array_from_document``)
-    or not finite, a covariance lies outside ``[c_min, c_max]``,
-    ``thresholds`` or ``train_config`` is neither a JSON object nor null,
-    or ``ThresholdTable.from_document`` rejects the thresholds; TypeError if
-    ``dim`` is not an int, ``c_min`` or ``c_max`` not a number, or the
-    vocabulary not lists of strings."""
+    document is not a JSON object, lacks a required field (the message names
+    it), a vocabulary term repeats, ``dim`` is below 1, a parameter array is
+    malformed (see ``_array_from_document``) or not finite, a covariance lies
+    outside ``[c_min, c_max]``, ``thresholds`` or ``train_config`` is neither
+    a JSON object nor null, or ``ThresholdTable.from_document`` rejects the
+    thresholds; TypeError if ``dim`` is not an int, ``c_min`` or ``c_max`` not
+    a number, or the vocabulary not lists of strings."""
     if not isinstance(doc, dict):
         raise ValueError("the document must hold a JSON object")
     version = doc.get("format_version")
     if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format version {version!r}")
+    for name in ("dim", "c_min", "c_max", "score_kind", "entities", "relations", *PARAMETER_NAMES):
+        if name not in doc:
+            raise ValueError(f"{name} is missing")
     for name in ("train_config", "thresholds"):
         if doc.get(name) is not None and not isinstance(doc[name], dict):
             raise ValueError(f"{name} must be a JSON object or null")

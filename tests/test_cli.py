@@ -753,6 +753,19 @@ def test_malformed_model_is_a_config_error(tmp_path, capsys, desk_paths, command
     assert err == f"error: config: model file {bad} is malformed: {message}\n"
 
 
+@pytest.mark.parametrize("field", ["dim", "entity_covs", "thresholds.per_relation"])
+def test_model_missing_a_field_is_a_config_error_naming_it(tmp_path, capsys, desk_paths, field):
+    doc = json.loads(desk_paths["model"].read_text())
+    *parents, key = field.split(".")
+    del (doc[parents[0]] if parents else doc)[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = model_argv("evaluate", desk_paths, tmp_path)
+    rc, stdout, err = run(capsys, ["evaluate", "--model", str(bad), *argv])
+    assert rc == EXIT_CONFIG and stdout == ""
+    assert err == f"error: config: model file {bad} is malformed: {field} is missing\n"
+
+
 @pytest.mark.parametrize("command", ["evaluate", "predict", "translate", "verify"])
 @pytest.mark.parametrize(
     "token, message",

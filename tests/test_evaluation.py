@@ -18,7 +18,6 @@ from ikge.evaluation import (
     RIGHT,
     ClassificationMetrics,
     _filter_index,
-    _rank_ids,
     best_threshold,
     classify,
     evaluate,
@@ -30,7 +29,7 @@ from ikge.evaluation import (
     verdicts,
 )
 from ikge.model import ThresholdTable, init_model
-from ikge.rdf import Graph, Term, Triple, VocabError, build_vocab, parse
+from ikge.rdf import Graph, Term, Triple, Vocab, VocabError, build_vocab, parse
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +581,36 @@ def test_id_entry_points_reject_out_of_range_ids(row):
             evaluate_ranks(model, pos_ids, np.concatenate((pos_ids, bad)), filtered=filtered)
 
 
+def oracle_rank(model, h: int, r: int, t: int, side: str, index) -> float:
+    """One side of one id row ranked from its own score vector; ``index`` is
+    a filter index, empty for the raw protocol."""
+    if side == RIGHT:
+        scores = kg2e.score_candidates(model, h, r, t, position="tail")
+        return rank_from_scores(scores, t, index.get((RIGHT, h, r), ()))
+    scores = kg2e.score_candidates(model, h, r, t, position="head")
+    return rank_from_scores(scores, h, index.get((LEFT, r, t), ()))
+
+
+def oracle_rank_document(model, test, known, filtered: bool) -> dict:
+    """``evaluate_ranks(...).to_document()`` computed row by row, right side
+    then left side, each side scored on its own."""
+    index = _filter_index(known.tolist()) if filtered else {}
+    arr = np.array(
+        [oracle_rank(model, h, r, t, side, index) for h, r, t in test.tolist() for side in (RIGHT, LEFT)]
+    )
+    return {
+        "mean_rank": float(arr.mean()),
+        "hits": {str(p): float((arr <= p).mean()) for p in HITS_AT},
+        "side": "both",
+        "filtered": filtered,
+        "n_ranks": len(arr),
+    }
+
+
 def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split):
     # rank_triple indexes its known graph itself; each rank must equal the
-    # one evaluate_ranks takes from the index of the whole split
+    # per-row oracle over the index of the whole split, and all of them
+    # together the ranks that the grouped evaluate_ranks aggregates
     known = desk_split.full_graph()
     index = _filter_index(desk_model.vocab.known_ids(known))
     for filtered in (False, True):
@@ -593,7 +619,7 @@ def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split
             h, r, t = desk_model.vocab.triple_ids(triple)
             for side in (RIGHT, LEFT):
                 got = rank_triple(desk_model, triple, side, known, filtered=filtered)
-                assert got == _rank_ids(desk_model, h, r, t, side, index if filtered else {})
+                assert got == oracle_rank(desk_model, h, r, t, side, index if filtered else {})
                 ranks.append(got)
         arr = np.array(ranks)
         m = evaluate_ranks(
@@ -604,6 +630,55 @@ def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split
         assert m.n_ranks == len(ranks)
     raw = evaluate_ranks(desk_model, desk_split.test_ids, ids_of(desk_model, known))
     assert m.mean_rank < raw.mean_rank  # the filter removed candidates
+
+
+def test_evaluate_scores_each_distinct_query_once_per_protocol(monkeypatch, desk_model, desk_ikg, desk_split):
+    calls = []
+    score_candidates = kg2e.score_candidates
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return score_candidates(*args, **kwargs)
+
+    monkeypatch.setattr(kg2e, "score_candidates", counted)
+    evaluate(desk_model, desk_ikg)
+    rows = desk_split.test_ids.tolist()
+    distinct = len({(h, r) for h, r, _ in rows}) + len({(r, t) for _, r, t in rows})
+    assert distinct < 2 * len(rows)  # the desk test rows repeat queries
+    assert len(calls) == 2 * distinct  # raw, then filtered
+
+
+@st.composite
+def grouped_ranking_case(draw):
+    """A small model whose entity rows repeat (exact score ties), test rows
+    that share queries and repeat, and known rows that repeat and may lack
+    some test rows."""
+    n_e, n_r, dim = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    entities = [Term.iri(f"ex:e{i}") for i in range(n_e)]
+    relations = [Term.iri(f"ex:r{i}") for i in range(n_r)]
+    kind = draw(st.sampled_from([kg2e.KL_DIVERGENCE, kg2e.EXPECTED_LIKELIHOOD]))
+    model = init_model(Vocab(entities, relations), dim=dim, seed=draw(st.integers(0, 2**16)), score_kind=kind)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    model.covs[:] = rng.uniform(0.1, 2.0, size=model.covs.shape)
+    copies = draw(st.lists(st.integers(0, n_e - 1), min_size=n_e, max_size=n_e))
+    model.entity_means[:] = model.entity_means[copies]
+    model.entity_covs[:] = model.entity_covs[copies]
+    row = st.tuples(st.integers(0, n_e - 1), st.integers(0, n_r - 1), st.integers(0, n_e - 1))
+    test = draw(st.lists(row, min_size=1, max_size=12))
+    test += draw(st.lists(st.sampled_from(test), max_size=4))
+    keep = draw(st.lists(st.booleans(), min_size=len(test), max_size=len(test)))
+    kept = [t for t, k in zip(test, keep) if k]
+    known = kept + kept[: len(kept) // 2] + draw(st.lists(row, max_size=8))
+    return model, np.array(test), np.array(known, dtype=np.int64).reshape(-1, 3)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(grouped_ranking_case())
+def test_grouped_ranks_match_per_row_oracle(case):
+    model, test, known = case
+    for filtered in (False, True):
+        got = evaluate_ranks(model, test, known, filtered=filtered).to_document()
+        assert got == oracle_rank_document(model, test, known, filtered)
 
 
 def test_evaluate_needs_the_split_vocabulary_and_thresholds(desk_model, desk_ikg):

@@ -619,6 +619,25 @@ def test_model_from_document_rejects_non_object_thresholds(thresholds):
         model_from_document(doc)
 
 
+REQUIRED_FIELDS = [
+    "dim", "c_min", "c_max", "score_kind", "entities", "relations", *PARAMETER_NAMES,
+    "thresholds.per_relation", "thresholds.fallback",
+]
+
+
+@pytest.mark.parametrize("field", REQUIRED_FIELDS)
+def test_missing_required_field_is_named(tmp_path, field):
+    m = init_model(small_vocab(), dim=2, seed=0)
+    m.thresholds = ThresholdTable({0: 1.0}, fallback=0.5)
+    save_model(m, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text())
+    model_from_document(copy.deepcopy(doc))
+    *parents, key = field.split(".")
+    del (doc[parents[0]] if parents else doc)[key]
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} is missing$"):
+        model_from_document(doc)
+
+
 # Each case stores one number or vocabulary entry as another JSON type.
 WRONG_TYPED_FIELDS = {
     "padded-string-threshold": (
