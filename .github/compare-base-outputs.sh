@@ -5,9 +5,10 @@
 #
 # A change that means to alter an output adds a line "<file> <why>" to
 # intended-output-changes.txt. The files named on the lines that this tree's
-# list has and the base tree's list lacks must differ; every other file must
-# match. Lines the base already has name changes made before, so they expire
-# on their own once merged.
+# list has and the base tree's list lacks must differ or be written by one
+# run only; every other file must be written by both runs and match. Lines
+# the base already has name changes made before, so they expire on their own
+# once merged.
 #
 # Usage: compare-base-outputs.sh BASE_TREE WORK_DIR   (needs `ikge` on PATH)
 set -euo pipefail
@@ -23,9 +24,9 @@ intended="$(comm -23 <(entries "$here") <(entries "$base") | awk '{print $1}' | 
 
 status=0
 for f in $intended; do
-  if [ ! -f "$work/base/$f" ] || [ ! -f "$work/head/$f" ]; then
-    echo "named as changed, but not written by both runs: $f"; status=1
-  elif cmp -s "$work/base/$f" "$work/head/$f"; then
+  if [ ! -f "$work/base/$f" ] && [ ! -f "$work/head/$f" ]; then
+    echo "named as changed, but written by neither run: $f"; status=1
+  elif cmp -s "$work/base/$f" "$work/head/$f"; then  # fails if either is missing
     echo "named as changed, but identical: $f"; status=1
   else
     echo "changed, as named: $f"
@@ -33,10 +34,14 @@ for f in $intended; do
 done
 same=0
 while IFS= read -r f; do
-  if [ ! -f "$work/base/$f" ] || [ ! -f "$work/head/$f" ]; then
-    echo "written by one run only: $f"
-  elif ! grep -qxF "$f" <<<"$intended"; then
-    if cmp "$work/base/$f" "$work/head/$f"; then same=$((same + 1)); else status=1; fi
+  if grep -qxF "$f" <<<"$intended"; then
+    continue
+  elif [ ! -f "$work/base/$f" ] || [ ! -f "$work/head/$f" ]; then
+    echo "written by one run only: $f"; status=1
+  elif cmp "$work/base/$f" "$work/head/$f"; then
+    same=$((same + 1))
+  else
+    status=1
   fi
 done < <(cd "$work" && find base head -type f | cut -d/ -f2- | sort -u)
 echo "identical to the base: $same files"

@@ -148,8 +148,8 @@ class Kg2eModel:
         shapes = _parameter_shapes(vocab, dim)
         if score_kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {score_kind!r}")
-        if not 0 < c_min < c_max:
-            raise ValueError("covariance bounds must satisfy 0 < c_min < c_max")
+        if not 0 < c_min < c_max < np.inf:
+            raise ValueError("covariance bounds must be finite and satisfy 0 < c_min < c_max")
         given = (entity_means, entity_covs, relation_means, relation_covs)
         em, ec, rm, rc = (np.asarray(arr, dtype=np.float64) for arr in given)
         for (name, shape), arr in zip(shapes.items(), (em, ec, rm, rc)):

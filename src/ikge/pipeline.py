@@ -426,7 +426,6 @@ def complete_template(
     index = OntologyIndex(ikg)
     anchor_substitutions: dict[Term, Term] = {}
     resolutions: list[SlotResolution] = []
-    filled: list[Triple] = []
 
     for slot in template.slotted:
         triple = slot.triple
@@ -458,12 +457,10 @@ def complete_template(
         if chosen is None:
             raise UnresolvedSlotError(slot.slot_id, slot.role, k)
 
-        new_triple = _fill(slot, chosen.candidate)
-        filled.append(new_triple)
         resolution = SlotResolution(
             slot_id=slot.slot_id,
             role=slot.role,
-            triple=new_triple,
+            triple=_fill(slot, chosen.candidate),
             term=chosen.candidate,
             rank=chosen.rank,
             score=chosen.score,
@@ -476,7 +473,7 @@ def complete_template(
 
     return NetworkIntent(
         intent_id=template.intent_id,
-        triples=list(template.complete) + filled,
+        triples=list(template.complete) + [r.triple for r in resolutions],
         resolutions=resolutions,
         verified=None,
         prefixes=dict(template.prefixes),

@@ -34,12 +34,13 @@ that drawing, scoring and updating pair by pair would:
   and one gradient call on the rows of the active pairs. Both functions
   are elementwise with per-row reductions, so a row's value does not
   depend on the rows beside it.
-* Updates. Gradients are summed per touched row, its mean then its
-  covariance, with one ``np.bincount`` over compact slots, in the order
-  positive heads, positive tails, negative heads, negative tails, then
-  relations: bincount adds in input order from zero, so each row adds the
-  same terms in the same order. One RMS step reads and writes the touched
-  rows only; its two halves update those rows of the two tables.
+* Updates. Gradients are summed per touched row (the ids of nonzero
+  count, ascending), its mean then its covariance, with one ``np.bincount``
+  in the order positive heads, positive tails, negative heads, negative
+  tails, then relations: bincount adds in input order from zero, so each
+  row adds the same terms in the same order. One RMS step reads and writes
+  the touched rows only, each on its own, so their order does not matter;
+  its two halves update those rows of the two tables.
 * Constraints. Each batch constrains the rows it updated, and the first
   batch then the whole model. The rule acts on each row alone and is
   idempotent, so a row no batch has updated since the whole-table
@@ -50,6 +51,7 @@ that drawing, scoring and updating pair by pair would:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -101,7 +103,8 @@ class TrainConfig:
         for name in ("epochs", "negatives_per_positive", "batch_size", "seed"):
             kg2e.require_number(name, getattr(self, name), integer=True)
         for name in ("learning_rate", "rms_decay", "rms_epsilon", "margin"):
-            kg2e.require_number(name, getattr(self, name))
+            if not math.isfinite(kg2e.require_number(name, getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.learning_rate <= 0:
@@ -408,24 +411,17 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
     grad_fn = kg2e._GRAD_FNS[model.score_kind]
     score_fn = kg2e._SCORE_FNS[model.score_kind]
     lr, rho, eps = config.learning_rate, config.rms_decay, config.rms_epsilon
-    # The RMS state of each row, its mean and then its covariance; and each
-    # row's slot in a batch's accumulator. A slot is read only where the
-    # same batch wrote it, so it is never reset.
+    # The RMS state of each row, its mean and then its covariance.
     width = 2 * dim
     state = np.zeros((len(means), width))
-    slot = np.empty(len(means), dtype=np.intp)
-    positions = np.arange(5 * batch_rows)
     columns = np.arange(width)
 
     def update(ids, grads, b):
-        """Sum ``grads`` per row of ``ids`` in order, then take the RMS step
-        on the touched rows and constrain them. A function so that its
-        temporaries are freed before the next batch allocates its own."""
-        own = positions[: len(ids)]
-        slot[ids] = own
-        touched = ids[slot[ids] == own]
-        slot[touched] = own[: len(touched)]
-        flat = (slot[ids] * width)[:, None] + columns
+        """Sum ``grads`` per distinct row of ``ids``, in input order, at the
+        row's rank among them; take the RMS step on those rows and constrain
+        them. A function so that its temporaries are freed batch by batch."""
+        touched = np.flatnonzero(np.bincount(ids))
+        flat = (np.searchsorted(touched, ids) * width)[:, None] + columns
         g = np.bincount(flat.ravel(), weights=grads.ravel()).reshape(-1, width) / b
         s = rho * state[touched] + (1.0 - rho) * g * g
         state[touched] = s

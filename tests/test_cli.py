@@ -410,10 +410,16 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys, desk_paths):
         ({"split": ["0.8", "0.1", "0.1"]}, "split must be three numbers, not ['0.8', '0.1', '0.1']"),
         ({"split": "abc"}, "split must be three numbers, not 'abc'"),
         ({"seed": -1}, "seed must be non-negative"),
+        # Python's json reads NaN and Infinity.
+        ({"learning_rate": float("nan")}, "learning_rate must be finite"),
+        ({"rms_decay": float("-inf")}, "rms_decay must be finite"),
+        ({"rms_epsilon": float("inf")}, "rms_epsilon must be finite"),
+        ({"margin": float("nan")}, "margin must be finite"),
     ],
     ids=[
         "float-epochs", "float-batch", "float-negatives", "string-seed", "string-rate",
         "bool-epochs", "string-fractions", "string-split", "negative-seed",
+        "nan-rate", "minus-inf-decay", "inf-epsilon", "nan-margin",
     ],
 )
 def test_train_rejects_wrong_typed_config_fields(tmp_path, capsys, monkeypatch, desk_paths, doc, message):
@@ -917,6 +923,44 @@ def test_negative_stored_seed_is_a_malformed_training_config(tmp_path, capsys, d
     assert rc == EXIT_CONFIG
     assert err == "error: config: stored training config is malformed: seed must be non-negative\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "margin"])
+def test_non_finite_stored_config_number_is_a_malformed_training_config(
+    tmp_path, capsys, desk_paths, name
+):
+    doc = json.loads(desk_paths["model"].read_text())
+    doc["train_config"][name] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "e.json"
+    rc, _, err = run(
+        capsys,
+        ["evaluate", "--ikg", str(desk_paths["ikg"]), "--model", str(bad), "--out", str(out)],
+    )
+    assert rc == EXIT_CONFIG
+    assert err == f"error: config: stored training config is malformed: {name} must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify"])
+@pytest.mark.parametrize(
+    "bound, value", [("c_max", float("inf")), ("c_max", float("nan")), ("c_min", float("nan"))]
+)
+def test_non_finite_covariance_bound_is_a_config_error(
+    tmp_path, capsys, desk_paths, command, bound, value
+):
+    doc = json.loads(desk_paths["model"].read_text())
+    doc[bound] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = model_argv(command, desk_paths, tmp_path)
+    rc, stdout, err = run(capsys, [command, "--model", str(bad), *argv])
+    assert rc == EXIT_CONFIG and stdout == ""
+    assert err == (
+        f"error: config: model file {bad} is malformed: "
+        "covariance bounds must be finite and satisfy 0 < c_min < c_max\n"
+    )
 
 
 def test_evaluate_malformed_ikg(tmp_path, capsys, desk_paths):

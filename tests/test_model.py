@@ -189,6 +189,25 @@ def test_init_model_validation():
         Kg2eModel(v, 4, *params, c_min=2.0, c_max=1.0)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"c_max": math.inf},
+        {"c_max": math.nan},
+        {"c_min": math.nan},
+        {"c_min": math.inf, "c_max": math.inf},
+        {"c_min": -math.inf},
+    ],
+    ids=["inf-c-max", "nan-c-max", "nan-c-min", "inf-both", "minus-inf-c-min"],
+)
+def test_model_rejects_non_finite_covariance_bounds(bounds):
+    v = small_vocab()
+    params = (np.zeros((4, 4)), np.ones((4, 4)), np.zeros((2, 4)), np.ones((2, 4)))
+    with pytest.raises(ValueError) as info:
+        Kg2eModel(v, 4, *params, **bounds)
+    assert str(info.value) == "covariance bounds must be finite and satisfy 0 < c_min < c_max"
+
+
 # ---------------------------------------------------------------------------
 # parameter tables
 

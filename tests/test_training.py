@@ -91,6 +91,15 @@ def test_train_config_rejects_wrong_types(kwargs, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("name", ["learning_rate", "rms_decay", "rms_epsilon", "margin"])
+def test_train_config_rejects_non_finite_floats(name, value):
+    # Python's json reads NaN and Infinity, so a config file can hold them.
+    with pytest.raises(ValueError) as info:
+        TrainConfig.from_document({name: value})
+    assert str(info.value) == f"{name} must be finite"
+
+
 def test_train_config_accepts_an_int_for_a_float_field():
     assert TrainConfig(learning_rate=1, margin=0).to_document()["learning_rate"] == 1
 
