@@ -14,9 +14,9 @@ Gradients are analytic; constraints keep mean norms at most 1 and clamp
 covariance diagonals into [c_min, c_max].
 
 The model owns the parameter layout: two tables, ``means`` and ``covs``,
-entity rows then relation rows, which scoring indexes and training updates
-in place. The four arrays a model file and the constructor name are views
-of their row blocks.
+entity rows then relation rows, which the constructor takes, scoring indexes
+and training updates in place; ``dim`` is their width. The four arrays a
+model file names are views of their row blocks.
 
 A model may carry a :class:`ThresholdTable`: a triple is valid iff its
 score reaches its relation's threshold. ``evaluation`` chooses and applies
@@ -37,6 +37,7 @@ from __future__ import annotations
 import base64
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,9 +67,12 @@ def is_number(value, integer: bool = False) -> bool:
 
 
 def require_number(name: str, value, integer: bool = False):
-    """``value`` itself if :func:`is_number`; TypeError naming ``name`` otherwise."""
+    """``value`` itself if :func:`is_number`; TypeError naming ``name`` otherwise,
+    or ValueError if a number that need not be an int is an int no float holds."""
     if not is_number(value, integer):
         raise TypeError(f"{name} must be {'an integer' if integer else 'a number'}, not {value!r}")
+    if not integer and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} lies beyond the float range")
     return value
 
 
@@ -124,40 +128,39 @@ class Kg2eModel:
     """Embedding tables plus scoring configuration.
 
     ``means`` and ``covs`` are C-contiguous float64 tables, a row per entity
-    and then per relation (relation r at ``n_entities + r``), into which the
-    constructor copies the four arrays after checking ``dim`` and their
-    shapes; read-only properties of their names give the row-block views.
-    ``thresholds`` is an optional :class:`ThresholdTable`; ``train_config``
-    keeps the training config document for reproducible downstream splits.
+    and then per relation (relation r at ``n_entities + r``), copied from the
+    two tables given; ``dim`` is their width. Read-only properties named
+    after the stored arrays give the row-block views. ``thresholds`` is an
+    optional :class:`ThresholdTable`; ``train_config`` keeps the training
+    config document for reproducible downstream splits.
     """
 
     def __init__(
         self,
         vocab: Vocab,
-        dim: int,
-        entity_means: np.ndarray,
-        entity_covs: np.ndarray,
-        relation_means: np.ndarray,
-        relation_covs: np.ndarray,
+        means: np.ndarray,
+        covs: np.ndarray,
         c_min: float = DEFAULT_C_MIN,
         c_max: float = DEFAULT_C_MAX,
         score_kind: str = KL_DIVERGENCE,
         thresholds=None,
         train_config: dict | None = None,
     ):
-        shapes = _parameter_shapes(vocab, dim)
+        means, covs = (np.array(t, dtype=np.float64, order="C") for t in (means, covs))
+        rows = vocab.n_entities + vocab.n_relations
+        if means.ndim != 2 or len(means) != rows:
+            raise ValueError(f"means has shape {means.shape}, expected ({rows}, dim)")
+        if covs.shape != means.shape:
+            raise ValueError(f"covs has shape {covs.shape}, expected {means.shape}")
+        if means.shape[1] < 1:
+            raise ValueError("dim must be at least 1")
         if score_kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {score_kind!r}")
         if not 0 < c_min < c_max < np.inf:
             raise ValueError("covariance bounds must be finite and satisfy 0 < c_min < c_max")
-        given = (entity_means, entity_covs, relation_means, relation_covs)
-        em, ec, rm, rc = (np.asarray(arr, dtype=np.float64) for arr in given)
-        for (name, shape), arr in zip(shapes.items(), (em, ec, rm, rc)):
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
         self.vocab = vocab
-        self.dim = int(dim)
-        self.means, self.covs = np.concatenate((em, rm)), np.concatenate((ec, rc))
+        self.dim = means.shape[1]
+        self.means, self.covs = means, covs
         self.c_min = float(c_min)
         self.c_max = float(c_max)
         self.score_kind = score_kind
@@ -170,20 +173,6 @@ class Kg2eModel:
     entity_covs = property(lambda self: self.covs[: self.vocab.n_entities])
     relation_means = property(lambda self: self.means[self.vocab.n_entities :])
     relation_covs = property(lambda self: self.covs[self.vocab.n_entities :])
-
-
-def _parameter_shapes(vocab: Vocab, dim) -> dict[str, tuple]:
-    """The shape of each parameter array, keyed by its name; ValueError if
-    ``dim`` is below 1, before any array of that shape is made or read."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    n_entities, n_relations = vocab.n_entities, vocab.n_relations
-    return {
-        "entity_means": (n_entities, dim),
-        "entity_covs": (n_entities, dim),
-        "relation_means": (n_relations, dim),
-        "relation_covs": (n_relations, dim),
-    }
 
 
 def init_model(
@@ -200,13 +189,12 @@ def init_model(
     """
     if vocab.n_entities == 0 or vocab.n_relations == 0:
         raise ValueError("vocabulary must contain at least one entity and one relation")
-    # Built before any array, so that its check of ``dim`` comes first.
-    shapes = _parameter_shapes(vocab, dim).values()
-    model = Kg2eModel(vocab, dim, *map(np.ones, shapes), score_kind=score_kind)
+    if dim < 1:  # before any array of that width is drawn
+        raise ValueError("dim must be at least 1")
+    shape = (vocab.n_entities + vocab.n_relations, dim)
     bound = 6.0 / np.sqrt(dim)
-    model.means[...] = np.random.default_rng(seed).uniform(-bound, bound, model.means.shape)
-    apply_constraints(model)
-    return model
+    means = np.random.default_rng(seed).uniform(-bound, bound, shape)
+    return apply_constraints(Kg2eModel(vocab, means, np.ones(shape), score_kind=score_kind))
 
 
 def _el_scores(mh, ch, mr, cr, mt, ct) -> np.ndarray:
@@ -367,15 +355,23 @@ def _array_document(arr: np.ndarray) -> dict:
 
 
 def _array_from_document(version: int, name: str, value, shape: tuple) -> np.ndarray:
-    """One stored parameter array, which ``Kg2eModel`` copies into its tables.
+    """One stored parameter array of the given ``shape``; every refusal names it.
 
-    Format 1 stores nested lists, whose shape ``Kg2eModel`` checks. Format 2
-    stores ``{"shape", "f64le"}``; ValueError if the shape is not two
-    non-negative ints equal to ``shape``, ``f64le`` is not valid base64, or
-    its byte length does not match the shape.
+    Format 1 stores equal-length lists of numbers (``require_number`` checks
+    each). Format 2 stores ``{"shape", "f64le"}``; ValueError if the shape is
+    not two non-negative ints, either format's shape differs from ``shape``,
+    ``f64le`` is not valid base64, or its byte length does not match.
     """
     if version == 1:
-        return np.array(value, dtype=np.float64)
+        for i, row in enumerate(value if isinstance(value, list) else [value]):
+            if not isinstance(row, list) or len(row) != len(value[0]):
+                raise ValueError(f"{name} must be a list of equal-length lists of numbers")
+            for j in (j for j, x in enumerate(row) if type(x) is not float):  # a float passes
+                require_number(f"{name}[{i}][{j}]", row[j])
+        arr = np.array(value, dtype=np.float64)
+        if arr.shape != shape:
+            raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+        return arr
     if not isinstance(value, dict) or not {"shape", "f64le"} <= value.keys():
         raise ValueError(f"{name} must be a JSON object with shape and f64le")
     stored, data = value["shape"], value["f64le"]
@@ -407,7 +403,7 @@ def model_from_document(doc: dict) -> Kg2eModel:
     outside ``[c_min, c_max]``, ``thresholds`` or ``train_config`` is neither
     a JSON object nor null, or ``ThresholdTable.from_document`` rejects the
     thresholds; TypeError if ``dim`` is not an int, ``c_min`` or ``c_max`` not
-    a number, or the vocabulary not lists of strings."""
+    a number (see ``require_number``), or the vocabulary not lists of strings."""
     if not isinstance(doc, dict):
         raise ValueError("the document must hold a JSON object")
     version = doc.get("format_version")
@@ -428,11 +424,14 @@ def model_from_document(doc: dict) -> Kg2eModel:
     if thresholds is not None:
         thresholds = ThresholdTable.from_document(thresholds, vocab.n_relations)
     dim = require_number("dim", doc["dim"], integer=True)
-    shapes = _parameter_shapes(vocab, dim)  # checks dim before any array is read
+    if dim < 1:  # before any array is read
+        raise ValueError("dim must be at least 1")
+    rows = dict(zip(PARAMETER_NAMES, [vocab.n_entities] * 2 + [vocab.n_relations] * 2))
+    em, ec, rm, rc = (_array_from_document(version, n, doc[n], (rows[n], dim)) for n in rows)
     model = Kg2eModel(
         vocab,
-        dim,
-        *(_array_from_document(version, name, doc[name], shape) for name, shape in shapes.items()),
+        np.concatenate((em, rm)),
+        np.concatenate((ec, rc)),
         c_min=require_number("c_min", doc["c_min"]),
         c_max=require_number("c_max", doc["c_max"]),
         score_kind=doc["score_kind"],

@@ -67,13 +67,15 @@ _LOW32 = _WORD32 - 1
 
 # Draws per negative before the last one is accepted even if it is known.
 MAX_ATTEMPTS = 100
+CONVERGENCE_REL_TOL = 1e-3
+CONVERGENCE_PATIENCE = 3
 
 
 def _split_fractions(fractions) -> tuple[float, float, float]:
     """Train/valid/test fractions as floats: three in (0, 1) summing to 1."""
     if not isinstance(fractions, (list, tuple)) or not all(map(kg2e.is_number, fractions)):
         raise TypeError(f"split must be three numbers, not {fractions!r}")
-    fractions = tuple(float(f) for f in fractions)
+    fractions = tuple(float(kg2e.require_number("split", f)) for f in fractions)
     if len(fractions) != 3 or any(not 0.0 < f < 1.0 for f in fractions):
         raise ValueError("split must be three fractions in (0, 1)")
     if abs(sum(fractions) - 1.0) > 1e-9:
@@ -363,12 +365,10 @@ def sample_negative(
     return Triple(vocab.entities[nh], positive.relation, vocab.entities[nt])
 
 
-def convergence_epoch(
-    epoch_losses, rel_tol: float = 1e-3, patience: int = 3
-) -> int | None:
-    """First 1-based epoch ending a run of ``patience`` consecutive epochs
-    whose relative improvement over the best loss so far stayed below
-    ``rel_tol``, or None if the loss keeps improving.
+def convergence_epoch(epoch_losses) -> int | None:
+    """First 1-based epoch ending a run of ``CONVERGENCE_PATIENCE`` consecutive
+    epochs whose relative improvement over the best loss so far stayed below
+    ``CONVERGENCE_REL_TOL``, or None if the loss keeps improving.
 
     Improvement is measured against the running best rather than the
     previous epoch so plateau noise cannot mask convergence.
@@ -379,9 +379,9 @@ def convergence_epoch(
     streak = 0
     for e in range(1, len(epoch_losses)):
         improvement = (best - epoch_losses[e]) / max(abs(best), 1e-12)
-        streak = streak + 1 if improvement < rel_tol else 0
+        streak = streak + 1 if improvement < CONVERGENCE_REL_TOL else 0
         best = min(best, epoch_losses[e])
-        if streak >= patience:
+        if streak >= CONVERGENCE_PATIENCE:
             return e + 1
     return None
 

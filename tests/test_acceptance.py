@@ -70,11 +70,8 @@ def triple_model(h, r, t, score_kind=KL_DIVERGENCE):
     """A model whose triple (0, 0, 1) has the ``(mean, cov)`` rows h, r, t."""
     return Kg2eModel(
         TRIPLE_VOCAB,
-        len(h[0]),
-        np.stack([h[0], t[0]]),
-        np.stack([h[1], t[1]]),
-        r[0][None],
-        r[1][None],
+        np.concatenate((np.stack([h[0], t[0]]), r[0][None])),
+        np.concatenate((np.stack([h[1], t[1]]), r[1][None])),
         score_kind=score_kind,
     )
 

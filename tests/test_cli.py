@@ -415,11 +415,17 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys, desk_paths):
         ({"rms_decay": float("-inf")}, "rms_decay must be finite"),
         ({"rms_epsilon": float("inf")}, "rms_epsilon must be finite"),
         ({"margin": float("nan")}, "margin must be finite"),
+        ({"learning_rate": 10**400}, "learning_rate lies beyond the float range"),
+        ({"rms_decay": -(10**400)}, "rms_decay lies beyond the float range"),
+        ({"rms_epsilon": 10**400}, "rms_epsilon lies beyond the float range"),
+        ({"margin": 10**400}, "margin lies beyond the float range"),
+        ({"split": [0.5, 10**400, 0.5]}, "split lies beyond the float range"),
     ],
     ids=[
         "float-epochs", "float-batch", "float-negatives", "string-seed", "string-rate",
         "bool-epochs", "string-fractions", "string-split", "negative-seed",
         "nan-rate", "minus-inf-decay", "inf-epsilon", "nan-margin",
+        "huge-rate", "huge-decay", "huge-epsilon", "huge-margin", "huge-split",
     ],
 )
 def test_train_rejects_wrong_typed_config_fields(tmp_path, capsys, monkeypatch, desk_paths, doc, message):
@@ -666,6 +672,35 @@ def test_malformed_v2_array_is_a_config_error(
     assert err.startswith(f"error: config: model file {bad} is malformed: {message}")
 
 
+# Each case edits the format-1 entity_means of the desk model.
+V1_ARRAY_DEFECTS = {
+    "true": (lambda a: a[0].__setitem__(0, True), "entity_means[0][0] must be a number, not True"),
+    "string": (lambda a: a[0].__setitem__(0, "0.5"),
+               "entity_means[0][0] must be a number, not '0.5'"),
+    "huge-int": (lambda a: a[2].__setitem__(1, 10**400),
+                 "entity_means[2][1] lies beyond the float range"),
+    "ragged": (lambda a: a[3].pop(), "entity_means must be a list of equal-length lists of numbers"),
+    "not-a-list": (lambda a: a.__setitem__(1, 0.5),
+                   "entity_means must be a list of equal-length lists of numbers"),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify"])
+@pytest.mark.parametrize("case", V1_ARRAY_DEFECTS)
+def test_malformed_v1_array_is_a_config_error_naming_it(
+    tmp_path, capsys, desk_paths, v1_document, command, case
+):
+    edit, message = V1_ARRAY_DEFECTS[case]
+    doc = v1_document(load_model(desk_paths["model"]))
+    edit(doc["entity_means"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = model_argv(command, desk_paths, tmp_path)
+    rc, stdout, err = run(capsys, [command, "--model", str(bad), *argv])
+    assert rc == EXIT_CONFIG and stdout == ""
+    assert err == f"error: config: model file {bad} is malformed: {message}\n"
+
+
 def test_v1_model_file_writes_the_same_outputs(tmp_path, capsys, desk_paths, v1_document):
     v1 = tmp_path / "v1.json"
     with open(v1, "w", encoding="utf-8") as fh:
@@ -704,11 +739,13 @@ def test_v1_model_file_writes_the_same_outputs(tmp_path, capsys, desk_paths, v1_
         ("1.5", 0.0, "thresholds key '1.5' is not a relation id in canonical form"),
         (None, [], "thresholds must be a JSON object or null"),
         (None, "x", "thresholds must be a JSON object or null"),
+        ("fallback", 10**400, "thresholds.fallback lies beyond the float range"),
+        ("0", -(10**400), "thresholds.per_relation['0'] lies beyond the float range"),
     ],
     ids=[
         "nan-fallback", "nan-relation", "unknown-relation", "list-per-relation",
         "leading-zero", "underscore", "space", "plus", "letters", "decimal",
-        "list-thresholds", "string-thresholds",
+        "list-thresholds", "string-thresholds", "huge-fallback", "huge-relation",
     ],
 )
 def test_bad_thresholds_are_a_config_error(
@@ -925,12 +962,17 @@ def test_negative_stored_seed_is_a_malformed_training_config(tmp_path, capsys, d
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "value, problem",
+    [(float("nan"), "must be finite"), (10**400, "lies beyond the float range")],
+    ids=["nan", "huge-int"],
+)
 @pytest.mark.parametrize("name", ["learning_rate", "margin"])
 def test_non_finite_stored_config_number_is_a_malformed_training_config(
-    tmp_path, capsys, desk_paths, name
+    tmp_path, capsys, desk_paths, name, value, problem
 ):
     doc = json.loads(desk_paths["model"].read_text())
-    doc["train_config"][name] = float("nan")
+    doc["train_config"][name] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     out = tmp_path / "e.json"
@@ -939,8 +981,27 @@ def test_non_finite_stored_config_number_is_a_malformed_training_config(
         ["evaluate", "--ikg", str(desk_paths["ikg"]), "--model", str(bad), "--out", str(out)],
     )
     assert rc == EXIT_CONFIG
-    assert err == f"error: config: stored training config is malformed: {name} must be finite\n"
+    assert err == f"error: config: stored training config is malformed: {name} {problem}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify"])
+@pytest.mark.parametrize(
+    "bound, value",
+    [("c_min", 10**400), ("c_max", 10**400), ("c_max", -(10**400))],
+    ids=["c-min", "c-max", "minus-c-max"],
+)
+def test_covariance_bound_beyond_the_float_range_is_a_config_error(
+    tmp_path, capsys, desk_paths, command, bound, value
+):
+    doc = json.loads(desk_paths["model"].read_text())
+    doc[bound] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = model_argv(command, desk_paths, tmp_path)
+    rc, stdout, err = run(capsys, [command, "--model", str(bad), *argv])
+    assert rc == EXIT_CONFIG and stdout == ""
+    assert err == f"error: config: model file {bad} is malformed: {bound} lies beyond the float range\n"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "verify"])

@@ -7,6 +7,7 @@ import copy
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ikge.model import (
     load_model,
     model_from_document,
     model_to_document,
+    require_number,
     save_model,
     score,
     score_candidates,
@@ -58,11 +60,8 @@ def triple_model(h, r, t, score_kind: str = KL_DIVERGENCE) -> Kg2eModel:
     ``(mean, cov)`` rows h, r, t."""
     return Kg2eModel(
         small_vocab(2, 1),
-        len(h[0]),
-        np.stack([h[0], t[0]]),
-        np.stack([h[1], t[1]]),
-        r[0][None],
-        r[1][None],
+        np.concatenate((np.stack([h[0], t[0]]), r[0][None])),
+        np.concatenate((np.stack([h[1], t[1]]), r[1][None])),
         score_kind=score_kind,
     )
 
@@ -179,14 +178,11 @@ def test_init_model_validation():
         init_model(v, dim=-1, seed=0)
     with pytest.raises(ValueError):
         init_model(v, dim=4, seed=0, score_kind="nope")
-    empty = (np.zeros((4, 0)), np.ones((4, 0)), np.zeros((2, 0)), np.ones((2, 0)))
-    with pytest.raises(ValueError, match="^dim must be at least 1$"):
-        Kg2eModel(v, 0, *empty)
-    params = (np.zeros((4, 4)), np.ones((4, 4)), np.zeros((2, 4)), np.ones((2, 4)))
+    params = (np.zeros((6, 4)), np.ones((6, 4)))  # 4 entity rows, then 2 relation rows
     with pytest.raises(ValueError, match="covariance bounds"):
-        Kg2eModel(v, 4, *params, c_min=0.0)
+        Kg2eModel(v, *params, c_min=0.0)
     with pytest.raises(ValueError, match="covariance bounds"):
-        Kg2eModel(v, 4, *params, c_min=2.0, c_max=1.0)
+        Kg2eModel(v, *params, c_min=2.0, c_max=1.0)
 
 
 @pytest.mark.parametrize(
@@ -202,9 +198,9 @@ def test_init_model_validation():
 )
 def test_model_rejects_non_finite_covariance_bounds(bounds):
     v = small_vocab()
-    params = (np.zeros((4, 4)), np.ones((4, 4)), np.zeros((2, 4)), np.ones((2, 4)))
+    params = (np.zeros((6, 4)), np.ones((6, 4)))  # 4 entity rows, then 2 relation rows
     with pytest.raises(ValueError) as info:
-        Kg2eModel(v, 4, *params, **bounds)
+        Kg2eModel(v, *params, **bounds)
     assert str(info.value) == "covariance bounds must be finite and satisfy 0 < c_min < c_max"
 
 
@@ -215,7 +211,10 @@ def test_model_rejects_non_finite_covariance_bounds(bounds):
 def test_model_keeps_two_tables_and_the_named_arrays_view_them():
     rng = np.random.default_rng(0)
     given = [rng.uniform(0.1, 1.0, shape) for shape in ((4, 3), (4, 3), (2, 3), (2, 3))]
-    m = Kg2eModel(small_vocab(4, 2), 3, *given)
+    m = Kg2eModel(
+        small_vocab(4, 2), np.concatenate((given[0], given[2])), np.concatenate((given[1], given[3]))
+    )
+    assert m.dim == m.means.shape[1] == 3
     for table in (m.means, m.covs):
         assert table.shape == (6, 3) and table.dtype == np.float64
         assert table.flags.c_contiguous and table.flags.owndata and table.flags.writeable
@@ -233,15 +232,22 @@ def test_model_keeps_two_tables_and_the_named_arrays_view_them():
 
 def test_model_does_not_alias_the_callers_arrays():
     table = np.arange(18, dtype=np.float64).reshape(6, 3)
-    given = [table[:4], table[:4] + 1.0, table[4:], np.ones((2, 3), dtype=np.float32)]
-    m = Kg2eModel(small_vocab(4, 2), 3, *given)
-    assert not any(np.shares_memory(a, t) for a in (table, *given) for t in (m.means, m.covs))
+    covs = np.ones((6, 3), dtype=np.float32)
+    m = Kg2eModel(small_vocab(4, 2), table, covs)
+    assert not any(np.shares_memory(a, t) for a in (table, covs) for t in (m.means, m.covs))
     saved = table.copy(), m.means.copy(), m.covs.copy()
     m.means += 1.0
     assert np.array_equal(table, saved[0])
     table[:] = -1.0
-    given[3][:] = 2.0
+    covs[:] = 2.0
     assert np.array_equal(m.means, saved[1] + 1.0) and np.array_equal(m.covs, saved[2])
+
+
+def test_model_copies_a_table_that_is_not_c_contiguous():
+    means = np.asfortranarray(np.arange(18, dtype=np.float64).reshape(6, 3))
+    m = Kg2eModel(small_vocab(4, 2), means, np.ones((6, 3))[::-1])
+    assert m.means.flags.c_contiguous and m.covs.flags.c_contiguous
+    assert np.array_equal(m.means, means)
 
 
 @pytest.mark.parametrize("name", PARAMETER_NAMES)
@@ -253,17 +259,25 @@ def test_named_arrays_cannot_be_rebound(name):
         delattr(m, name)
 
 
-@pytest.mark.parametrize("index", range(4))
-@pytest.mark.parametrize("shape", [(5, 3), (4, 2), (3,)])
-def test_constructor_names_the_array_of_a_wrong_shape(index, shape):
-    # Rows are counted from the array's own table: 4 entities, 2 relations.
-    shape = (shape[0] - 2 * (index >= 2), *shape[1:])
-    params = [np.zeros((4, 3)), np.ones((4, 3)), np.zeros((2, 3)), np.ones((2, 3))]
-    expected = params[index].shape
-    params[index] = np.ones(shape)
-    message = f"^{PARAMETER_NAMES[index]} has shape {re.escape(str(shape))}, expected {re.escape(str(expected))}$"
-    with pytest.raises(ValueError, match=message):
-        Kg2eModel(small_vocab(4, 2), 3, *params)
+@pytest.mark.parametrize(
+    "means_shape, covs_shape, message",
+    [
+        ((5, 3), (5, 3), r"means has shape \(5, 3\), expected \(6, dim\)"),
+        ((7, 3), (7, 3), r"means has shape \(7, 3\), expected \(6, dim\)"),
+        ((6,), (6,), r"means has shape \(6,\), expected \(6, dim\)"),
+        ((6, 3, 1), (6, 3, 1), r"means has shape \(6, 3, 1\), expected \(6, dim\)"),
+        ((6, 3), (6, 2), r"covs has shape \(6, 2\), expected \(6, 3\)"),
+        ((6, 3), (5, 3), r"covs has shape \(5, 3\), expected \(6, 3\)"),
+        ((6, 3), (6, 3, 1), r"covs has shape \(6, 3, 1\), expected \(6, 3\)"),
+        ((6, 0), (6, 0), "dim must be at least 1"),
+    ],
+    ids=["too-few-rows", "too-many-rows", "one-axis", "three-axes", "covs-width",
+         "covs-rows", "covs-three-axes", "zero-width"],
+)
+def test_constructor_refuses_tables_of_a_wrong_shape(means_shape, covs_shape, message):
+    # 4 entities and 2 relations: each table needs 6 rows.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Kg2eModel(small_vocab(4, 2), np.zeros(means_shape), np.ones(covs_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +617,22 @@ def test_v2_document_rejects_malformed_arrays(case):
 
 
 @pytest.mark.parametrize(
+    "name, edit, shown",
+    [
+        ("entity_means", lambda a: a.pop(), "(3, 1), expected (4, 1)"),
+        ("relation_covs", lambda a: [row.append(1.0) for row in a], "(2, 2), expected (2, 1)"),
+        ("entity_covs", lambda a: a.clear(), "(0,), expected (4, 1)"),
+    ],
+    ids=["missing-row", "wide-rows", "empty"],
+)
+def test_v1_document_names_an_array_of_a_wrong_shape(v1_document, name, edit, shown):
+    doc = v1_document(init_model(small_vocab(), dim=1, seed=0))
+    edit(doc[name])
+    with pytest.raises(ValueError, match=f"^{name} has shape {re.escape(shown)}$"):
+        model_from_document(doc)
+
+
+@pytest.mark.parametrize(
     "per_relation,fallback,message",
     [
         ({"0": 1.0}, math.nan, "thresholds hold a non-finite value"),
@@ -693,6 +723,15 @@ def test_stored_fields_must_hold_their_json_type(v1_document, version, case):
     edit(doc)
     with pytest.raises(TypeError, match=f"^{message}$"):
         model_from_document(doc)
+
+
+def test_require_number_refuses_an_int_no_float_holds():
+    largest = int(sys.float_info.max)
+    assert require_number("x", largest) == largest and require_number("x", -largest) == -largest
+    for value in (largest + 2**970, -(10**400)):
+        with pytest.raises(ValueError, match="^x lies beyond the float range$"):
+            require_number("x", value)
+    assert require_number("n", 10**400, integer=True) == 10**400
 
 
 @pytest.mark.parametrize("version", [1, 2])

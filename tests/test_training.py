@@ -621,10 +621,12 @@ def test_convergence_epoch_cases():
     # zigzag around a plateau: the running best never improves enough
     assert convergence_epoch([10.0, 10.001, 9.9995, 10.0005, 9.9998]) == 4
     assert convergence_epoch([10.0, 5.0, 5.0, 5.0, 5.0]) == 5
-    assert convergence_epoch([1.0, 1.0], patience=1) == 2
-    assert convergence_epoch([4.0, 2.0, 1.9, 1.81], rel_tol=0.1) is None
-    assert convergence_epoch([4.0, 2.0, 1.9, 1.81], rel_tol=0.1, patience=2) == 4
-    assert convergence_epoch([4.0, 2.0, 1.9, 1.81, 1.75], rel_tol=0.1) == 5
+    assert convergence_epoch([1.0, 1.0, 1.0, 1.0, 1.0]) == 4  # the first epoch ending the run
+    # improvements below CONVERGENCE_REL_TOL (1e-3) count as stalled
+    assert convergence_epoch([4.0, 2.0, 1.999, 1.998]) is None
+    assert convergence_epoch([4.0, 2.0, 1.999, 1.998, 1.997]) == 5
+    # one improvement above it restarts the run
+    assert convergence_epoch([4.0, 2.0, 1.999, 1.998, 1.9, 1.899, 1.898, 1.897]) == 8
 
 
 # ---------------------------------------------------------------------------
