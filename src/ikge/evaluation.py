@@ -9,11 +9,12 @@ converts its own.
 Ranking scores every entity as a replacement for the missing side of a
 test triple and reports the rank of the true entity, averaging positions
 over exact score ties; each distinct query, ``(h, r, ?)`` or ``(?, r, t)``,
-is scored once per protocol for all the test rows that ask it. The filtered
-protocol drops the query's other known completions (never the true entity
-itself): the ids that a filter index, built once per ranking run, lists
-under ``(h, r)`` (tails) or ``(r, t)`` (heads). ``rank_triple`` indexes its
-known graph the same way, skipping triples outside the model vocabulary.
+is scored once for all the test rows that ask it, and both protocols rank
+from that one score vector. The filtered protocol drops the query's other
+known completions (never the true entity itself): the ids that a filter
+index, built once per ranking run, lists under ``(h, r)`` (tails) or
+``(r, t)`` (heads). ``rank_triple`` indexes its known graph the same way,
+skipping triples outside the model vocabulary.
 Classification applies a per-relation ``model.ThresholdTable`` chosen on
 validation data by maximizing accuracy over midpoints of adjacent scores.
 ``verdicts`` judges an id array with one batch score; ``classify`` judges
@@ -94,43 +95,46 @@ class ClassificationMetrics:
         return asdict(self)
 
 
-def rank_from_scores(scores: np.ndarray, true_index: int, drop=()) -> float:
-    """Rank of the true candidate with mean-tie policy.
-
-    ``drop`` lists candidate ids to leave out (filtered protocol; repeats
-    allowed); the true candidate always stays in. With b strictly better
-    scores and m tied scores (the true one included) the rank is b + (m + 1) / 2.
-    """
-    true_score = scores[true_index]
-    scores = np.delete(scores, [i for i in drop if i != true_index])
-    better = int((scores > true_score).sum())
-    tied = int((scores == true_score).sum())
-    return better + (tied + 1) / 2.0
+def _group_ranks(scores: np.ndarray, trues, drop) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and filtered ranks of the true candidates ``trues`` in one score
+    vector, with the mean-tie policy: b strictly better and m tied scores (the
+    true one included) give the rank b + (m + 1) / 2. The filtered rank leaves
+    out the distinct candidate ids ``drop``, never the true one itself."""
+    trues = np.array(trues, dtype=np.int64)
+    true_scores = scores[trues, None]
+    drop = np.fromiter(drop, dtype=np.int64)
+    # NaN compares false: a member's own id among the dropped ones is kept
+    dropped = np.where(drop == trues[:, None], np.nan, scores[drop])
+    better = (scores > true_scores).sum(axis=1)
+    tied = (scores == true_scores).sum(axis=1)
+    better_kept = better - (dropped > true_scores).sum(axis=1)
+    tied_kept = tied - (dropped == true_scores).sum(axis=1)
+    return better + (tied + 1) / 2.0, better_kept + (tied_kept + 1) / 2.0
 
 
 def _check_ids(model: kg2e.Kg2eModel, ids) -> np.ndarray:
     return kg2e.check_ids(ids, model.vocab.n_entities, model.vocab.n_relations)
 
 
-def _filter_index(known) -> dict[tuple, list[int]]:
+def _filter_index(known) -> dict[tuple, set[int]]:
     """Known completions of the id rows ``known`` (a list of ``(h, r, t)``)
     by query: ``(RIGHT, h, r)`` -> tail ids and ``(LEFT, r, t)`` -> head ids."""
-    index: dict[tuple, list[int]] = {}
+    index: dict[tuple, set[int]] = {}
     for h, r, t in known:
-        index.setdefault((RIGHT, h, r), []).append(t)
-        index.setdefault((LEFT, r, t), []).append(h)
+        index.setdefault((RIGHT, h, r), set()).add(t)
+        index.setdefault((LEFT, r, t), set()).add(h)
     return index
 
 
-def _query_ranks(model: kg2e.Kg2eModel, key: tuple, trues, index) -> list[float]:
-    """Ranks of the true ids ``trues`` of the query ``key`` (a filter index key),
-    all from one score vector; ``index`` is a filter index, empty for raw ranks."""
+def _query_ranks(model: kg2e.Kg2eModel, key: tuple, trues, index) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and filtered ranks of the true ids ``trues`` of the query ``key`` (a
+    filter index key), all from one score vector; ``index`` is a filter index."""
     side, a, b = key
     if side == RIGHT:
         scores = kg2e.score_candidates(model, a, b, 0, position="tail")
     else:
         scores = kg2e.score_candidates(model, 0, a, b, position="head")
-    return [rank_from_scores(scores, true, index.get(key, ())) for true in trues]
+    return _group_ranks(scores, trues, index.get(key, ()))
 
 
 def rank_triple(
@@ -147,7 +151,7 @@ def rank_triple(
     h, r, t = model.vocab.triple_ids(triple)
     index = _filter_index(model.vocab.known_ids(known)) if filtered else {}
     key, true = ((RIGHT, h, r), t) if side == RIGHT else ((LEFT, r, t), h)
-    return _query_ranks(model, key, [true], index)[0]
+    return float(_query_ranks(model, key, [true], index)[1 if filtered else 0][0])
 
 
 def evaluate_ranks(
@@ -155,9 +159,10 @@ def evaluate_ranks(
     test: np.ndarray,
     known: np.ndarray,
     filtered: bool = False,
-) -> RankMetrics:
-    """Aggregate right-side and left-side ranks over the ``test`` id rows;
-    the filtered protocol drops the other completions in ``known`` (ids)."""
+) -> dict[str, RankMetrics]:
+    """Right-side and left-side ranks aggregated over the ``test`` id rows,
+    under ``"raw"`` and, if ``filtered``, also under ``"filtered"``: the
+    protocol that drops the other completions in ``known`` (ids)."""
     test, known = _check_ids(model, test), _check_ids(model, known)
     if len(test) == 0:
         raise ValueError("test graph is empty")
@@ -166,17 +171,21 @@ def evaluate_ranks(
     for i, (h, r, t) in enumerate(test.tolist()):
         groups.setdefault((RIGHT, h, r), []).append((2 * i, t))
         groups.setdefault((LEFT, r, t), []).append((2 * i + 1, h))
-    arr = np.empty(2 * len(test))
+    ranks = np.empty((2, 2 * len(test)))  # raw, filtered
     for key, members in groups.items():
         slots, trues = zip(*members)
-        arr[list(slots)] = _query_ranks(model, key, trues, index)
-    return RankMetrics(
-        mean_rank=float(arr.mean()),
-        hits={p: float((arr <= p).mean()) for p in HITS_AT},
-        side="both",
-        filtered=filtered,
-        n_ranks=len(arr),
-    )
+        ranks[:, list(slots)] = _query_ranks(model, key, trues, index)
+    names = ("raw", "filtered") if filtered else ("raw",)
+    return {
+        name: RankMetrics(
+            mean_rank=float(arr.mean()),
+            hits={p: float((arr <= p).mean()) for p in HITS_AT},
+            side="both",
+            filtered=name == "filtered",
+            n_ranks=len(arr),
+        )
+        for name, arr in zip(names, ranks)
+    }
 
 
 def best_threshold(pos_scores, neg_scores) -> float:
@@ -294,13 +303,12 @@ def evaluate(model: kg2e.Kg2eModel, graph: Graph) -> dict:
     thresholds = kg2e.require_thresholds(model)
     test = split.test_ids
     known = np.concatenate((split.train_ids, split.valid_ids, test))
-    raw = evaluate_ranks(model, test, known, filtered=False)
-    filtered = evaluate_ranks(model, test, known, filtered=True)
+    ranks = evaluate_ranks(model, test, known, filtered=True)
     negatives = split.sampler.sample_many(test, np.random.default_rng((config.seed, 3)))
     classification = evaluate_classification(model, test, negatives, thresholds)
     return {
         "n_test": len(test),
         "seed": config.seed,
         "classification": classification.to_document(),
-        "ranks": {"raw": raw.to_document(), "filtered": filtered.to_document()},
+        "ranks": {name: metrics.to_document() for name, metrics in ranks.items()},
     }

@@ -156,7 +156,7 @@ class Kg2eModel:
             raise ValueError("dim must be at least 1")
         if score_kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {score_kind!r}")
-        if not 0 < c_min < c_max < np.inf:
+        if not 0 < c_min < c_max <= sys.float_info.max:
             raise ValueError("covariance bounds must be finite and satisfy 0 < c_min < c_max")
         self.vocab = vocab
         self.dim = means.shape[1]

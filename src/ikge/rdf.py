@@ -563,12 +563,12 @@ class Vocab:
     def known_ids(self, triples) -> list[tuple[int, int, int]]:
         """Id forms of the triples whose three terms are all in the vocabulary;
         the others can never match a triple built from it and are skipped."""
+        entity, relation = self._entity_ids.get, self._relation_ids.get
         out = []
         for triple in triples:
-            try:
-                out.append(self.triple_ids(triple))
-            except VocabError:
-                continue
+            ids = (entity(triple.head), relation(triple.relation), entity(triple.tail))
+            if None not in ids:
+                out.append(ids)
         return out
 
     def __contains__(self, term: Term) -> bool:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ikge import model as kg2e
+from ikge import evaluation, model as kg2e
 
 from ikge.evaluation import (
     HITS_AT,
@@ -18,12 +18,12 @@ from ikge.evaluation import (
     RIGHT,
     ClassificationMetrics,
     _filter_index,
+    _group_ranks,
     best_threshold,
     classify,
     evaluate,
     evaluate_classification,
     evaluate_ranks,
-    rank_from_scores,
     rank_triple,
     select_thresholds,
     verdicts,
@@ -33,39 +33,58 @@ from ikge.rdf import Graph, Term, Triple, Vocab, VocabError, build_vocab, parse
 
 
 # ---------------------------------------------------------------------------
-# rank_from_scores
+# the rank rule: _group_ranks
+
+
+def reference_rank(scores: np.ndarray, true_index: int, drop=()) -> float:
+    """Rank of one true candidate with the mean-tie policy, from its own copy
+    of the scores without the ids ``drop`` other than the true one: b strictly
+    better and m tied scores (the true one included) give b + (m + 1) / 2."""
+    true_score = scores[true_index]
+    scores = np.delete(scores, [i for i in drop if i != true_index])
+    better = int((scores > true_score).sum())
+    tied = int((scores == true_score).sum())
+    return better + (tied + 1) / 2.0
+
+
+def rank_of(scores, true: int, drop=()) -> float:
+    """The filtered rank of one true candidate through ``_group_ranks``,
+    checked to equal its raw rank when nothing is dropped."""
+    raw, filtered = _group_ranks(np.asarray(scores, dtype=np.float64), [true], drop)
+    assert drop or raw[0] == filtered[0]
+    return float(filtered[0])
 
 
 def test_rank_basic_cases():
-    assert rank_from_scores(np.array([5.0, 3.0, 1.0]), 0) == 1.0
-    assert rank_from_scores(np.array([5.0, 3.0, 1.0]), 2) == 3.0
-    assert rank_from_scores(np.array([5.0]), 0) == 1.0
+    assert rank_of([5.0, 3.0, 1.0], 0) == 1.0
+    assert rank_of([5.0, 3.0, 1.0], 2) == 3.0
+    assert rank_of([5.0], 0) == 1.0
 
 
 def test_rank_mean_tie_convention():
     # true score 3 ties with two others behind a single better score:
     # rank = 1 + (3 + 1) / 2 = 3.0
-    assert rank_from_scores(np.array([5.0, 3.0, 3.0, 3.0, 1.0]), 2) == 3.0
+    assert rank_of([5.0, 3.0, 3.0, 3.0, 1.0], 2) == 3.0
     # five-way tie across the whole list
-    assert rank_from_scores(np.full(5, 2.0), 4) == 3.0
+    assert rank_of(np.full(5, 2.0), 4) == 3.0
 
 
 def test_rank_drop_removes_competitors():
-    scores = np.array([5.0, 4.0, 3.0, 2.0])
-    assert rank_from_scores(scores, 2) == 3.0
-    assert rank_from_scores(scores, 2, drop=[0, 1]) == 1.0
+    scores = [5.0, 4.0, 3.0, 2.0]
+    assert rank_of(scores, 2) == 3.0
+    assert rank_of(scores, 2, drop={0, 1}) == 1.0
 
 
 def test_rank_true_index_always_kept():
-    scores = np.array([5.0, 4.0, 3.0])
-    assert rank_from_scores(scores, 1, drop=[0, 1, 2]) == 1.0  # drops everything, true stays
+    scores = [5.0, 4.0, 3.0]
+    assert rank_of(scores, 1, drop={0, 1, 2}) == 1.0  # drops everything, true stays
 
 
 def test_rank_drop_is_a_set_that_never_holds_the_true_id():
-    scores = np.array([5.0, 4.0, 4.0, 3.0, 4.0])
-    # 0 and the true id 2 repeat: 0 and 4 leave, one tie stays, rank 0 + (2 + 1) / 2
-    assert rank_from_scores(scores, 2, drop=[0, 2, 0, 4, 2]) == 1.5
-    assert rank_from_scores(scores, 2, drop=(2, 2)) == rank_from_scores(scores, 2) == 3.0
+    scores = [5.0, 4.0, 4.0, 3.0, 4.0]
+    # the true id 2 is among the dropped: 0 and 4 leave, one tie stays, rank 0 + (2 + 1) / 2
+    assert rank_of(scores, 2, drop={0, 2, 4}) == 1.5
+    assert rank_of(scores, 2, drop={2}) == rank_of(scores, 2) == 3.0
 
 
 def test_rank_invariant_under_positive_affine_transform():
@@ -75,7 +94,26 @@ def test_rank_invariant_under_positive_affine_transform():
         i = int(rng.integers(12))
         a = float(rng.uniform(0.1, 5.0))
         b = float(rng.normal() * 10)
-        assert rank_from_scores(scores, i) == rank_from_scores(a * scores + b, i)
+        assert rank_of(scores, i) == rank_of(a * scores + b, i)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0, math.nan]), min_size=1, max_size=10).flatmap(
+        lambda scores: st.tuples(
+            st.just(np.array(scores)),
+            st.lists(st.integers(0, len(scores) - 1), min_size=1, max_size=5),
+            st.sets(st.integers(0, len(scores) - 1)),
+        )
+    )
+)
+def test_group_ranks_match_the_reference_rank_per_member(case):
+    # repeated members, exact ties and NaN scores, the members' own ids among
+    # the dropped ones: each member ranks as if it were ranked alone
+    scores, trues, drop = case
+    raw, filtered = _group_ranks(scores, trues, drop)
+    assert raw.tolist() == [reference_rank(scores, t) for t in trues]
+    assert filtered.tolist() == [reference_rank(scores, t, drop) for t in trues]
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +148,9 @@ def adversarial_fixture():
 
 def test_evaluate_ranks_adversarial_exact():
     model, known, test = adversarial_fixture()
-    m = evaluate_ranks(model, ids_of(model, test), ids_of(model, known), filtered=False)
+    ranks = evaluate_ranks(model, ids_of(model, test), ids_of(model, known), filtered=False)
+    assert list(ranks) == ["raw"]
+    m = ranks["raw"]
     assert m.mean_rank == 10.0
     assert m.hits == {1: 0.0, 3: 0.0, 10: 1.0}
     assert m.n_ranks == 8
@@ -180,7 +220,7 @@ def test_hits_monotone_and_saturating():
     model, g = random_eval_fixture(3, n_entities=10)
     test = Graph(g.triples[:20], g.prefix_map)
     n = model.vocab.n_entities
-    m = evaluate_ranks(model, ids_of(model, test), ids_of(model, g))
+    m = evaluate_ranks(model, ids_of(model, test), ids_of(model, g))["raw"]
     assert sorted(m.hits) == list(HITS_AT) and n <= HITS_AT[-1]
     for lo, hi in zip(HITS_AT, HITS_AT[1:]):
         assert m.hits[lo] <= m.hits[hi]
@@ -192,11 +232,14 @@ def test_hits_monotone_and_saturating():
 def test_rank_metrics_document():
     model, g = random_eval_fixture(4)
     test = Graph(g.triples[:10], g.prefix_map)
-    doc = evaluate_ranks(model, ids_of(model, test), ids_of(model, g), filtered=True).to_document()
-    assert doc["side"] == "both"
-    assert doc["filtered"] is True
-    assert doc["n_ranks"] == 20
-    assert set(doc["hits"]) == {"1", "3", "10"}  # json-friendly keys
+    ranks = evaluate_ranks(model, ids_of(model, test), ids_of(model, g), filtered=True)
+    assert list(ranks) == ["raw", "filtered"]  # the order of eval.json's ranks block
+    for name, metrics in ranks.items():
+        doc = metrics.to_document()
+        assert doc["side"] == "both"
+        assert doc["filtered"] is (name == "filtered")
+        assert doc["n_ranks"] == 20
+        assert set(doc["hits"]) == {"1", "3", "10"}  # json-friendly keys
 
 
 def brute_force_rank(model, triple, side, known, filtered):
@@ -254,7 +297,8 @@ def filter_fixtures():
 @pytest.mark.parametrize("case", range(6))
 def test_indexed_filter_matches_brute_force(case):
     model, test, known = filter_fixtures()[case]
-    for filtered in (False, True):
+    ranks = evaluate_ranks(model, ids_of(model, test), ids_of(model, known), filtered=True)
+    for filtered, name in ((False, "raw"), (True, "filtered")):
         expected = []
         for triple in test.triples:
             for side in (RIGHT, LEFT):
@@ -262,14 +306,14 @@ def test_indexed_filter_matches_brute_force(case):
                 assert rank_triple(model, triple, side, known, filtered=filtered) == want
                 expected.append(want)
         arr = np.array(expected)
-        m = evaluate_ranks(model, ids_of(model, test), ids_of(model, known), filtered=filtered)
+        m = ranks[name]
         assert m.mean_rank == float(arr.mean())
         assert m.hits == {p: float((arr <= p).mean()) for p in (1, 3, 10)}
         assert m.n_ranks == 2 * len(test)
 
 
 def test_duplicated_known_rows_filter_as_one():
-    # the filter index lists a known row once per copy; dropping is by id
+    # the filter index holds each completion once, however many copies of its row
     model, test, known = filter_fixtures()[-1]
     test, known = ids_of(model, test), ids_of(model, known)
     once = evaluate_ranks(model, test, known, filtered=True)
@@ -281,9 +325,8 @@ def test_filtered_ranks_differ_from_raw_on_dense_fixture():
     # the dense fixture must exercise the filter, or the oracle test proves little
     model, test, known = filter_fixtures()[-1]
     test, known = ids_of(model, test), ids_of(model, known)
-    raw = evaluate_ranks(model, test, known, filtered=False)
-    filt = evaluate_ranks(model, test, known, filtered=True)
-    assert filt.mean_rank < raw.mean_rank
+    ranks = evaluate_ranks(model, test, known, filtered=True)
+    assert ranks["filtered"].mean_rank < ranks["raw"].mean_rank
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +629,15 @@ def oracle_rank(model, h: int, r: int, t: int, side: str, index) -> float:
     a filter index, empty for the raw protocol."""
     if side == RIGHT:
         scores = kg2e.score_candidates(model, h, r, t, position="tail")
-        return rank_from_scores(scores, t, index.get((RIGHT, h, r), ()))
+        return reference_rank(scores, t, index.get((RIGHT, h, r), ()))
     scores = kg2e.score_candidates(model, h, r, t, position="head")
-    return rank_from_scores(scores, h, index.get((LEFT, r, t), ()))
+    return reference_rank(scores, h, index.get((LEFT, r, t), ()))
 
 
 def oracle_rank_document(model, test, known, filtered: bool) -> dict:
-    """``evaluate_ranks(...).to_document()`` computed row by row, right side
-    then left side, each side scored on its own."""
+    """``evaluate_ranks(...)["filtered"]`` (or ``["raw"]``) as a document,
+    computed row by row, right side then left side, each side scored on its
+    own."""
     index = _filter_index(known.tolist()) if filtered else {}
     arr = np.array(
         [oracle_rank(model, h, r, t, side, index) for h, r, t in test.tolist() for side in (RIGHT, LEFT)]
@@ -613,7 +657,8 @@ def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split
     # together the ranks that the grouped evaluate_ranks aggregates
     known = desk_split.full_graph()
     index = _filter_index(desk_model.vocab.known_ids(known))
-    for filtered in (False, True):
+    both = evaluate_ranks(desk_model, desk_split.test_ids, ids_of(desk_model, known), filtered=True)
+    for filtered, name in ((False, "raw"), (True, "filtered")):
         ranks = []
         for triple in desk_split.test:
             h, r, t = desk_model.vocab.triple_ids(triple)
@@ -622,17 +667,14 @@ def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split
                 assert got == oracle_rank(desk_model, h, r, t, side, index if filtered else {})
                 ranks.append(got)
         arr = np.array(ranks)
-        m = evaluate_ranks(
-            desk_model, desk_split.test_ids, ids_of(desk_model, known), filtered=filtered
-        )
+        m = both[name]
         assert m.mean_rank == float(arr.mean())
         assert m.hits == {p: float((arr <= p).mean()) for p in (1, 3, 10)}
         assert m.n_ranks == len(ranks)
-    raw = evaluate_ranks(desk_model, desk_split.test_ids, ids_of(desk_model, known))
-    assert m.mean_rank < raw.mean_rank  # the filter removed candidates
+    assert both["filtered"].mean_rank < both["raw"].mean_rank  # the filter removed candidates
 
 
-def test_evaluate_scores_each_distinct_query_once_per_protocol(monkeypatch, desk_model, desk_ikg, desk_split):
+def test_evaluate_scores_each_distinct_query_once(monkeypatch, desk_model, desk_ikg, desk_split):
     calls = []
     score_candidates = kg2e.score_candidates
 
@@ -645,7 +687,29 @@ def test_evaluate_scores_each_distinct_query_once_per_protocol(monkeypatch, desk
     rows = desk_split.test_ids.tolist()
     distinct = len({(h, r) for h, r, _ in rows}) + len({(r, t) for _, r, t in rows})
     assert distinct < 2 * len(rows)  # the desk test rows repeat queries
-    assert len(calls) == 2 * distinct  # raw, then filtered
+    assert len(calls) == distinct == 151  # one vector serves raw and filtered
+
+
+def test_evaluate_ranks_both_protocols_in_one_filtered_call(monkeypatch, desk_model, desk_ikg):
+    # A benchmark that wraps evaluation.evaluate_ranks times the call whose
+    # 4th argument or filtered= keyword is truthy as the filtered ranking:
+    # evaluate makes exactly that one call, through the module attribute,
+    # and writes what it returns.
+    calls, results = [], []
+    original = evaluation.evaluate_ranks
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(evaluation, "evaluate_ranks", recorded)
+    doc = evaluate(desk_model, desk_ikg)
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert kwargs.get("filtered", args[3] if len(args) > 3 else False)
+    assert doc["ranks"] == {name: m.to_document() for name, m in results[0].items()}
+    assert list(doc["ranks"]) == ["raw", "filtered"]
 
 
 @st.composite
@@ -676,9 +740,10 @@ def grouped_ranking_case(draw):
 @given(grouped_ranking_case())
 def test_grouped_ranks_match_per_row_oracle(case):
     model, test, known = case
-    for filtered in (False, True):
-        got = evaluate_ranks(model, test, known, filtered=filtered).to_document()
-        assert got == oracle_rank_document(model, test, known, filtered)
+    ranks = evaluate_ranks(model, test, known, filtered=True)
+    for filtered, name in ((False, "raw"), (True, "filtered")):
+        assert ranks[name].to_document() == oracle_rank_document(model, test, known, filtered)
+    assert evaluate_ranks(model, test, known) == {"raw": ranks["raw"]}
 
 
 def test_evaluate_needs_the_split_vocabulary_and_thresholds(desk_model, desk_ikg):

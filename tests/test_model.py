@@ -193,8 +193,20 @@ def test_init_model_validation():
         {"c_min": math.nan},
         {"c_min": math.inf, "c_max": math.inf},
         {"c_min": -math.inf},
+        {"c_max": 10**400},
+        {"c_min": 10**400},
+        {"c_min": -(10**400)},
     ],
-    ids=["inf-c-max", "nan-c-max", "nan-c-min", "inf-both", "minus-inf-c-min"],
+    ids=[
+        "inf-c-max",
+        "nan-c-max",
+        "nan-c-min",
+        "inf-both",
+        "minus-inf-c-min",
+        "huge-int-c-max",
+        "huge-int-c-min",
+        "minus-huge-int-c-min",
+    ],
 )
 def test_model_rejects_non_finite_covariance_bounds(bounds):
     v = small_vocab()

@@ -630,6 +630,32 @@ def test_vocab_triple_ids_and_known_ids():
     assert v.known_ids(list(g.triples) + outside) == [(0, 0, 1), (1, 1, 2)]
 
 
+def test_known_ids_matches_a_triple_ids_loop():
+    # A term of the graph can fall outside the vocabulary built from its first
+    # quarter, or stand where the vocabulary holds it only in the other role.
+    rng = np.random.default_rng(3)
+    terms = [Term.iri(f"ex:t{i}") for i in range(8)] + [Term.literal("v"), Term.literal("w")]
+    rows = [tuple(terms[i] for i in rng.integers(len(terms), size=3)) for _ in range(200)]
+    triples = [Triple(h, r, t) for h, r, t in rows if not h.is_literal and not r.is_literal]
+    v = build_vocab(Graph(triples[: len(triples) // 4], EX))
+    new = Term.iri("ex:new")  # in no role at all
+    a, b = terms[:2]
+    triples += [Triple(new, a, b), Triple(a, new, b), Triple(a, b, new)]
+
+    def reference(triples):
+        out = []
+        for triple in triples:
+            try:
+                out.append(v.triple_ids(triple))
+            except VocabError:
+                continue
+        return out
+
+    want = reference(triples)
+    assert 0 < len(want) < len(triples)
+    assert v.known_ids(triples) == want
+
+
 def test_vocab_non_literal_ids():
     g = parse(
         "@prefix ex: <http://e.example/ns#> .\n"
