@@ -28,6 +28,20 @@ ikge evaluate --ikg "$out/ikg.ttl" --model "$out/model-b7.json" --out "$out/eval
 ikge translate --model "$out/model.json" --ikg "$out/ikg.ttl" --text "reliable video" \
   --out "$out/intent.ttl" --report "$out/intent.json"
 ikge verify --model "$out/model.json" --intent "$out/intent.ttl" --out "$out/verify.json"
+# The shipped blueprint plus one complete triple that the model can score
+# and that classifies false: translate exits 7, writes its report and no intent.
+printf '%s\n' \
+  '@prefix icm: <http://intent.example/icm#> .' \
+  '@prefix kpi: <http://intent.example/kpi#> .' \
+  'icm:ServiceIntent icm:hasExpectation icm:ServiceExpectation .' \
+  'icm:ServiceExpectation icm:hasParameter kpi:latency .' \
+  'icm:PropertyExpectation icm:hasTarget ??? .' \
+  'icm:Target icm:targetResource ??? .' \
+  'kpi:latency icm:valueBy ??? .' \
+  'kpi:latency icm:hasParameter icm:Intent .' > "$out/blueprint-bad.ttl"
+ikge translate --model "$out/model.json" --ikg "$out/ikg.ttl" --text "reliable video" \
+  --blueprint "$out/blueprint-bad.ttl" --out "$out/intent-bad.ttl" \
+  --report "$out/intent-bad.json" || test $? -eq 7
 # A format-1 copy of model.json (arrays as nested lists of floats):
 # evaluate and verify on it write the same bytes as on format 2.
 python -c 'import json, sys; from ikge.model import PARAMETER_NAMES, load_model, model_to_document; m = load_model(sys.argv[1]); d = model_to_document(m); d.update({n: getattr(m, n).tolist() for n in PARAMETER_NAMES}, format_version=1); f = open(sys.argv[2], "w", encoding="utf-8"); json.dump(d, f, indent=1); f.close()' \

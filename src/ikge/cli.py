@@ -249,36 +249,31 @@ def _cmd_verify(args) -> int:
         if triple.placeholder_count:
             raise CliError("unresolved-slot", f"intent still holds a placeholder: {triple}")
 
-    # Blueprint skeleton terms (e.g. the intent node itself) are not model
-    # vocabulary; only triples the model can score participate in the verdict.
-    rows = [{"triple": str(triple)} for triple in intent_graph.triples]
-    ids, scored = [], []
-    for row, triple in zip(rows, intent_graph.triples):
-        try:
-            ids.append(model.vocab.triple_ids(triple))
-        except rdf.VocabError as exc:
-            row["skipped"] = str(exc)
+    intent = pipeline.NetworkIntent(args.intent, list(intent_graph.triples), [])
+    pipeline.verify_intent(intent, model, thresholds)
+    rows = []
+    for triple, verdict in zip(intent.triples, intent.verdicts):
+        row = {"triple": str(triple)}
+        if verdict is None:
+            try:  # a skipped triple names its first term outside the vocabulary
+                model.vocab.triple_ids(triple)
+            except rdf.VocabError as exc:
+                row["skipped"] = str(exc)
         else:
-            scored.append(row)
-    if not scored:
-        raise CliError("config", "intent contains no triples the model can classify")
-    scores, accepted = evaluation.verdicts(model, ids, thresholds)
-    for row, score, ok in zip(scored, scores.tolist(), accepted.tolist()):
-        row.update(score=score, classified=ok)
-    failing = [row["triple"] for row in scored if not row["classified"]]
+            row["score"], row["classified"] = verdict
+        rows.append(row)
+    n_classified = sum(verdict is not None for verdict in intent.verdicts)
     doc = {
-        "verified": not failing,
+        "verified": intent.verified,
         "n_triples": len(rows),
-        "n_classified": len(scored),
+        "n_classified": n_classified,
         "triples": rows,
     }
     if args.out:
         _write_json(args.out, doc)
-    if failing:
-        raise CliError(
-            "verification-failed", f"intent 'intent' failed verification: {'; '.join(failing)}"
-        )
-    print(f"verified: all {len(scored)} classifiable triples classify as true")
+    if not intent.verified:
+        raise pipeline.VerificationFailedError(intent)
+    print(f"verified: all {n_classified} classifiable triples classify as true")
     return EXIT_OK
 
 
@@ -287,15 +282,11 @@ def _cmd_translate(args) -> int:
     graph = _load_graph(args.ikg)
     corpus_text = _read_text(args.corpus) if args.corpus else _data_text("corpus.tsv")
     corpus = pipeline.load_corpus(corpus_text, graph)
-    blueprint_text = (
-        _read_text(args.blueprint) if args.blueprint else _data_text("blueprint.ttl")
-    )
+    blueprint_text = _read_text(args.blueprint) if args.blueprint else _data_text("blueprint.ttl")
     blueprint = rdf.parse(blueprint_text)
 
     try:
-        intent = pipeline.translate(
-            args.text, model, graph, corpus, blueprint, k=args.k
-        )
+        intent = pipeline.translate(args.text, model, graph, corpus, blueprint, k=args.k)
     except pipeline.VerificationFailedError as exc:
         if args.report:
             _write_json(args.report, {"text": args.text, **exc.intent.report_document()})

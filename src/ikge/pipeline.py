@@ -4,7 +4,7 @@ The pipeline runs six steps: keyword extraction over a gazetteer corpus
 (A), template construction from a blueprint with ``???`` slots (B), in
 slot-id order (C), top-k link prediction per slot (D), slot completion
 under ontology admissibility and keyword hints (E) and verification of
-every formerly slotted triple through the classifier (F).
+every triple the model can score, refusing an intent with none (F).
 
 Slots are typed by the relation of their triple: ``icm:hasTarget`` fills a
 service, ``icm:targetResource`` a resource and ``icm:valueBy`` a literal
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evaluation
 from . import model as kg2e
 from .rdf import (
     Graph,
@@ -85,11 +84,11 @@ class UnresolvedSlotError(PipelineError):
 
 
 class VerificationFailedError(PipelineError):
-    def __init__(self, intent: "NetworkIntent", failing: list[Triple]):
-        names = "; ".join(str(t) for t in failing)
+    def __init__(self, intent: "NetworkIntent"):
+        self.failing = [t for t, v in zip(intent.triples, intent.verdicts) if v and not v[1]]
+        names = "; ".join(str(t) for t in self.failing)
         super().__init__(f"intent {intent.intent_id!r} failed verification: {names}")
         self.intent = intent
-        self.failing = failing
 
 
 @dataclass(frozen=True)
@@ -165,6 +164,7 @@ class NetworkIntent:
     resolutions: list[SlotResolution]
     verified: bool | None = None
     prefixes: dict[str, str] = field(default_factory=dict)
+    verdicts: list[tuple[float, bool] | None] = field(default_factory=list)
 
     def to_graph(self) -> Graph:
         return Graph(self.triples, self.prefixes)
@@ -471,25 +471,32 @@ def complete_template(
         if anchor is not None:
             anchor_substitutions[anchor] = chosen.candidate
 
-    return NetworkIntent(
-        intent_id=template.intent_id,
-        triples=list(template.complete) + [r.triple for r in resolutions],
-        resolutions=resolutions,
-        verified=None,
-        prefixes=dict(template.prefixes),
-    )
+    triples = list(template.complete) + [r.triple for r in resolutions]
+    return NetworkIntent(template.intent_id, triples, resolutions, prefixes=dict(template.prefixes))
 
 
 def verify_intent(
     intent: NetworkIntent, model: kg2e.Kg2eModel, thresholds: kg2e.ThresholdTable
 ) -> NetworkIntent:
-    """Classify every formerly slotted triple; verified iff all pass."""
+    """Judge each triple whose three terms the model knows, true iff its score
+    reaches its relation's threshold, and skip the rest; verified iff every
+    judged triple is true. Sets ``verdicts``, per triple ``(score, classified)``
+    or None, and each resolution's ``classified``. A placeholder, or no triple
+    to judge, raises ValueError."""
+    verdicts = []
     for triple in intent.triples:
         if triple.placeholder_count:
             raise ValueError(f"intent still contains a placeholder: {triple}")
+        ids = model.vocab.find_ids(triple)
+        s = None if ids is None else kg2e.score(model, *ids)
+        verdicts.append(None if s is None else (s, s >= thresholds.lookup(ids[1])))
+    # A triple given twice gets the same verdict twice, so one entry stands for both.
+    classified = {t: v[1] for t, v in zip(intent.triples, verdicts) if v}
+    if not classified:
+        raise ValueError("intent contains no triples the model can classify")
+    intent.verdicts, intent.verified = verdicts, all(classified.values())
     for resolution in intent.resolutions:
-        resolution.classified = evaluation.classify(model, resolution.triple, thresholds)
-    intent.verified = all(r.classified for r in intent.resolutions)
+        resolution.classified = classified.get(resolution.triple)
     return intent
 
 
@@ -504,9 +511,9 @@ def translate(
     """End-to-end pipeline from free text to a NetworkIntent verified with
     the model's thresholds.
 
-    Raises UnresolvedSlotError when a slot has no admissible candidate and
-    VerificationFailedError (carrying the candidate intent) when any
-    completed triple fails classification.
+    Raises UnresolvedSlotError when a slot has no admissible candidate, and
+    VerificationFailedError (carrying the candidate intent) or ValueError
+    when :func:`verify_intent` finds a false triple or none to judge.
     """
     thresholds = kg2e.require_thresholds(model)
     matches = extract_keywords(text, corpus)
@@ -514,6 +521,5 @@ def translate(
     intent = complete_template(template, model, ikg, hints=merge_hints(matches), k=k)
     verify_intent(intent, model, thresholds)
     if not intent.verified:
-        failing = [r.triple for r in intent.resolutions if not r.classified]
-        raise VerificationFailedError(intent, failing)
+        raise VerificationFailedError(intent)
     return intent

@@ -560,16 +560,18 @@ class Vocab:
             self.entity_id(triple.tail),
         )
 
+    def find_ids(self, triple: Triple) -> tuple[int, int, int] | None:
+        """The id form of a triple whose three terms are all in the vocabulary,
+        else None: :meth:`triple_ids` without the raise."""
+        h = self._entity_ids.get(triple.head)
+        r = None if h is None else self._relation_ids.get(triple.relation)
+        t = None if r is None else self._entity_ids.get(triple.tail)
+        return None if t is None else (h, r, t)
+
     def known_ids(self, triples) -> list[tuple[int, int, int]]:
         """Id forms of the triples whose three terms are all in the vocabulary;
         the others can never match a triple built from it and are skipped."""
-        entity, relation = self._entity_ids.get, self._relation_ids.get
-        out = []
-        for triple in triples:
-            ids = (entity(triple.head), relation(triple.relation), entity(triple.tail))
-            if None not in ids:
-                out.append(ids)
-        return out
+        return [ids for ids in map(self.find_ids, triples) if ids is not None]
 
     def __contains__(self, term: Term) -> bool:
         return term in self._entity_ids or term in self._relation_ids

@@ -87,6 +87,11 @@ class TrainingDivergedError(Exception):
     """Raised when an epoch produces a non-finite mean loss."""
 
 
+# Each per-epoch training array holds n_train * negatives_per_positive rows,
+# so a config refuses a count beyond this before any array is built.
+MAX_NEGATIVES_PER_POSITIVE = 1024
+
+
 @dataclass
 class TrainConfig:
     # seed 27 is the shipped default: on the default desk IKG it converges
@@ -117,8 +122,10 @@ class TrainConfig:
             raise ValueError("rms_epsilon must be positive")
         if self.margin < 0:
             raise ValueError("margin must be non-negative")
-        if self.negatives_per_positive < 1:
-            raise ValueError("negatives_per_positive must be at least 1")
+        if not 1 <= self.negatives_per_positive <= MAX_NEGATIVES_PER_POSITIVE:
+            raise ValueError(
+                f"negatives_per_positive must lie in [1, {MAX_NEGATIVES_PER_POSITIVE}]"
+            )
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.seed < 0:

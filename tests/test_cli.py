@@ -19,6 +19,7 @@ from ikge.cli import (
     EXIT_VOCAB,
     CliError,
     _categorize,
+    _data_text,
     main,
 )
 from ikge.evaluation import evaluate, fit
@@ -68,7 +69,7 @@ def test_categorize_maps_exception_types():
     assert _categorize(TrainingDivergedError("x")) == "train-diverged"
     assert _categorize(UnresolvedSlotError(0, "service", 1)) == "unresolved-slot"
     intent = NetworkIntent("intent", [], [])
-    assert _categorize(VerificationFailedError(intent, [])) == "verification-failed"
+    assert _categorize(VerificationFailedError(intent)) == "verification-failed"
     assert _categorize(OSError("x")) == "io"
     assert _categorize(RuntimeError("x")) == "config"
     assert _categorize(CliError("io", "x")) == "io"
@@ -420,12 +421,16 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys, desk_paths):
         ({"rms_epsilon": 10**400}, "rms_epsilon lies beyond the float range"),
         ({"margin": 10**400}, "margin lies beyond the float range"),
         ({"split": [0.5, 10**400, 0.5]}, "split lies beyond the float range"),
+        # Refused before any array is sized by it.
+        ({"negatives_per_positive": 2**63}, "negatives_per_positive must lie in [1, 1024]"),
+        ({"negatives_per_positive": 10**400}, "negatives_per_positive must lie in [1, 1024]"),
     ],
     ids=[
         "float-epochs", "float-batch", "float-negatives", "string-seed", "string-rate",
         "bool-epochs", "string-fractions", "string-split", "negative-seed",
         "nan-rate", "minus-inf-decay", "inf-epsilon", "nan-margin",
         "huge-rate", "huge-decay", "huge-epsilon", "huge-margin", "huge-split",
+        "long-negatives", "huge-negatives",
     ],
 )
 def test_train_rejects_wrong_typed_config_fields(tmp_path, capsys, monkeypatch, desk_paths, doc, message):
@@ -1266,6 +1271,62 @@ def test_translate_verification_failure(tmp_path, capsys, desk_paths):
     assert not (tmp_path / "i.ttl").exists()  # no unverified intent emitted
 
 
+FALSE_TRIPLE = "kpi:latency icm:hasParameter icm:Intent ."  # in the vocabulary, classifies false
+TRUE_TRIPLE = "icm:Intent icm:hasExpectation icm:Expectation ."  # of the desk IKG, classifies true
+
+
+def _translate_blueprint(capsys, desk_paths, tmp_path, blueprint_text):
+    blueprint = tmp_path / "blueprint.ttl"
+    blueprint.write_text(blueprint_text)
+    return run(
+        capsys,
+        ["translate", "--model", str(desk_paths["model"]), "--ikg", str(desk_paths["ikg"]),
+         "--text", "reliable video", "--blueprint", str(blueprint),
+         "--out", str(tmp_path / "i.ttl"), "--report", str(tmp_path / "report.json")],
+    )
+
+
+def test_translate_judges_a_complete_triple_that_classifies_false(tmp_path, capsys, desk_paths):
+    rc, stdout, err = _translate_blueprint(
+        capsys, desk_paths, tmp_path, _data_text("blueprint.ttl") + FALSE_TRIPLE + "\n"
+    )
+    assert rc == EXIT_VERIFICATION_FAILED and stdout == ""
+    assert err == (
+        "error: verification-failed: intent 'intent-reliable-video' failed verification:"
+        f" {FALSE_TRIPLE}\n"
+    )
+    assert json.loads((tmp_path / "report.json").read_text())["verified"] is False
+    assert not (tmp_path / "i.ttl").exists()
+
+
+def test_translate_and_verify_judge_a_complete_triple_that_classifies_true(
+    tmp_path, capsys, desk_paths
+):
+    rc, _, _ = _translate_blueprint(
+        capsys, desk_paths, tmp_path, _data_text("blueprint.ttl") + TRUE_TRIPLE + "\n"
+    )
+    assert rc == EXIT_OK
+    out = tmp_path / "verify.json"
+    rc, stdout, _ = run(
+        capsys,
+        ["verify", "--model", str(desk_paths["model"]),
+         "--intent", str(tmp_path / "i.ttl"), "--out", str(out)],
+    )
+    assert rc == EXIT_OK and "all 4 classifiable triples" in stdout
+    rows = {row["triple"]: row for row in json.loads(out.read_text())["triples"]}
+    assert rows[TRUE_TRIPLE]["classified"] is True
+
+
+def test_translate_refuses_an_intent_with_no_triple_to_judge(tmp_path, capsys, desk_paths):
+    rc, stdout, err = _translate_blueprint(
+        capsys, desk_paths, tmp_path,
+        INTENT_PREFIXES + "icm:ServiceIntent icm:hasExpectation icm:ServiceExpectation .\n",
+    )
+    assert rc == EXIT_CONFIG and stdout == ""
+    assert err == "error: config: intent contains no triples the model can classify\n"
+    assert not (tmp_path / "i.ttl").exists() and not (tmp_path / "report.json").exists()
+
+
 def test_translate_head_value_slot_is_unresolved(tmp_path, capsys, desk_paths):
     # No literal is proposed for a subject, and no non-literal is an
     # admissible value, so the slot stays unresolved.
@@ -1303,7 +1364,7 @@ def test_verify_rejects_false_triples(tmp_path, capsys, desk_paths):
     )
     assert rc == EXIT_VERIFICATION_FAILED
     assert err == (
-        "error: verification-failed: intent 'intent' failed verification:"
+        f"error: verification-failed: intent {str(intent)!r} failed verification:"
         " icm:Intent icm:hasTarget kpi:latency .;"
         " kpi:latency icm:hasParameter icm:Intent .;"
         " nonmcptt:ConvVideo rdfs:subclass icm:Intent .;"

@@ -586,6 +586,22 @@ def test_verify_intent_sets_flags(toy_model, toy_ikg):
     assert all(r.classified is False for r in intent.resolutions)
 
 
+def test_verify_intent_judges_complete_triples_in_the_vocabulary(toy_model, toy_ikg):
+    known = toy_ikg.triples[0]  # icm:Intent icm:hasExpectation icm:Expectation
+    scaffold = Triple(iri("icm:ServiceIntent"), iri("icm:hasExpectation"), iri("icm:Expectation"))
+    intent = NetworkIntent("i", [scaffold, known], [])
+    verify_intent(intent, toy_model, ThresholdTable({}, fallback=-math.inf))
+    want = score(toy_model, *toy_model.vocab.triple_ids(known))
+    assert intent.verdicts == [None, (want, True)]
+    assert intent.verified is True
+    verify_intent(intent, toy_model, ThresholdTable({}, fallback=math.inf))
+    assert intent.verdicts == [None, (want, False)]
+    assert intent.verified is False
+    assert VerificationFailedError(intent).failing == [known]
+    with pytest.raises(ValueError, match="^intent contains no triples the model can classify$"):
+        verify_intent(NetworkIntent("i", [scaffold], []), toy_model, ThresholdTable({}, fallback=0.0))
+
+
 def test_verify_intent_rejects_placeholder(toy_model):
     bad = NetworkIntent(
         "intent",
@@ -643,10 +659,9 @@ def test_translate_no_slots_blueprint(desk_model, desk_ikg, shipped_corpus):
         "@prefix icm: <http://intent.example/icm#> .\n"
         "icm:ServiceIntent icm:hasExpectation icm:ServiceExpectation .\n"
     )
-    intent = translate("anything", desk_model, desk_ikg, shipped_corpus, blueprint)
-    assert intent.verified is True
-    assert intent.resolutions == []
-    assert len(intent.triples) == 1
+    # Its one triple is scaffolding the model cannot score: nothing to judge.
+    with pytest.raises(ValueError, match="^intent contains no triples the model can classify$"):
+        translate("anything", desk_model, desk_ikg, shipped_corpus, blueprint)
 
 
 def test_translate_requires_thresholds(desk_ikg, desk_split, shipped_corpus, shipped_blueprint):
