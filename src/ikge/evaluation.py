@@ -2,7 +2,8 @@
 
 Ranking, threshold selection and classification metrics take triples in
 their id form: ``(n, 3)`` int arrays of ``(h, r, t)`` rows, such as a
-split's ``test_ids``. Every id is range-checked on entry (IndexError).
+split's ``test_ids`` or, as the filtered protocol's known set, its whole
+``ids``. Every id is range-checked on entry (IndexError).
 Only ``rank_triple`` and ``classify`` take a Term-level triple, and each
 converts its own.
 
@@ -25,6 +26,7 @@ owner of a model's split: ``fit(graph, config)`` draws the config's split
 and returns what ``ikge train`` writes; ``evaluate(model, graph)`` draws
 the same split again from the config stored on the model and returns what
 ``ikge evaluate`` writes, the ranks and classification of its test rows.
+Neither builds a Term-level part of the split.
 """
 
 from __future__ import annotations
@@ -272,8 +274,11 @@ def fit(graph: Graph, config: training.TrainConfig) -> tuple[kg2e.Kg2eModel, tra
     """What ``ikge train`` runs: a model at the default dimension trained on
     the split ``config`` draws from ``graph``, its thresholds fitted on the
     split's ``valid_ids`` against one corruption per row drawn from
-    ``(config.seed, 2)``, and ``config`` stored on it."""
+    ``(config.seed, 2)``, and ``config`` stored on it. A split with no
+    validation rows raises ValueError before any training."""
     split = training.split_dataset(graph, config.split, config.seed)
+    if split.n_valid == 0:
+        raise ValueError("split leaves no validation triples")
     model = kg2e.init_model(split.vocab, seed=config.seed)
     report = training.train(model, split, config)
     valid = split.valid_ids
@@ -287,7 +292,7 @@ def evaluate(model: kg2e.Kg2eModel, graph: Graph) -> dict:
     """The document ``ikge evaluate`` writes to ``eval.json``, for a model
     ``fit`` made from ``graph``: the split is drawn again from the model's
     stored training config, and its ``test_ids`` are ranked raw and filtered
-    against all the split's ids and classified against one corruption per
+    against the split's ``ids`` and classified against one corruption per
     row drawn from ``(seed, 3)``. A missing or malformed stored config
     raises ValueError; so does a model without thresholds. The model must
     share the split's vocabulary (VocabError)."""
@@ -302,8 +307,7 @@ def evaluate(model: kg2e.Kg2eModel, graph: Graph) -> dict:
         raise VocabError("IKG vocabulary does not match the model's vocabulary")
     thresholds = kg2e.require_thresholds(model)
     test = split.test_ids
-    known = np.concatenate((split.train_ids, split.valid_ids, test))
-    ranks = evaluate_ranks(model, test, known, filtered=True)
+    ranks = evaluate_ranks(model, test, split.ids, filtered=True)
     negatives = split.sampler.sample_many(test, np.random.default_rng((config.seed, 3)))
     classification = evaluate_classification(model, test, negatives, thresholds)
     return {

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .model import require_number
 from .rdf import Graph, Term, Triple
 
 PREFIXES = {
@@ -89,6 +90,8 @@ class IkgGenSpec:
     target_triples: int = 1575
 
     def __post_init__(self):
+        for name in ("seed", "n_services", "n_resources", "n_kpis", "target_triples"):
+            require_number(name, getattr(self, name), integer=True)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n_services < 1:

@@ -440,22 +440,16 @@ def complete_template(
         admissible = [
             p for p in predictions if index.admissible(p.candidate, slot.role, triple.relation)
         ]
-        hint_terms = hints.get(slot.role)
-        note = None
-        chosen = None
-        if hint_terms:
-            for p in admissible:
-                if index.hint_consistent(p.candidate, hint_terms):
-                    chosen = p
-                    break
-            if chosen is None and admissible:
-                chosen = admissible[0]
-                note = "hint conflict: no hint-consistent admissible candidate; admissibility wins"
-                log.warning("slot %d (%s): %s", slot.slot_id, slot.role, note)
-        elif admissible:
-            chosen = admissible[0]
-        if chosen is None:
+        if not admissible:
             raise UnresolvedSlotError(slot.slot_id, slot.role, k)
+        hint_terms = hints.get(slot.role)
+        consistent = (p for p in admissible if index.hint_consistent(p.candidate, hint_terms))
+        chosen = next(consistent, None) if hint_terms else admissible[0]
+        note = None
+        if chosen is None:
+            chosen = admissible[0]
+            note = "hint conflict: no hint-consistent admissible candidate; admissibility wins"
+            log.warning("slot %d (%s): %s", slot.slot_id, slot.role, note)
 
         resolution = SlotResolution(
             slot_id=slot.slot_id,

@@ -4,9 +4,11 @@
 split, then ``init_model``, ``train`` and the threshold fit on the
 validation rows.
 
-A split converts each of its triples to the id form ``(h, r, t)`` once,
-into the ``(n, 3)`` int arrays ``train_ids``, ``valid_ids`` and
-``test_ids``; training, threshold selection and evaluation read these.
+A split is its graph plus one seeded order of its triples. Each triple is
+converted to the id form ``(h, r, t)`` once, into one ``(n, 3)`` int array
+``ids`` in that order; training, threshold selection and evaluation read
+its views ``train_ids``, ``valid_ids`` and ``test_ids``. The Term-level
+parts are built only when an edge such as ``ikge split`` reads them.
 Training triples are positives; negatives are sampled per positive by
 corrupting the head or the tail (coin flip) with a uniformly random
 replacement entity, rejecting corruptions present anywhere in the split
@@ -154,36 +156,48 @@ class TrainReport:
         return {"epochs_run": len(self.epoch_losses), **asdict(self)}
 
 
-@dataclass
+@dataclass(eq=False)
 class DatasetSplit:
-    train: Graph
-    valid: Graph
-    test: Graph
+    """``graph``'s triples in the seeded order ``order``: ``n_train`` training
+    triples, then ``n_valid`` validation triples, then the test triples.
+    ``ids`` converts every triple once, in that order, and the three
+    ``*_ids`` arrays are views of it; the Term-level ``train``, ``valid``
+    and ``test`` are built from ``order`` only when read."""
+
+    graph: Graph
     vocab: Vocab
+    order: np.ndarray
+    n_train: int
+    n_valid: int
 
     def full_graph(self) -> Graph:
-        return Graph(
-            self.train.triples + self.valid.triples + self.test.triples,
-            self.train.prefix_map,
-        )
+        return self.graph
 
-    def _ids(self, triples: Graph) -> np.ndarray:
-        rows = [self.vocab.triple_ids(t) for t in triples]
-        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    @cached_property
+    def ids(self) -> np.ndarray:
+        rows = [self.vocab.triple_ids(t) for t in self.graph]
+        return np.array(rows, dtype=np.int64).reshape(-1, 3)[self.order]
 
-    # The ``(n, 3)`` id forms of the three parts, rows in triple order: each
-    # triple is converted once, and every layer that scores reads these.
-    train_ids = cached_property(lambda self: self._ids(self.train))
-    valid_ids = cached_property(lambda self: self._ids(self.valid))
-    test_ids = cached_property(lambda self: self._ids(self.test))
+    def _rows(self, part: int) -> slice:
+        cuts = (0, self.n_train, self.n_train + self.n_valid, None)
+        return slice(cuts[part], cuts[part + 1])
+
+    def _part(self, part: int) -> Graph:
+        triples = [self.graph.triples[i] for i in self.order[self._rows(part)].tolist()]
+        return Graph(triples, self.graph.prefix_map)
+
+    train_ids = cached_property(lambda self: self.ids[self._rows(0)])
+    valid_ids = cached_property(lambda self: self.ids[self._rows(1)])
+    test_ids = cached_property(lambda self: self.ids[self._rows(2)])
+    train = cached_property(lambda self: self._part(0))
+    valid = cached_property(lambda self: self._part(1))
+    test = cached_property(lambda self: self._part(2))
 
     @cached_property
     def sampler(self) -> "NegativeSampler":
         """The negative sampler over the split's own triples, built once:
         training and the threshold and test negatives all reject these."""
-        return NegativeSampler(
-            self.vocab, np.concatenate((self.train_ids, self.valid_ids, self.test_ids))
-        )
+        return NegativeSampler(self.vocab, self.ids)
 
 
 def split_dataset(
@@ -210,14 +224,7 @@ def split_dataset(
     n_train = n - n_valid - n_test
     if n_train < 1:
         raise ValueError("split leaves no training triples")
-    triples = graph.triples
-    pick = lambda idx: Graph([triples[i] for i in idx], graph.prefix_map)
-    return DatasetSplit(
-        train=pick(order[:n_train]),
-        valid=pick(order[n_train : n_train + n_valid]),
-        test=pick(order[n_train + n_valid :]),
-        vocab=vocab,
-    )
+    return DatasetSplit(graph, vocab, order, n_train, n_valid)
 
 
 class NegativeSampler:
@@ -401,7 +408,7 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
     """
     if model.vocab != split.vocab:
         raise VocabError("model vocabulary does not match the dataset split")
-    if len(split.train) == 0:
+    if split.n_train == 0:
         raise ValueError("training split is empty")
 
     rng = np.random.default_rng(config.seed)

@@ -448,6 +448,25 @@ def test_train_rejects_wrong_typed_config_fields(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+def test_train_refuses_a_split_without_validation_rows_before_training(
+    tmp_path, capsys, monkeypatch, desk_paths
+):
+    # 1575 * 0.0005 rounds down to 0 validation triples: refused before any
+    # epoch runs, naming the split.
+    trained = []
+    monkeypatch.setattr(training, "train", lambda *args: trained.append(args))
+    config = tmp_path / "c.json"
+    config.write_text('{"split": [0.999, 0.0005, 0.0005]}')
+    out = tmp_path / "m.json"
+    rc, _, err = run(
+        capsys,
+        ["train", "--ikg", str(desk_paths["ikg"]), "--out", str(out), "--config", str(config)],
+    )
+    assert rc == EXIT_CONFIG
+    assert err == "error: config: split leaves no validation triples\n"
+    assert not out.exists() and trained == []
+
+
 def test_train_rejects_malformed_config_json(tmp_path, capsys, desk_paths):
     config = tmp_path / "c.json"
     config.write_text("{not json")

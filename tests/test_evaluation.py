@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ikge import evaluation, model as kg2e
+from ikge import evaluation, model as kg2e, rdf, training
 
 from ikge.evaluation import (
     HITS_AT,
@@ -24,6 +24,7 @@ from ikge.evaluation import (
     evaluate,
     evaluate_classification,
     evaluate_ranks,
+    fit,
     rank_triple,
     select_thresholds,
     verdicts,
@@ -744,6 +745,31 @@ def test_grouped_ranks_match_per_row_oracle(case):
     for filtered, name in ((False, "raw"), (True, "filtered")):
         assert ranks[name].to_document() == oracle_rank_document(model, test, known, filtered)
     assert evaluate_ranks(model, test, known) == {"raw": ranks["raw"]}
+
+
+def test_fit_and_evaluate_build_no_graph(monkeypatch, desk_model, desk_ikg):
+    # Both read the split's id arrays; neither builds a Term-level part.
+    built = []
+    init = rdf.Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rdf.Graph, "__init__", counting)
+    fit(desk_ikg, training.TrainConfig(epochs=1))
+    assert built == []
+    evaluate(desk_model, desk_ikg)
+    assert built == []
+
+
+def test_fit_refuses_a_split_without_validation_rows_before_training(monkeypatch, desk_ikg):
+    trained = []
+    monkeypatch.setattr(training, "train", lambda *args: trained.append(args))
+    with pytest.raises(ValueError) as info:
+        fit(desk_ikg, training.TrainConfig(split=(0.999, 0.0005, 0.0005)))
+    assert str(info.value) == "split leaves no validation triples"
+    assert trained == []
 
 
 def test_evaluate_needs_the_split_vocabulary_and_thresholds(desk_model, desk_ikg):

@@ -57,6 +57,23 @@ def test_zero_kpis_allowed():
     assert not any(t.tail.is_literal for t in g.triples)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_services", 2.5),
+        ("target_triples", 1575.0),
+        ("n_kpis", "3"),
+        ("seed", True),
+        ("n_resources", None),
+    ],
+)
+def test_spec_fields_must_be_integers(field, value):
+    # Checked as TrainConfig checks its integers, before any range check.
+    with pytest.raises(TypeError) as info:
+        IkgGenSpec(**{field: value})
+    assert str(info.value) == f"{field} must be an integer, not {value!r}"
+
+
 def test_infeasible_target_raises():
     with pytest.raises(InfeasibleSpecError):
         gen_ikg(IkgGenSpec(n_services=12, n_resources=6, n_kpis=4, target_triples=260))

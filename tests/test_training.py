@@ -514,7 +514,22 @@ def test_split_ids_follow_the_split_triples(desk_split):
     ):
         assert ids.dtype == np.int64 and ids.shape == (len(triples), 3)
         assert ids.tolist() == [list(vocab.triple_ids(t)) for t in triples]
+        assert np.shares_memory(ids, desk_split.ids)  # a view, not a copy
     assert desk_split.train_ids is desk_split.train_ids
+    parts = desk_split.train.triples + desk_split.valid.triples + desk_split.test.triples
+    assert desk_split.ids.tolist() == [list(vocab.triple_ids(t)) for t in parts]
+
+
+def test_split_parts_follow_the_seeded_order(desk_ikg, desk_split):
+    assert desk_split.full_graph() is desk_split.graph is desk_ikg
+    triples = [desk_ikg.triples[i] for i in desk_split.order.tolist()]
+    n_train, n_valid = desk_split.n_train, desk_split.n_valid
+    assert (n_train, n_valid) == (1261, 157)
+    assert desk_split.train.triples == tuple(triples[:n_train])
+    assert desk_split.valid.triples == tuple(triples[n_train : n_train + n_valid])
+    assert desk_split.test.triples == tuple(triples[n_train + n_valid :])
+    assert desk_split.train.prefix_map == desk_ikg.prefix_map
+    assert desk_split.train is desk_split.train
 
 
 def test_split_sampler_knows_the_whole_split_and_is_built_once(desk_split):
@@ -522,6 +537,8 @@ def test_split_sampler_knows_the_whole_split_and_is_built_once(desk_split):
     vocab = desk_split.vocab
     whole = NegativeSampler(vocab, vocab.known_ids(desk_split.full_graph()))
     assert desk_split.sampler.known == whole.known
+    h, r, t = desk_split.ids.T
+    assert desk_split.sampler.known == set(desk_split.sampler.key(h, r, t).tolist())
 
 
 # The sampler decodes its draws from raw PCG64 words. Against the calls it
@@ -636,7 +653,7 @@ def test_convergence_epoch_cases():
 def test_train_single_triple_reaches_zero_loss():
     g = parse("@prefix ex: <http://e.example/ns#> .\nex:a ex:r ex:b .")
     v = build_vocab(g)
-    split = DatasetSplit(train=g, valid=Graph([], g.prefix_map), test=Graph([], g.prefix_map), vocab=v)
+    split = DatasetSplit(g, v, np.arange(len(g)), n_train=1, n_valid=0)
     config = TrainConfig(epochs=60, seed=0, batch_size=1)
     model = init_model(v, dim=50, seed=config.seed)
     report = train(model, split, config)
@@ -675,8 +692,7 @@ def test_train_vocab_mismatch():
 def test_train_empty_train_split():
     g = line_graph(10)
     v = build_vocab(g)
-    empty = Graph([], g.prefix_map)
-    split = DatasetSplit(train=empty, valid=empty, test=empty, vocab=v)
+    split = DatasetSplit(g, v, np.arange(len(g)), n_train=0, n_valid=0)
     with pytest.raises(ValueError):
         train(init_model(v, dim=4, seed=0), split, TrainConfig(epochs=1))
 
