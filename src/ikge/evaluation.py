@@ -195,15 +195,19 @@ def best_threshold(pos_scores, neg_scores) -> float:
 
     Candidates are the midpoints of adjacent distinct scores plus one
     sentinel below the minimum and one above the maximum; ties on accuracy
-    resolve to the lowest candidate. Each candidate's count of positives
-    >= it and negatives below it comes from a binary search of the sorted
-    scores, so the cost is O(n log n).
+    resolve to the lowest candidate. The distinct scores are ``np.unique``'s:
+    the sorted scores less each one equal to the one before it or a NaN
+    after a NaN, so one NaN stays last. A neighbour mask gives them without
+    the ``numpy.ma`` import that ``np.unique`` costs on numpy 2. Each
+    candidate's count of positives >= it and negatives below it comes from
+    a binary search of the sorted scores, so the cost is O(n log n).
     """
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
-    values = np.unique(np.concatenate([pos, neg]))
+    values = np.sort(np.concatenate([pos, neg]))
     if len(values) == 0:
         raise ValueError("no scores to threshold")
+    values = values[np.concatenate([[True], (values[1:] != values[:-1]) & ~np.isnan(values[:-1])])]
     candidates = np.concatenate(
         [[values[0] - 1.0], (values[:-1] + values[1:]) / 2.0, [values[-1] + 1.0]]
     )
@@ -274,11 +278,9 @@ def fit(graph: Graph, config: training.TrainConfig) -> tuple[kg2e.Kg2eModel, tra
     """What ``ikge train`` runs: a model at the default dimension trained on
     the split ``config`` draws from ``graph``, its thresholds fitted on the
     split's ``valid_ids`` against one corruption per row drawn from
-    ``(config.seed, 2)``, and ``config`` stored on it. A split with no
-    validation rows raises ValueError before any training."""
+    ``(config.seed, 2)``, and ``config`` stored on it. A split that leaves
+    a part empty raises ValueError (``split_dataset``) before any training."""
     split = training.split_dataset(graph, config.split, config.seed)
-    if split.n_valid == 0:
-        raise ValueError("split leaves no validation triples")
     model = kg2e.init_model(split.vocab, seed=config.seed)
     report = training.train(model, split, config)
     valid = split.valid_ids

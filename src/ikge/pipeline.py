@@ -12,12 +12,14 @@ value. A later slotted triple may reference an earlier slot through the
 role's anchor class (for example ``icm:Target`` in head position), which
 is substituted with the entity chosen for that slot before prediction.
 
-Per request, ``translate`` and ``predict_candidates`` each build one
-OntologyIndex: a single O(n) pass over the IKG's n triples. After it, a
-value slot's membership test is an O(1) dict lookup, the value pool costs
-one vocabulary lookup per observed literal, and every other pool is the
-vocabulary's cached array of non-literal entity ids. No index or pool is
-kept across calls.
+An IKG ``Graph`` has one OntologyIndex: ``ontology_index`` builds it on
+first use, in a single O(n) pass over the graph's n triples, and keeps it
+on the graph, so later ``translate`` and value-slot ``predict_candidates``
+calls on the same ``Graph`` object read it without re-indexing; a copy,
+an unpickled graph or a fresh parse builds its own. After it, a value
+slot's membership test is an O(1) dict lookup, the value pool costs one
+vocabulary lookup per observed literal, and every other pool is the
+vocabulary's cached array of non-literal entity ids, which reads no index.
 """
 
 from __future__ import annotations
@@ -286,7 +288,10 @@ class OntologyIndex:
     Built in one pass over the triples: each distinct relation is classified
     once. ``literal_tails`` maps a relation's text to its distinct literal
     tails, the keys of a dict in first-seen order: the value pool of a tail
-    value slot, and the O(1) membership test of its admissibility.
+    value slot, and the O(1) membership test of its admissibility. The
+    pipeline shares one index per graph (``ontology_index``), so an index
+    keeps no reference to its graph and memoizes only the closures of
+    classes with subclass edges, which are terms of the graph.
     """
 
     def __init__(self, ikg: Graph):
@@ -316,6 +321,8 @@ class OntologyIndex:
         cached = self._closures.get(root)
         if cached is not None:
             return cached
+        if root not in self.children:
+            return frozenset((root,))
         out = {root}
         frontier = [root]
         while frontier:
@@ -352,20 +359,24 @@ class OntologyIndex:
         return any(candidate in self.closure(h) for h in hint_terms)
 
 
-def predict_candidates(
-    model: kg2e.Kg2eModel,
-    slot: Slot,
-    k: int,
-    ikg: Graph,
-    index: OntologyIndex | None = None,
-) -> list[Prediction]:
+def ontology_index(ikg: Graph) -> OntologyIndex:
+    """The OntologyIndex of ``ikg``: built on first use and kept on the
+    graph, so every later call with the same ``Graph`` object returns it."""
+    index = ikg._ontology_index
+    if index is None:
+        index = OntologyIndex(ikg)
+        object.__setattr__(ikg, "_ontology_index", index)
+    return index
+
+
+def predict_candidates(model: kg2e.Kg2eModel, slot: Slot, k: int, ikg: Graph) -> list[Prediction]:
     """Top-k completions for one slot, scores non-increasing, ranks 1..k.
 
     A value-role tail slot draws candidates only from the literals observed
     for the slot's relation in the IKG; every other slot, a value-role head
     slot included, draws from all non-literal entities, since a literal is
     never a subject. Ties order by entity id. Only a value-role tail slot
-    reads ``index``, built from ``ikg`` when not given.
+    reads the graph's OntologyIndex (``ontology_index``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -380,10 +391,8 @@ def predict_candidates(
         scores = kg2e.score_candidates(model, 0, r, t, position="head")
 
     if slot.role == ROLE_VALUE and slot.position == "tail":
-        if index is None:
-            index = OntologyIndex(ikg)
         pool = []
-        for lit in index.literal_tails.get(triple.relation.text, ()):
+        for lit in ontology_index(ikg).literal_tails.get(triple.relation.text, ()):
             try:
                 pool.append(vocab.entity_id(lit))
             except VocabError:
@@ -423,7 +432,7 @@ def complete_template(
     the hint constraint is dropped and the conflict is logged.
     """
     hints = hints or {}
-    index = OntologyIndex(ikg)
+    index = ontology_index(ikg)
     anchor_substitutions: dict[Term, Term] = {}
     resolutions: list[SlotResolution] = []
 
@@ -436,7 +445,7 @@ def complete_template(
                 triple = Triple(head, triple.relation, tail)
                 slot = Slot(triple, slot.slot_id, slot.role, slot.position)
 
-        predictions = predict_candidates(model, slot, k, ikg, index=index)
+        predictions = predict_candidates(model, slot, k, ikg)
         admissible = [
             p for p in predictions if index.admissible(p.candidate, slot.role, triple.relation)
         ]

@@ -242,10 +242,12 @@ class Graph:
 
     Duplicates collapse on construction. Every prefixed name used by a
     triple must resolve via ``prefix_map``. ``terms`` lists each distinct
-    term once.
+    term once. ``_ontology_index`` holds the graph's
+    ``pipeline.OntologyIndex`` once ``pipeline.ontology_index`` has built
+    it; equality, copies and pickles ignore it, so a copy builds its own.
     """
 
-    __slots__ = ("triples", "prefix_map", "terms", "_index")
+    __slots__ = ("triples", "prefix_map", "terms", "_index", "_ontology_index")
 
     def __init__(self, triples=(), prefix_map: dict[str, str] | None = None):
         prefix_map = dict(prefix_map or {})
@@ -260,6 +262,7 @@ class Graph:
         object.__setattr__(self, "prefix_map", prefix_map)
         object.__setattr__(self, "terms", terms.keys())
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_ontology_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

@@ -209,9 +209,11 @@ def split_dataset(
     ``TrainConfig()``'s, so this is the split ``ikge train`` draws at it.
 
     Valid and test sizes are floor(n * fraction); the remainder goes to
-    train, so 1575 triples at (0.8, 0.1, 0.1) give 1261/157/157. The
-    vocabulary is built from the full graph so held-out entities still
-    resolve.
+    train, so 1575 triples at (0.8, 0.1, 0.1) give 1261/157/157. A split
+    that leaves any part empty raises ValueError, naming the split and the
+    three counts: training needs its rows, threshold selection the
+    validation rows and evaluation the test rows. The vocabulary is built
+    from the full graph so held-out entities still resolve.
     """
     n = len(graph)
     if n == 0:
@@ -222,8 +224,11 @@ def split_dataset(
     n_valid = int(n * fractions[1])
     n_test = int(n * fractions[2])
     n_train = n - n_valid - n_test
-    if n_train < 1:
-        raise ValueError("split leaves no training triples")
+    if min(n_train, n_valid, n_test) < 1:
+        raise ValueError(
+            f"split {list(fractions)} leaves {n_train} training, {n_valid} validation"
+            f" and {n_test} test triples of {n}; each part needs at least one"
+        )
     return DatasetSplit(graph, vocab, order, n_train, n_valid)
 
 

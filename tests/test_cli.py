@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ from ikge.cli import (
     main,
 )
 from ikge.evaluation import evaluate, fit
+from ikge.ikggen import IkgGenSpec, gen_ikg
 from ikge.model import PARAMETER_NAMES, load_model, save_model, score
 from ikge.pipeline import UnresolvedSlotError, VerificationFailedError, NetworkIntent
 from ikge.rdf import ParseError, PrefixError, VocabError, parse
@@ -332,6 +337,32 @@ def test_train_quick_run(tmp_path, capsys, desk_paths):
     assert out2.read_bytes() == out.read_bytes()
 
 
+def test_train_imports_no_more_of_numpy_ma_than_numpy_does(tmp_path):
+    # numpy.ma costs a cold `ikge train` about 1.3 MB and 10 ms on numpy 2,
+    # where `import numpy` leaves it out; numpy 1.x imports it with numpy.
+    ikg = tmp_path / "ikg.ttl"
+    spec = IkgGenSpec(n_services=6, n_resources=4, n_kpis=3, target_triples=120)
+    ikg.write_text(rdf.serialize(gen_ikg(spec)), encoding="utf-8")
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "ma = lambda: {m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')}\n"
+        "before = ma()\n"
+        "from ikge.cli import main\n"
+        "argv = ['train', '--ikg', sys.argv[1], '--out', sys.argv[2], '--epochs', '2']\n"
+        "assert main(argv) == 0, argv\n"
+        "print(sorted(ma() - before))\n"
+    )
+    src = str(Path(rdf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(ikg), str(tmp_path / "m.json")],
+        env=env, check=True, timeout=120, capture_output=True, text=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert load_model(tmp_path / "m.json").train_config["epochs"] == 2
+
+
 def test_train_and_evaluate_build_one_sampler_each(tmp_path, capsys, monkeypatch, desk_paths):
     # Training and the threshold (or test) negatives share the split's sampler.
     built = []
@@ -463,8 +494,34 @@ def test_train_refuses_a_split_without_validation_rows_before_training(
         ["train", "--ikg", str(desk_paths["ikg"]), "--out", str(out), "--config", str(config)],
     )
     assert rc == EXIT_CONFIG
-    assert err == "error: config: split leaves no validation triples\n"
+    assert err == (
+        "error: config: split [0.999, 0.0005, 0.0005] leaves 1575 training, 0 validation"
+        " and 0 test triples of 1575; each part needs at least one\n"
+    )
     assert not out.exists() and trained == []
+
+
+@pytest.mark.parametrize("command, out", [("train", "--out"), ("split", "--out-dir")])
+def test_a_split_without_test_rows_exits_config_before_training(
+    tmp_path, capsys, monkeypatch, desk_paths, command, out
+):
+    # 1575 * 0.0005 rounds down to 0 test triples: a model trained on it
+    # could never be evaluated, so train refuses it as split does, before any
+    # epoch runs.
+    trained = []
+    monkeypatch.setattr(training, "train", lambda *args: trained.append(args))
+    config = tmp_path / "c.json"
+    config.write_text('{"split": [0.9, 0.0995, 0.0005], "epochs": 2}')
+    rc, _, err = run(
+        capsys,
+        [command, "--ikg", str(desk_paths["ikg"]), out, str(tmp_path / "o"), "--config", str(config)],
+    )
+    assert rc == EXIT_CONFIG
+    assert err == (
+        "error: config: split [0.9, 0.0995, 0.0005] leaves 1419 training, 156 validation"
+        " and 0 test triples of 1575; each part needs at least one\n"
+    )
+    assert not (tmp_path / "o").exists() and trained == []
 
 
 def test_train_rejects_malformed_config_json(tmp_path, capsys, desk_paths):

@@ -422,6 +422,61 @@ def test_best_threshold_matches_loop_oracle(pos, neg):
         assert same_float(best_threshold(pos, neg), loop_best_threshold(pos, neg))
 
 
+def unique_best_threshold(pos_scores, neg_scores) -> float:
+    """``best_threshold`` as it was when ``np.unique`` gave its distinct
+    scores, kept as the oracle of the neighbour mask that replaced it."""
+    pos = np.asarray(pos_scores, dtype=np.float64)
+    neg = np.asarray(neg_scores, dtype=np.float64)
+    values = np.unique(np.concatenate([pos, neg]))
+    if len(values) == 0:
+        raise ValueError("no scores to threshold")
+    candidates = np.concatenate(
+        [[values[0] - 1.0], (values[:-1] + values[1:]) / 2.0, [values[-1] + 1.0]]
+    )
+    pos = np.sort(pos[~np.isnan(pos)])
+    neg = np.sort(neg[~np.isnan(neg)])
+    correct = len(pos) - np.searchsorted(pos, candidates) + np.searchsorted(neg, candidates)
+    correct[np.isnan(candidates)] = 0
+    return float(candidates[int(np.argmax(correct))])
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+special_floats = st.lists(
+    st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5]), max_size=25
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(special_floats, tie_heavy, any_float, close_floats),
+    st.one_of(special_floats, tie_heavy, any_float, close_floats),
+)
+@example([math.nan, math.nan, 0.0], [])
+@example([], [-0.0, 0.0, -0.0, math.nan])
+@example([math.inf, math.inf, -math.inf], [math.nan, -math.inf])
+@example([0.0, -0.0], [-0.0, 0.0])
+def test_best_threshold_matches_unique_formula(pos, neg):
+    if not pos and not neg:
+        return  # test_best_threshold_empty
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(best_threshold(pos, neg), unique_best_threshold(pos, neg))
+
+
+def test_best_threshold_matches_unique_formula_on_long_inputs():
+    # Past the short-array paths of numpy's sort, with every special value.
+    rng = np.random.default_rng(11)
+    specials = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf])
+    for _ in range(200):
+        pool = np.concatenate([specials, rng.normal(size=4), rng.integers(-2, 3, 4) / 2.0])
+        pos = rng.choice(pool, size=rng.integers(0, 300))
+        neg = rng.choice(pool, size=rng.integers(0 if len(pos) else 1, 300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(best_threshold(pos, neg), unique_best_threshold(pos, neg))
+
+
 def separable_fixture():
     """d=1 model whose validation positives and negatives are separable."""
     g = parse(
@@ -768,7 +823,10 @@ def test_fit_refuses_a_split_without_validation_rows_before_training(monkeypatch
     monkeypatch.setattr(training, "train", lambda *args: trained.append(args))
     with pytest.raises(ValueError) as info:
         fit(desk_ikg, training.TrainConfig(split=(0.999, 0.0005, 0.0005)))
-    assert str(info.value) == "split leaves no validation triples"
+    assert str(info.value) == (
+        "split [0.999, 0.0005, 0.0005] leaves 1575 training, 0 validation and 0 test triples"
+        " of 1575; each part needs at least one"
+    )
     assert trained == []
 
 

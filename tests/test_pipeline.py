@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -889,28 +890,74 @@ _BENCH_PREDICT_SLOTS = (
 )
 
 
-def test_predict_candidates_indexes_only_value_slots(desk_model, desk_ikg, monkeypatch):
+def _bench_predict_slot(ikg: Graph, text: str) -> Slot:
+    header = "".join(f"@prefix {p}: <{iri}> .\n" for p, iri in sorted(ikg.prefix_map.items()))
+    triple = parse(header + text + " .").triples[0]
+    position = "head" if triple.head.is_placeholder else "tail"
+    return Slot(triple, 0, ROLE_BY_RELATION.get(triple.relation.text, ROLE_SERVICE), position)
+
+
+def test_one_ontology_index_per_graph(
+    desk_model, desk_ikg, shipped_corpus, shipped_blueprint, monkeypatch
+):
+    # Repeated translates and the six benchmark predicts at every k build
+    # the graph's index once, on first use, and a second round builds none.
     builds = []
+    init = OntologyIndex.__init__
 
-    class CountingIndex(OntologyIndex):
-        def __init__(self, ikg):
-            builds.append(ikg)
-            super().__init__(ikg)
+    def counting(self, ikg):
+        builds.append(ikg)
+        init(self, ikg)
 
-    monkeypatch.setattr(pipeline, "OntologyIndex", CountingIndex)
-    oracle = _ReferenceIndex(desk_ikg)
-    header = "".join(f"@prefix {p}: <{iri}> .\n" for p, iri in sorted(desk_ikg.prefix_map.items()))
-    kinds = set()
-    for text in _BENCH_PREDICT_SLOTS:
-        triple = parse(header + text + " .").triples[0]
-        position = "head" if triple.head.is_placeholder else "tail"
-        role = ROLE_BY_RELATION.get(triple.relation.text, ROLE_SERVICE)
-        slot = Slot(triple=triple, slot_id=0, role=role, position=position)
-        kinds.add((role == ROLE_VALUE, position))
-        for k in (1, 10, 50):
-            builds.clear()
-            got = predict_candidates(desk_model, slot, k, desk_ikg)
-            assert len(builds) == (role == ROLE_VALUE)
-            assert got == _reference_predict(desk_model, slot, k, desk_ikg, index=oracle)
-            assert len(got) == k
-    assert kinds == {(True, "tail"), (False, "tail"), (False, "head")}
+    monkeypatch.setattr(OntologyIndex, "__init__", counting)
+    graph = copy.copy(desk_ikg)  # equal, but no other test has indexed it
+    oracle = _ReferenceIndex(graph)
+    slots = [_bench_predict_slot(graph, text) for text in _BENCH_PREDICT_SLOTS]
+    assert {(s.role == ROLE_VALUE, s.position) for s in slots} == {
+        (True, "tail"), (False, "tail"), (False, "head")
+    }
+    texts = ["reliable video", "please help", "streaming video with low latency", "reliable video"]
+    rounds = []
+    for _ in range(2):
+        builds.clear()
+        intents = [
+            translate(text, desk_model, graph, shipped_corpus, shipped_blueprint) for text in texts
+        ]
+        for slot in slots:
+            for k in (1, 10, 50):
+                got = predict_candidates(desk_model, slot, k, graph)
+                assert got == _reference_predict(desk_model, slot, k, graph, index=oracle)
+                assert len(got) == k
+        rounds.append((list(builds), [serialize(i.to_graph()) for i in intents]))
+    (first, intents), (second, again) = rounds
+    assert len(first) == 1 and first[0] is graph and second == []
+    assert again == intents
+    assert intents[0] == serialize(
+        translate("reliable video", desk_model, desk_ikg, shipped_corpus, shipped_blueprint).to_graph()
+    )
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copied_graph_builds_its_own_index(toy_ikg, clone):
+    graph = Graph(toy_ikg.triples, toy_ikg.prefix_map)
+    index = pipeline.ontology_index(graph)
+    assert pipeline.ontology_index(graph) is index
+    twin = clone(graph)
+    # Equality ignores the index: an indexed graph equals an unindexed one.
+    assert twin == graph and graph == toy_ikg and twin._ontology_index is None
+    assert pipeline.ontology_index(twin) is not index
+    assert pipeline.ontology_index(graph) is index
+
+
+def test_closure_memo_holds_only_classes_of_the_graph(toy_index):
+    # A shared index must not grow with the terms its callers ask about.
+    for n in range(20):
+        stranger = iri(f"icm:NeverSeen{n}")
+        assert toy_index.closure(stranger) == {stranger}
+        assert not toy_index.hint_consistent(iri("service:GBR"), [stranger])
+    assert toy_index.closure(ROLE_ANCHORS[ROLE_SERVICE]) >= {iri("service:StreamVideo")}
+    assert toy_index._closures and set(toy_index._closures) <= set(toy_index.children)

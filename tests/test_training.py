@@ -186,9 +186,18 @@ def test_split_errors():
         split_dataset(g, (0.8, 0.1, 0.2))
     with pytest.raises(ValueError):
         split_dataset(g, (0.8, 0.2))
-    # Each held-out part takes floor(2 * 0.5) = 1 triple.
-    with pytest.raises(ValueError, match="split leaves no training triples"):
+    # Each held-out part takes floor(2 * 0.5) = 1 triple, and any empty part
+    # is refused with the three counts.
+    with pytest.raises(ValueError) as info:
         split_dataset(line_graph(2), (1e-10, 0.5, 0.5))
+    assert str(info.value) == (
+        "split [1e-10, 0.5, 0.5] leaves 0 training, 1 validation and 1 test triples of 2;"
+        " each part needs at least one"
+    )
+    for fractions, counts in [((0.8, 0.05, 0.15), "8 training, 0 validation and 1"),
+                              ((0.8, 0.15, 0.05), "8 training, 1 validation and 0")]:
+        with pytest.raises(ValueError, match=f"leaves {counts} test triples of 9;"):
+            split_dataset(line_graph(10, 1), fractions)
 
 
 # ---------------------------------------------------------------------------
@@ -870,10 +879,12 @@ def small_split():
 
 @pytest.fixture(scope="module")
 def two_entity_split():
-    """Every triple over two entities and two relations, all in train."""
+    """Every triple over two entities and two relations, all in train: built
+    directly, as ``split_dataset`` refuses a split with no held-out rows."""
     lines = ["@prefix ex: <http://e.example/ns#> ."]
     lines += [f"ex:{h} ex:{r} ex:{t} ." for h in "ab" for r in "rs" for t in "ab"]
-    split = split_dataset(parse("\n".join(lines)), seed=0)
+    g = parse("\n".join(lines))
+    split = DatasetSplit(g, build_vocab(g), np.random.default_rng(0).permutation(8), 8, 0)
     assert len(split.train) == 8
     return split
 
