@@ -9,11 +9,16 @@ The three-byte token ``???`` is accepted as a whole term and denotes an
 unfilled slot in an intent template; slot ids are assigned in document
 order starting at 0.
 
-Parsing scans the whole document in one ``findall`` pass into a list of
-token strings, whose text tells their kind, then reads statements from it.
-Within one parse every distinct IRI token and every distinct ``(lexical,
-datatype)`` literal is a single shared Term, checked when first read. No
-offsets are kept: a ParseError rescans up to its token for line and column.
+Parsing reads the document a line at a time. No token spans a line:
+strings, ``<...>`` references and comments all stop at a line break. So a line
+that is exactly ``A B C .``, each chunk a token the parse has already read
+and checked, is read as one triple with no scan (the line rule); every other
+line goes through ``findall`` passes of the scanner into token strings,
+whose text tells their kind, and the token reader. Within one parse every
+distinct IRI token and every distinct ``(lexical, datatype)`` literal is a
+single shared Term, checked when first read, so the parse hands ``Graph``
+terms it has already checked. No offsets are kept: a ParseError rescans the
+document up to its token for line and column.
 ``term_from_text`` is the one reader of a stored term, such as a model's
 vocabulary entry: one ``fullmatch`` on the scanner's prefixed-name pattern
 reads a prefixed name or an escape-free string typed by one, and one
@@ -21,9 +26,9 @@ reads a prefixed name or an escape-free string typed by one, and one
 The escape set has one table: ``escape_literal`` translates by it, and a
 literal is unescaped by one ``re.sub`` that reads it backwards.
 Terms and triples hash once, at construction, and compare by identity first;
-``Triple`` is slotted, with its own ``__init__``. A ``Graph`` keeps the
-distinct terms of its prefix check as ``terms``: no ``Vocab`` is needed to
-ask whether a term occurs in it.
+``Triple`` is slotted, with its own ``__init__``. A ``Graph`` keeps its
+distinct terms as ``terms``: no ``Vocab`` is needed to ask whether a term
+occurs in it.
 """
 
 from __future__ import annotations
@@ -242,9 +247,12 @@ class Graph:
 
     Duplicates collapse on construction. Every prefixed name used by a
     triple must resolve via ``prefix_map``. ``terms`` lists each distinct
-    term once. ``_ontology_index`` holds the graph's
-    ``pipeline.OntologyIndex`` once ``pipeline.ontology_index`` has built
-    it; equality, copies and pickles ignore it, so a copy builds its own.
+    term once, in order of first use. The constructor collects and checks
+    them; ``parse`` fills a Graph through ``_fill`` with the terms it
+    interned, which it checked as it read them. ``_ontology_index`` holds
+    the graph's ``pipeline.OntologyIndex`` once ``pipeline.ontology_index``
+    has built it; equality, copies and pickles ignore it, so a copy builds
+    its own.
     """
 
     __slots__ = ("triples", "prefix_map", "terms", "_index", "_ontology_index")
@@ -258,9 +266,12 @@ class Graph:
         terms = dict.fromkeys(by_id.values())
         for term in terms:
             _check_resolvable(term, prefix_map)
+        self._fill(index, prefix_map, terms.keys())
+
+    def _fill(self, index: dict, prefix_map: dict[str, str], terms) -> None:
         object.__setattr__(self, "triples", tuple(index))
         object.__setattr__(self, "prefix_map", prefix_map)
-        object.__setattr__(self, "terms", terms.keys())
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_ontology_index", None)
 
@@ -381,27 +392,47 @@ def parse(text: str) -> Graph:
     resolve against a previously seen ``@prefix`` directive. Each distinct
     IRI token and each distinct ``(lexical, datatype)`` literal becomes one
     shared Term; its checks run the first time it is read, which is enough
-    because the prefix map only grows. A head and relation, and an IRI tail,
-    that were read before are taken straight from the interned Terms; any
-    other term goes through ``read_term``.
+    because the prefix map only grows.
+
+    The document is read a line at a time, as no token spans a line. A line
+    is one triple, read without a scan, when no statement is open and it is
+    exactly ``A B C .`` (a ``.\\r`` dot too), each chunk a token this parse
+    has read: an IRI token, or for ``C`` also a literal as written, with
+    ``^^`` glued between lexical and datatype. Other lines wait in a run,
+    consecutive ones scanned together and read by ``read_statements``, the
+    token reader. A run is read ahead of a line of that shape only where it
+    can pay, since a scan costs more per call than per line: when the line's
+    relation was read or the run is 16 lines long, and the next line has
+    three spaces, as that shape has. The Graph is built from the Terms
+    interned here, which are pairwise unequal, in order of first use and
+    already checked, so no check runs again.
     """
-    tokens = _TOKEN_RE.findall(text)
+    lines = text.split("\n")
     prefix_map: dict[str, str] = {}
     iris: dict[str, Term] = {}
     literals: dict[tuple[str, str | None], Term] = {}
+    written: dict[str, Term] = {}
+    terms: list[Term] = []
     triples: list[Triple] = []
     next_slot = 0
+    run = ""  # the lines being read by the token reader, from line ``first``
+    first = 0
+    tokens: list[str] = []
     pos = 0
 
     def error(index: int, message: str) -> ParseError:
-        """``message`` at token ``index``, unless the document holds a bad
-        character: the first one is reported instead, ahead of any grammar
-        error. The token's offset is found again by rescanning up to it."""
-        bad = next((i for i, token in enumerate(tokens) if _kind(token) == "bad"), None)
+        """``message`` at token ``index`` of the run, unless the document
+        holds a bad character: the first one is reported instead, ahead of
+        any grammar error. Either offset is found again by rescanning."""
+        scanned = _TOKEN_RE.findall(text)
+        bad = next((i for i, token in enumerate(scanned) if _kind(token) == "bad"), None)
         if bad is not None:
-            index, message = bad, f"unexpected character {tokens[bad]!r}"
-        match = next(islice(_TOKEN_RE.finditer(text), index, None))
-        return ParseError(message, *_line_col(text, match.start(1)))
+            match = next(islice(_TOKEN_RE.finditer(text), bad, None))
+            message = f"unexpected character {scanned[bad]!r}"
+            return ParseError(message, *_line_col(text, match.start(1)))
+        match = next(islice(_TOKEN_RE.finditer(run), index, None))
+        line, col = _line_col(run, match.start(1))
+        return ParseError(message, first + line, col)
 
     def check_prefix(index: int) -> None:
         prefix = tokens[index].partition(":")[0]
@@ -416,12 +447,14 @@ def parse(text: str) -> Graph:
             check_prefix(index)
             term = Term.iri(token, prefixed=True)
         iris[token] = term
+        terms.append(term)
         return term
 
     def read_literal(index: int) -> Term:
         nonlocal pos
+        token = tokens[index]
         try:
-            raw = _unescape_literal(tokens[index][1:-1])
+            raw = _unescape_literal(token[1:-1])
         except ParseError as exc:
             raise error(index, exc.message) from None
         datatype = dt_index = None
@@ -431,11 +464,14 @@ def parse(text: str) -> Graph:
             if _kind(tokens[dt_index]) not in ("iriref", "pname"):
                 raise error(dt_index, "expected a datatype IRI after '^^'")
             datatype = tokens[dt_index]
+            token = f"{token}^^{datatype}"
         term = literals.get((raw, datatype))
         if term is None:
             if dt_index is not None and datatype[0] != "<":
                 check_prefix(dt_index)
             term = literals[raw, datatype] = Term.literal(raw, datatype)
+            terms.append(term)
+        written[token] = term
         return term
 
     def read_term(position: str) -> Term:
@@ -452,6 +488,7 @@ def parse(text: str) -> Graph:
                 raise error(index, "placeholder not allowed in relation position")
             term = Term.placeholder(next_slot)
             next_slot += 1
+            terms.append(term)
             return term
         if kind == "string":
             if position == "head":
@@ -461,37 +498,77 @@ def parse(text: str) -> Graph:
             return read_literal(index)
         raise error(index, f"expected an IRI, got {tokens[index]!r}")
 
-    while True:
-        token = tokens[pos]
-        if (head := iris.get(token)) and (relation := iris.get(tokens[pos + 1])):
-            pos += 2
-        elif token == "":
-            break
-        elif token == "@prefix":
-            label = tokens[pos + 1]
-            if _kind(label) != "pname" or label.partition(":")[2]:
-                raise error(pos + 1, "expected a 'prefix:' label after @prefix")
-            target = tokens[pos + 2]
-            if _kind(target) != "iriref":
-                raise error(pos + 2, "expected an <IRI> in @prefix directive")
-            if tokens[pos + 3] != ".":
-                raise error(pos + 3, "expected '.' after @prefix directive")
-            prefix_map[label[:-1]] = target[1:-1]
-            pos += 4
-            continue
-        else:
-            head = read_term("head")
-            relation = read_term("relation")
-        if tail := iris.get(tokens[pos]):
+    def read_statements(start: int, stop: int, final: bool) -> bool:
+        """Scan lines ``start`` to ``stop`` and read their statements; False,
+        reading nothing, when they end inside a statement that a later line
+        may close. Every statement ends in a '.' that no term can be, so the
+        run's last token tells."""
+        nonlocal run, first, tokens, pos
+        run = text if start == 0 and stop == len(lines) else "\n".join(lines[start:stop])
+        tokens = _TOKEN_RE.findall(run)
+        end = tokens.index("")
+        if not final and end and tokens[end - 1] != ".":
+            return False
+        first, pos = start, 0
+        while True:
+            token = tokens[pos]
+            if (head := iris.get(token)) and (relation := iris.get(tokens[pos + 1])):
+                pos += 2
+            elif token == "":
+                return True
+            elif token == "@prefix":
+                label = tokens[pos + 1]
+                if _kind(label) != "pname" or label.partition(":")[2]:
+                    raise error(pos + 1, "expected a 'prefix:' label after @prefix")
+                target = tokens[pos + 2]
+                if _kind(target) != "iriref":
+                    raise error(pos + 2, "expected an <IRI> in @prefix directive")
+                if tokens[pos + 3] != ".":
+                    raise error(pos + 3, "expected '.' after @prefix directive")
+                prefix_map[label[:-1]] = target[1:-1]
+                pos += 4
+                continue
+            else:
+                head = read_term("head")
+                relation = read_term("relation")
+            if tail := iris.get(tokens[pos]):
+                pos += 1
+            else:
+                tail = read_term("tail")
+            if tokens[pos] != ".":
+                raise error(pos, "expected '.' after triple")
             pos += 1
-        else:
-            tail = read_term("tail")
-        if tokens[pos] != ".":
-            raise error(pos, "expected '.' after triple")
-        pos += 1
-        triples.append(Triple(head, relation, tail))
+            triples.append(Triple(head, relation, tail))
 
-    return Graph(triples, prefix_map)
+    start = None  # the first line of the run not read yet
+    last = len(lines) - 1
+    for number, line in enumerate(lines):
+        chunks = line.split(" ")
+        if len(chunks) == 4 and (chunks[3] == "." or chunks[3] == ".\r"):
+            if (
+                start is not None
+                and (chunks[1] in iris or number - start >= 16)
+                and number < last
+                and lines[number + 1].count(" ") == 3
+                and read_statements(start, number, False)
+            ):
+                start = None
+            if (
+                start is None
+                and (head := iris.get(chunks[0]))
+                and (relation := iris.get(chunks[1]))
+                and (tail := iris.get(chunks[2]) or written.get(chunks[2]))
+            ):
+                triples.append(Triple(head, relation, tail))
+                continue
+        if start is None:
+            start = number
+    if start is not None:
+        read_statements(start, len(lines), True)
+
+    graph = Graph.__new__(Graph)
+    graph._fill(dict.fromkeys(triples), prefix_map, dict.fromkeys(terms).keys())
+    return graph
 
 
 def serialize(graph: Graph) -> str:

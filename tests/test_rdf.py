@@ -534,6 +534,21 @@ def test_graph_terms_are_its_distinct_terms_in_order_of_first_use():
     assert Term.literal("v", "xsd:string") not in g.terms and list(Graph().terms) == []
 
 
+def test_parse_hands_graph_the_terms_it_checked(desk_ikg, monkeypatch):
+    checked = []
+    check = rdf._check_resolvable
+    monkeypatch.setattr(
+        rdf, "_check_resolvable", lambda term, pm: check(checked.append(term) or term, pm)
+    )
+    g = parse(serialize(desk_ikg))
+    assert checked == [] and g == desk_ikg
+    # Any other caller's Graph checks each distinct term once.
+    again = Graph(g.triples, g.prefix_map)
+    assert checked == list(again.terms) == list(g.terms) and len(checked) == 214
+    with pytest.raises(PrefixError, match=r"^unresolved prefix 'icm:' in term icm:Intent$"):
+        Graph(g.triples, {})
+
+
 def test_graph_contains_matches_linear_scan():
     rng = np.random.default_rng(7)
     pool = [
@@ -1068,27 +1083,50 @@ def test_parse_matches_reference_on_mutated_documents(case):
     assert_same_as_reference(*case)
 
 
+# The line rule reads a line once its terms were read, and ``parse`` reads
+# a run of lines early, so that it can, from the sixteenth line on. The lines
+# after that repeat terms in forms the line rule reads as the token reader
+# does (a CRLF line, a glued typed literal, a plain literal, an <IRI>) or
+# leaves to it (a tab, a doubled space, a trailing comment).
 _VALID = (
     "@prefix ex: <http://e.example/ns#> .\r\n"
     "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
     "ex:a ex:r ex:b . # comment\n"
     'ex:a ex:r "v\\n\\u00e9" .\n'
     'ex:a ex:r "v\\n\\u00e9"^^xsd:string .\n'
+    'ex:b ex:r "w" ^^ xsd:string .\n'
     "??? ex:r ??? .\n"
+    "<http://e/c> ex:s ex:c .\n"
+    "ex:c ex:s ex:d .\n"
+    "ex:d ex:s <http://e/c> .\n"
+    "ex:c ex:r ex:a .\n"
+    "ex:d ex:r ex:b .\n"
+    "ex:b ex:s ex:d .\n"
+    "ex:a ex:s ex:c .\n"
     "@prefix ex: <http://elsewhere/> .\n"
+    "\n"
+    "ex:a ex:r ex:b .\n"
+    'ex:b ex:r "w"^^xsd:string .\r\n'
+    "ex:b\tex:r ex:a .\n"
+    "ex:a  ex:r ex:b .\n"
+    "ex:b ex:r ex:a . # comment\n"
+    'ex:a ex:r "v\\n\\u00e9" .\n'
+    "<http://e/c> ex:s ex:c .\n"
     "ex:a ex:r ex:b .\n"
 )
 
 
 def test_parse_matches_reference_on_valid_document():
     outcome = assert_same_as_reference(_VALID)
-    assert outcome[0] == "parsed" and len(outcome[1]) == 4  # five statements, one repeated
+    assert outcome[0] == "parsed" and len(outcome[1]) == 13  # 21 statements, 8 repeated
 
 
 @pytest.mark.parametrize(
     "text",
     [_VALID + snippet + "\n" for snippet in _BAD_SNIPPETS]
-    + [_VALID.replace("ex:b .\n", "ex:b\n", 1)],  # a dropped '.'
+    + [_VALID.replace("ex:b .\n", "ex:b\n", 1)]  # a dropped '.'
+    # a line of the line rule's shape after a statement left open
+    + [_VALID + "ex:a ex:r\nex:a ex:r ex:b .\nex:a ex:r ex:b .\n"],
 )
 def test_parse_matches_reference_on_each_mutation(text):
     assert assert_same_as_reference(text)[0] == "raised"
