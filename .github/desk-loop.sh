@@ -18,6 +18,27 @@ awk 'NR == 9 { printf "# a re-wrapped copy of ikg.ttl\r\n" }
   { printf "%s\r\n", $0 }' "$out/ikg.ttl" > "$out/ikg-rewrapped.ttl"
 ikge split --ikg "$out/ikg-rewrapped.ttl" --out-dir "$out/splits-rewrapped"
 for f in train valid test; do cmp "$out/splits/$f.ttl" "$out/splits-rewrapped/$f.ttl"; done
+# N-Triples form of a document, written without ikge: the @prefix header and
+# blank line go, and every prefixed name and prefixed datatype is expanded to
+# an <IRI> through the header's map. The split of the IKG's N-Triples copy
+# must be that form of the desk split, so full-IRI terms go through the line
+# rule, the token reader, the split and serialize at desk scale.
+to_ntriples() {
+  awk '/^@prefix / { p = $2; sub(/:$/, "", p); ns[p] = substr($3, 2, length($3) - 2); next }
+    $0 == "" { next }
+    { for (i = 1; i <= 3; i++)
+        if ($i ~ /^[A-Za-z][A-Za-z0-9_-]*:/) $i = full($i)
+        else if (match($i, /\^\^[A-Za-z][A-Za-z0-9_-]*:/))
+          $i = substr($i, 1, RSTART + 1) full(substr($i, RSTART + 2))
+      print }
+    function full(name, colon) {
+      colon = index(name, ":")
+      return "<" ns[substr(name, 1, colon - 1)] substr(name, colon + 1) ">"
+    }' "$1"
+}
+to_ntriples "$out/ikg.ttl" > "$out/ikg.nt"
+ikge split --ikg "$out/ikg.nt" --out-dir "$out/splits-nt"
+for f in train valid test; do cmp <(to_ntriples "$out/splits/$f.ttl") "$out/splits-nt/$f.ttl"; done
 # A non-default split, chosen by the training config's seed and split.
 echo '{"seed": 5, "split": [0.7, 0.2, 0.1]}' > "$out/cfg.json"
 ikge split --ikg "$out/ikg.ttl" --config "$out/cfg.json" --out-dir "$out/splits5"

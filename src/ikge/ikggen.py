@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import require_number
+from .pipeline import RDF_TYPE, RDFS_SUBCLASS, ROLE_ANCHORS, ROLE_RESOURCE, ROLE_SERVICE
 from .rdf import Graph, Term, Triple
 
 PREFIXES = {
@@ -104,17 +105,11 @@ class IkgGenSpec:
             raise ValueError("target_triples must be positive")
 
 
-def _iri(text: str) -> Term:
-    return Term.iri(text, prefixed=True)
-
-
-_RDF_TYPE = _iri("rdf:type")
-_RDFS_SUBCLASS = _iri("rdfs:subclass")
-_HAS_EXPECTATION = _iri("icm:hasExpectation")
-_HAS_TARGET = _iri("icm:hasTarget")
-_HAS_PARAMETER = _iri("icm:hasParameter")
-_TARGET_RESOURCE = _iri("icm:targetResource")
-_VALUE_BY = _iri("icm:valueBy")
+_HAS_EXPECTATION = Term.iri("icm:hasExpectation")
+_HAS_TARGET = Term.iri("icm:hasTarget")
+_HAS_PARAMETER = Term.iri("icm:hasParameter")
+_TARGET_RESOURCE = Term.iri("icm:targetResource")
+_VALUE_BY = Term.iri("icm:valueBy")
 
 
 def _names(named: tuple, n: int, extra) -> list:
@@ -149,26 +144,28 @@ def gen_ikg(spec: IkgGenSpec) -> Graph:
     def add(head: Term, relation: Term, tail: Term) -> None:
         triples.setdefault(Triple(head, relation, tail))
 
-    intent = _iri("icm:Intent")
-    expectation = _iri("icm:Expectation")
-    prop_expectation = _iri("icm:PropertyExpectation")
-    target = _iri("icm:Target")
-    prop_parameter = _iri("icm:PropertyParameter")
-    network_resource = _iri("service:NetworkResource")
+    intent = Term.iri("icm:Intent")
+    expectation = Term.iri("icm:Expectation")
+    prop_expectation = Term.iri("icm:PropertyExpectation")
+    target = ROLE_ANCHORS[ROLE_SERVICE]
+    prop_parameter = Term.iri("icm:PropertyParameter")
+    network_resource = ROLE_ANCHORS[ROLE_RESOURCE]
 
     add(intent, _HAS_EXPECTATION, expectation)
-    add(expectation, _RDFS_SUBCLASS, prop_expectation)
+    add(expectation, RDFS_SUBCLASS, prop_expectation)
     add(expectation, _HAS_TARGET, target)
     add(prop_expectation, _HAS_PARAMETER, prop_parameter)
     for family_class in _FAMILY_CLASSES.values():
-        add(target, _RDFS_SUBCLASS, _iri(family_class))
+        add(target, RDFS_SUBCLASS, Term.iri(family_class))
     for parent in _RESOURCE_PARENTS.values():
-        add(network_resource, _RDFS_SUBCLASS, _iri(parent))
+        add(network_resource, RDFS_SUBCLASS, Term.iri(parent))
 
-    services = [(_iri(n), f) for n, f in _names(_NAMED_SERVICES, spec.n_services, _service_name)]
+    services = [
+        (Term.iri(n), f) for n, f in _names(_NAMED_SERVICES, spec.n_services, _service_name)
+    ]
     for i, (leaf, family) in enumerate(services):
-        add(_iri(_FAMILY_CLASSES[family]), _RDFS_SUBCLASS, leaf)
-        add(leaf, _RDF_TYPE, target)
+        add(Term.iri(_FAMILY_CLASSES[family]), RDFS_SUBCLASS, leaf)
+        add(leaf, RDF_TYPE, target)
         add(prop_expectation, _HAS_TARGET, leaf)
         # Named anchor leaves also hang off the generic expectation node,
         # mirroring their fuller context in the source ontology.
@@ -176,17 +173,17 @@ def gen_ikg(spec: IkgGenSpec) -> Graph:
             add(expectation, _HAS_TARGET, leaf)
 
     resources = [
-        (_iri(n), k) for n, k in _names(_NAMED_RESOURCES, spec.n_resources, _resource_name)
+        (Term.iri(n), k) for n, k in _names(_NAMED_RESOURCES, spec.n_resources, _resource_name)
     ]
     for leaf, kind in resources:
-        add(_iri(_RESOURCE_PARENTS[kind]), _RDFS_SUBCLASS, leaf)
-        add(leaf, _RDF_TYPE, network_resource)
+        add(Term.iri(_RESOURCE_PARENTS[kind]), RDFS_SUBCLASS, leaf)
+        add(leaf, RDF_TYPE, network_resource)
 
-    kpis = [_iri(name) for name in _names(_NAMED_KPIS, spec.n_kpis, "kpi:metric{:02d}".format)]
+    kpis = [Term.iri(name) for name in _names(_NAMED_KPIS, spec.n_kpis, "kpi:metric{:02d}".format)]
     pools = {k.text: _value_pool(k.text) for k in kpis}
     for k in kpis:
-        add(prop_parameter, _RDFS_SUBCLASS, k)
-        add(k, _RDF_TYPE, prop_parameter)
+        add(prop_parameter, RDFS_SUBCLASS, k)
+        add(k, RDF_TYPE, prop_parameter)
 
     service_terms = [s for s, _ in services]
     resource_terms = [r for r, _ in resources]
@@ -209,6 +206,14 @@ def gen_ikg(spec: IkgGenSpec) -> Graph:
             for value in pools[k.text][:2]:
                 add(k, _VALUE_BY, value)
 
+    lower = int(np.floor(spec.target_triples * (1.0 - COUNT_TOLERANCE)))
+    upper = int(np.ceil(spec.target_triples * (1.0 + COUNT_TOLERANCE)))
+    if len(triples) > upper:
+        raise InfeasibleSpecError(
+            f"mandatory structure needs {len(triples)} triples, above the "
+            f"+{COUNT_TOLERANCE:.0%} bound of target {spec.target_triples}"
+        )
+
     extras: list[Triple] = []
     for s in service_terms:
         for r in resource_terms:
@@ -224,14 +229,6 @@ def gen_ikg(spec: IkgGenSpec) -> Graph:
             t = Triple(k, _VALUE_BY, value)
             if t not in triples:
                 extras.append(t)
-
-    lower = int(np.floor(spec.target_triples * (1.0 - COUNT_TOLERANCE)))
-    upper = int(np.ceil(spec.target_triples * (1.0 + COUNT_TOLERANCE)))
-    if len(triples) > upper:
-        raise InfeasibleSpecError(
-            f"mandatory structure needs {len(triples)} triples, above the "
-            f"+{COUNT_TOLERANCE:.0%} bound of target {spec.target_triples}"
-        )
     if len(triples) + len(extras) < lower:
         raise InfeasibleSpecError(
             f"spec can produce at most {len(triples) + len(extras)} triples, below the "

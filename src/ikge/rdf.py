@@ -25,6 +25,8 @@ reads a prefixed name or an escape-free string typed by one, and one
 ``findall`` pass of the scanner any other text.
 The escape set has one table: ``escape_literal`` translates by it, and a
 literal is unescaped by one ``re.sub`` that reads it backwards.
+An IRI term's text is its token as written, a prefixed name or an ``<IRI>``
+reference, so a term is read, written and checked from its text alone.
 Terms and triples hash once, at construction, and compare by identity first;
 ``Triple`` is slotted, with its own ``__init__``. A ``Graph`` keeps its
 distinct terms as ``terms``: no ``Vocab`` is needed to ask whether a term
@@ -75,27 +77,24 @@ class TermKind(Enum):
 class Term:
     """One node of a triple.
 
-    ``text`` holds a prefixed name or full IRI for IRI terms and the
-    lexical form for literals. ``datatype`` keeps the datatype token
-    exactly as written (``xsd:string`` or ``<...>``). ``slot`` is only
-    meaningful for placeholders. ``prefixed`` records whether an IRI was
-    written as a prefixed name; equality is lexical over all five fields,
-    so ``icm:X`` and its expansion are distinct terms. The hash is
-    computed once, at construction.
+    ``text`` holds an IRI's token exactly as written, a prefixed name
+    (``icm:X``) or an ``<IRI>`` reference with its angle brackets, and the
+    lexical form for literals. ``datatype`` keeps the datatype token the
+    same way (``xsd:string`` or ``<...>``). ``slot`` is only meaningful for
+    placeholders. Equality is lexical over all four fields, so ``icm:X``
+    and its expansion are distinct terms. The hash is computed once, at
+    construction.
     """
 
     kind: TermKind
     text: str = ""
     datatype: str | None = None
     slot: int = -1
-    prefixed: bool = False
 
     def __post_init__(self):
         # An attribute, not a lazy lookup in ``__dict__``: dict-heavy callers
         # pay for every extra step in ``__hash__``.
-        object.__setattr__(
-            self, "_hash", hash((self.kind, self.text, self.datatype, self.slot, self.prefixed))
-        )
+        object.__setattr__(self, "_hash", hash((self.kind, self.text, self.datatype, self.slot)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -111,18 +110,16 @@ class Term:
             and self.text == other.text
             and self.datatype == other.datatype
             and self.slot == other.slot
-            and self.prefixed == other.prefixed
         )
 
     def __reduce__(self):
         # String hashes differ between processes: rebuild, never copy, ``_hash``.
-        return (Term, (self.kind, self.text, self.datatype, self.slot, self.prefixed))
+        return (Term, (self.kind, self.text, self.datatype, self.slot))
 
     @classmethod
-    def iri(cls, text: str, prefixed: bool | None = None) -> "Term":
-        if prefixed is None:
-            prefixed = ":" in text and "://" not in text
-        return cls(TermKind.IRI, text=text, prefixed=prefixed)
+    def iri(cls, token: str) -> "Term":
+        """The IRI term of ``token`` as written: ``icm:X`` or ``<http://...>``."""
+        return cls(TermKind.IRI, text=token)
 
     @classmethod
     def literal(cls, text: str, datatype: str | None = None) -> "Term":
@@ -237,7 +234,7 @@ def term_to_text(term: Term) -> str:
     if term.kind is TermKind.PLACEHOLDER:
         return "???"
     if term.kind is TermKind.IRI:
-        return term.text if term.prefixed else f"<{term.text}>"
+        return term.text
     body = f'"{escape_literal(term.text)}"'
     return body if term.datatype is None else f"{body}^^{term.datatype}"
 
@@ -303,7 +300,7 @@ class Graph:
 
 
 def _check_resolvable(term: Term, prefix_map: dict[str, str]) -> None:
-    if term.is_iri and term.prefixed:
+    if term.is_iri and not term.text.startswith("<"):
         prefix = term.text.partition(":")[0]
         if prefix not in prefix_map:
             raise PrefixError(f"unresolved prefix '{prefix}:' in term {term.text}")
@@ -363,16 +360,14 @@ def term_from_text(text: str) -> Term:
     ``text`` must be one IRI token, or one string token with an optional
     ``^^`` and datatype IRI (ValueError otherwise)."""
     if plain := _PLAIN_TERM_RE.fullmatch(text):
-        return Term.iri(text, prefixed=True) if plain[1] else Term.literal(plain[2], plain[3])
+        return Term.iri(text) if plain[1] else Term.literal(plain[2], plain[3])
     tokens = _TOKEN_RE.findall(text)
     del tokens[tokens.index("") :]
     kinds = [_kind(token) for token in tokens]
     if kinds == ["placeholder"]:
         raise ValueError("placeholder token carries no slot id in isolation")
-    if kinds == ["iriref"]:
-        return Term.iri(tokens[0][1:-1], prefixed=False)
-    if kinds == ["pname"]:
-        return Term.iri(tokens[0], prefixed=True)
+    if kinds == ["iriref"] or kinds == ["pname"]:
+        return Term.iri(tokens[0])
     if kinds in (["string"], ["string", "dtsep", "iriref"], ["string", "dtsep", "pname"]):
         datatype = tokens[2] if len(tokens) > 1 else None
         return Term.literal(_unescape_literal(tokens[0][1:-1]), datatype)
@@ -441,12 +436,9 @@ def parse(text: str) -> Graph:
 
     def new_iri(index: int) -> Term:
         token = tokens[index]
-        if token[0] == "<":
-            term = Term.iri(token[1:-1], prefixed=False)
-        else:
+        if token[0] != "<":
             check_prefix(index)
-            term = Term.iri(token, prefixed=True)
-        iris[token] = term
+        term = iris[token] = Term.iri(token)
         terms.append(term)
         return term
 

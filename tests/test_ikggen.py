@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from ikge import ikggen
 from ikge.ikggen import IkgGenSpec, InfeasibleSpecError, build_report, gen_ikg
 from ikge.rdf import Term, Triple, build_vocab, parse, serialize
 
@@ -79,6 +82,22 @@ def test_infeasible_target_raises():
         gen_ikg(IkgGenSpec(n_services=12, n_resources=6, n_kpis=4, target_triples=260))
     with pytest.raises(InfeasibleSpecError):
         gen_ikg(IkgGenSpec(target_triples=5))  # below the mandatory skeleton
+
+
+def test_oversized_spec_is_refused_before_extra_candidates_are_built(monkeypatch):
+    built = []
+
+    def counting_triple(head, relation, tail):
+        built.append(Triple(head, relation, tail))
+        return built[-1]
+
+    monkeypatch.setattr(ikggen, "Triple", counting_triple)
+    with pytest.raises(InfeasibleSpecError, match="^mandatory structure needs") as info:
+        gen_ikg(IkgGenSpec(n_services=200, n_resources=6, n_kpis=4, target_triples=100))
+    # Every triple built is one of the mandatory ones the message counts:
+    # no service-resource or service-KPI candidate was made.
+    needed = int(re.search(r"needs (\d+) triples", str(info.value))[1])
+    assert len(set(built)) == needed
 
 
 def test_spec_validation():

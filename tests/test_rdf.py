@@ -192,7 +192,7 @@ def test_serialize_placeholders():
 def test_term_from_text_inverts_term_to_text():
     cases = [
         Term.iri("ex:a"),
-        Term.iri("http://e/x", prefixed=False),
+        Term.iri("<http://e/x>"),
         Term.literal("plain"),
         Term.literal("typed", "xsd:string"),
         Term.literal('tricky "quote"\n', "<http://w3/dt>"),
@@ -282,9 +282,9 @@ def _reference_term_from_text(text: str) -> Term:
     if kinds == ["placeholder"]:
         raise ValueError("placeholder token carries no slot id in isolation")
     if kinds == ["iriref"]:
-        return Term.iri(tokens[0][1:-1], prefixed=False)
+        return Term.iri(tokens[0])
     if kinds == ["pname"]:
-        return Term.iri(tokens[0], prefixed=True)
+        return Term.iri(tokens[0])
     if kinds in (["string"], ["string", "dtsep", "iriref"], ["string", "dtsep", "pname"]):
         datatype = tokens[2] if len(tokens) > 1 else None
         return Term.literal(_reference_unescape_literal(tokens[0][1:-1]), datatype)
@@ -352,9 +352,10 @@ def test_term_from_text_fast_path_agrees_with_the_scanner(text):
     assert _term_outcome(term_from_text, text) == _term_outcome(_reference_term_from_text, text)
 
 
-def test_term_iri_autodetects_prefixed_form():
-    assert Term.iri("icm:Intent").prefixed
-    assert not Term.iri("http://intent.example/icm#Intent").prefixed
+def test_term_iri_keeps_its_token():
+    for token in ("icm:Intent", "<http://intent.example/icm#Intent>", "<urn:isbn:0451450523>"):
+        term = Term.iri(token)
+        assert term.text == token and str(term) == token
 
 
 def test_triple_validation():
@@ -391,7 +392,7 @@ def test_triple_is_a_frozen_slotted_dataclass():
 
 
 def _fresh(term: Term) -> Term:
-    return Term(term.kind, term.text, term.datatype, term.slot, term.prefixed)
+    return Term(term.kind, term.text, term.datatype, term.slot)
 
 
 def test_parsed_terms_are_shared_and_equal_fresh_ones():
@@ -413,13 +414,13 @@ def test_parsed_terms_are_shared_and_equal_fresh_ones():
 
 
 def test_term_and_triple_equality_is_over_every_field():
-    base = Term(TermKind.IRI, "ex:a", None, -1, True)
+    base = Term(TermKind.IRI, "ex:a", None, -1)
     variants = [
-        Term(TermKind.LITERAL, "ex:a", None, -1, True),
-        Term(TermKind.IRI, "ex:b", None, -1, True),
-        Term(TermKind.IRI, "ex:a", "xsd:string", -1, True),
-        Term(TermKind.IRI, "ex:a", None, 0, True),
-        Term(TermKind.IRI, "ex:a", None, -1, False),
+        Term(TermKind.LITERAL, "ex:a", None, -1),
+        Term(TermKind.IRI, "ex:b", None, -1),
+        Term(TermKind.IRI, "ex:a", "xsd:string", -1),
+        Term(TermKind.IRI, "ex:a", None, 0),
+        Term(TermKind.IRI, "<ex:a>", None, -1),
     ]
     for other in variants:
         assert other != base and base != other and not other == base
@@ -517,10 +518,18 @@ def test_graph_equality_is_order_insensitive():
 
 
 def test_graph_rejects_an_unresolved_datatype_prefix():
-    t = Triple(Term.iri("http://e/a", prefixed=False), Term.iri("ex:r"), Term.literal("v", "zz:dt"))
+    t = Triple(Term.iri("<http://e/a>"), Term.iri("ex:r"), Term.literal("v", "zz:dt"))
     with pytest.raises(PrefixError, match=r"^unresolved prefix 'zz:' in datatype zz:dt$"):
         Graph([t], EX)
     assert Graph([t], {**EX, "zz": "http://z/"}).triples == (t,)
+
+
+def test_an_iri_without_scheme_slashes_round_trips():
+    urn = Term.iri("<urn:isbn:0451450523>")
+    g = Graph([Triple(Term.iri("<http://e/a>"), Term.iri("<http://e/r>"), urn)], {"urn": "http://u/"})
+    assert serialize(g).endswith("<http://e/a> <http://e/r> <urn:isbn:0451450523> .\n")
+    assert parse(serialize(g)) == g
+    assert Graph(g.triples, {}).triples == g.triples  # a full IRI needs no prefix
 
 
 def test_graph_terms_are_its_distinct_terms_in_order_of_first_use():
@@ -706,7 +715,10 @@ _local = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True)
 _pname = st.builds(
     lambda p, loc: Term.iri(f"{p}:{loc}"), st.sampled_from(["ex", "icm"]), _local
 )
-_full = st.builds(lambda loc: Term.iri(f"http://e.example/{loc}", prefixed=False), _local)
+_full = st.one_of(
+    st.builds(lambda loc: Term.iri(f"<http://e.example/{loc}>"), _local),
+    st.builds(lambda loc: Term.iri(f"<urn:isbn:{loc}>"), _local),
+)
 _iri = st.one_of(_pname, _full)
 _lit_text = st.text(alphabet='ab"\\\n\r\t xyz.:#<>?0@', max_size=12)
 _literal = st.builds(Term.literal, _lit_text, st.sampled_from([None, "xsd:string"]))
@@ -853,14 +865,14 @@ def reference_parse(text: str, format: str = TURTLE) -> Graph:
 
     def read_iri(tok: _Token) -> Term:
         if tok.kind == "iriref":
-            return Term.iri(tok.value[1:-1], prefixed=False)
+            return Term.iri(tok.value)
         if tok.kind == "pname":
             if not allow_prefixes:
                 fail(tok, "prefixed names are not allowed in N-Triples")
             prefix = tok.value.partition(":")[0]
             if prefix not in prefix_map:
                 fail(tok, f"unresolved prefix '{prefix}:'")
-            return Term.iri(tok.value, prefixed=True)
+            return Term.iri(tok.value)
         fail(tok, f"expected an IRI, got {tok.value!r}")
 
     def read_term(position: str) -> Term:
@@ -988,7 +1000,7 @@ _lit_body = st.lists(st.one_of(st.sampled_from(list("ab .:#<>?@^'")), _escape), 
 
 @st.composite
 def _statement(draw, prefixed: bool):
-    """One directive or triple; ``prefixed=False`` keeps to N-Triples."""
+    """One directive or triple; a false ``prefixed`` keeps to N-Triples."""
     iri = st.one_of(_pname_tok, _pname_tok, _iriref_tok) if prefixed else _iriref_tok
     if prefixed and draw(st.integers(0, 5)) == 0:
         label = draw(_label)
