@@ -73,6 +73,21 @@ printf '%s\n' \
 ikge translate --model "$out/model.json" --ikg "$out/ikg.ttl" --text "reliable video" \
   --blueprint "$out/blueprint-bad.ttl" --out "$out/intent-bad.ttl" \
   --report "$out/intent-bad.json" || test $? -eq 7
+# The shipped blueprint with icm: bound to another IRI. Its icm: terms would
+# still match the IKG's by text, so translate refuses it as config (exit 9)
+# and writes neither file.
+printf '%s\n' \
+  '@prefix icm: <http://other.example/icm#> .' \
+  '@prefix kpi: <http://intent.example/kpi#> .' \
+  '@prefix service: <http://intent.example/service#> .' \
+  'icm:ServiceIntent icm:hasExpectation icm:ServiceExpectation .' \
+  'icm:ServiceExpectation icm:hasParameter kpi:latency .' \
+  'icm:PropertyExpectation icm:hasTarget ??? .' \
+  'icm:Target icm:targetResource ??? .' \
+  'kpi:latency icm:valueBy ??? .' > "$out/blueprint-prefix.ttl"
+ikge translate --model "$out/model.json" --ikg "$out/ikg.ttl" --text "reliable video" \
+  --blueprint "$out/blueprint-prefix.ttl" --out "$out/intent-prefix.ttl" \
+  --report "$out/intent-prefix.json" || test $? -eq 9
 # A format-1 copy of model.json (arrays as nested lists of floats):
 # evaluate and verify on it write the same bytes as on format 2.
 python -c 'import json, sys; from ikge.model import PARAMETER_NAMES, load_model, model_to_document; m = load_model(sys.argv[1]); d = model_to_document(m); d.update({n: getattr(m, n).tolist() for n in PARAMETER_NAMES}, format_version=1); f = open(sys.argv[2], "w", encoding="utf-8"); json.dump(d, f, indent=1); f.close()' \

@@ -73,7 +73,7 @@ class PipelineError(Exception):
 
 
 class BlueprintError(PipelineError):
-    """A blueprint triple that cannot become a slot (step B)."""
+    """A blueprint that cannot become a template (step B)."""
 
 
 class UnresolvedSlotError(PipelineError):
@@ -255,7 +255,8 @@ def build_template(matches, ikg: Graph, blueprint: Graph) -> IntentTemplate:
     """Split a blueprint into complete triples and typed slots.
 
     Each slotted triple must contain exactly one placeholder and use a
-    relation with a known role mapping.
+    relation with a known role mapping. A prefix the IKG binds must be
+    bound to the same IRI, if the blueprint binds it at all.
     """
     complete: list[Triple] = []
     slots: list[Slot] = []
@@ -278,7 +279,12 @@ def build_template(matches, ikg: Graph, blueprint: Graph) -> IntentTemplate:
     keywords = [m.keyword for m in matches]
     intent_id = "intent-" + "-".join(k.replace(" ", "_") for k in keywords) if keywords else "intent"
     prefixes = dict(ikg.prefix_map)
-    prefixes.update(blueprint.prefix_map)
+    for label, iri in blueprint.prefix_map.items():
+        # Terms match by their text, so a label must mean what it means in the IKG.
+        if prefixes.setdefault(label, iri) != iri:
+            raise BlueprintError(
+                f"blueprint binds prefix '{label}:' to <{iri}>, the IKG to <{prefixes[label]}>"
+            )
     return IntentTemplate(intent_id, complete, slots, prefixes)
 
 

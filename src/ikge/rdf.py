@@ -12,13 +12,14 @@ order starting at 0.
 Parsing reads the document a line at a time. No token spans a line:
 strings, ``<...>`` references and comments all stop at a line break. So a line
 that is exactly ``A B C .``, each chunk a token the parse has already read
-and checked, is read as one triple with no scan (the line rule); every other
-line goes through ``findall`` passes of the scanner into token strings,
-whose text tells their kind, and the token reader. Within one parse every
-distinct IRI token and every distinct ``(lexical, datatype)`` literal is a
-single shared Term, checked when first read, so the parse hands ``Graph``
-terms it has already checked. No offsets are kept: a ParseError rescans the
-document up to its token for line and column.
+and checked or a new plain term that one ``fullmatch`` reads, is read as one
+triple with no scan (the line rule); every other line goes through
+``findall`` passes of the scanner into token strings, whose text tells their
+kind, and the token reader. Within one parse every distinct IRI token and
+every distinct ``(lexical, datatype)`` literal is a single shared Term,
+checked when first read, so the parse hands ``Graph`` terms it has already
+checked. No offsets are kept: a ParseError rescans the document up to its
+token for line and column.
 ``term_from_text`` is the one reader of a stored term, such as a model's
 vocabulary entry: one ``fullmatch`` on the scanner's prefixed-name pattern
 reads a prefixed name or an escape-free string typed by one, and one
@@ -73,6 +74,11 @@ class TermKind(Enum):
     PLACEHOLDER = "placeholder"
 
 
+# The members as module globals: reading ``TermKind.IRI`` looks the member up
+# through the enum class on every read, several times the cost of a global.
+_IRI, _LITERAL, _PLACEHOLDER = TermKind.IRI, TermKind.LITERAL, TermKind.PLACEHOLDER
+
+
 @dataclass(frozen=True, eq=False)
 class Term:
     """One node of a triple.
@@ -119,29 +125,29 @@ class Term:
     @classmethod
     def iri(cls, token: str) -> "Term":
         """The IRI term of ``token`` as written: ``icm:X`` or ``<http://...>``."""
-        return cls(TermKind.IRI, text=token)
+        return cls(_IRI, token)
 
     @classmethod
     def literal(cls, text: str, datatype: str | None = None) -> "Term":
-        return cls(TermKind.LITERAL, text=text, datatype=datatype)
+        return cls(_LITERAL, text, datatype)
 
     @classmethod
     def placeholder(cls, slot: int) -> "Term":
         if slot < 0:
             raise ValueError("slot id must be non-negative")
-        return cls(TermKind.PLACEHOLDER, slot=slot)
+        return cls(_PLACEHOLDER, slot=slot)
 
     @property
     def is_iri(self) -> bool:
-        return self.kind is TermKind.IRI
+        return self.kind is _IRI
 
     @property
     def is_literal(self) -> bool:
-        return self.kind is TermKind.LITERAL
+        return self.kind is _LITERAL
 
     @property
     def is_placeholder(self) -> bool:
-        return self.kind is TermKind.PLACEHOLDER
+        return self.kind is _PLACEHOLDER
 
     def __str__(self) -> str:
         return term_to_text(self)
@@ -158,9 +164,9 @@ class Triple:
     tail: Term
 
     def __init__(self, head: Term, relation: Term, tail: Term):
-        if relation.kind is not TermKind.IRI:
+        if relation.kind is not _IRI:
             raise ValueError("relation must be an IRI term")
-        if head.kind is TermKind.LITERAL:
+        if head.kind is _LITERAL:
             raise ValueError("literal not allowed in subject position")
         # The slots' own setters: the frozen class's ``__setattr__`` refuses.
         _set_head(self, head)
@@ -188,8 +194,7 @@ class Triple:
 
     @property
     def placeholder_count(self) -> int:
-        placeholder = TermKind.PLACEHOLDER
-        return (self.head.kind is placeholder) + (self.tail.kind is placeholder)
+        return (self.head.kind is _PLACEHOLDER) + (self.tail.kind is _PLACEHOLDER)
 
     def __str__(self) -> str:
         return f"{self.head} {self.relation} {self.tail} ."
@@ -231,10 +236,11 @@ def _unescape_literal(raw: str) -> str:
 
 def term_to_text(term: Term) -> str:
     """Render one term as its Turtle-subset token."""
-    if term.kind is TermKind.PLACEHOLDER:
-        return "???"
-    if term.kind is TermKind.IRI:
+    kind = term.kind
+    if kind is _IRI:
         return term.text
+    if kind is _PLACEHOLDER:
+        return "???"
     body = f'"{escape_literal(term.text)}"'
     return body if term.datatype is None else f"{body}^^{term.datatype}"
 
@@ -393,14 +399,21 @@ def parse(text: str) -> Graph:
     is one triple, read without a scan, when no statement is open and it is
     exactly ``A B C .`` (a ``.\\r`` dot too), each chunk a token this parse
     has read: an IRI token, or for ``C`` also a literal as written, with
-    ``^^`` glued between lexical and datatype. Other lines wait in a run,
-    consecutive ones scanned together and read by ``read_statements``, the
-    token reader. A run is read ahead of a line of that shape only where it
-    can pay, since a scan costs more per call than per line: when the line's
-    relation was read or the run is 16 lines long, and the next line has
-    three spaces, as that shape has. The Graph is built from the Terms
-    interned here, which are pairwise unequal, in order of first use and
-    already checked, so no check runs again.
+    ``^^`` glued between lexical and datatype. While no run is open, this
+    line rule also reads a new chunk that ``_PLAIN_TERM_RE`` matches whole
+    with a mapped prefix: a prefixed name, or for ``C`` an escape-free string
+    typed by one. Such terms are interned at once, in head, relation, tail
+    order. Any other chunk (an ``<IRI>``, an unmapped prefix, an escape, a
+    literal as ``A`` or ``B``) sends the line to a run, where the token
+    reader finds the terms interned before it as read and raises any error
+    it would alone. Other lines wait in a run, consecutive ones scanned
+    together and read by ``read_statements``, the token reader. A run is
+    read ahead of a line of that shape only where it can pay, since a scan
+    costs more per call than per line: when the line's relation was read or
+    the run is 16 lines long, and the next line has three spaces, as that
+    shape has. The Graph is built from the Terms interned here, which are
+    pairwise unequal, in order of first use and already checked, so no check
+    runs again.
     """
     lines = text.split("\n")
     prefix_map: dict[str, str] = {}
@@ -490,6 +503,24 @@ def parse(text: str) -> Graph:
             return read_literal(index)
         raise error(index, f"expected an IRI, got {tokens[index]!r}")
 
+    def new_plain_term(chunk: str, tail: bool) -> Term | None:
+        """The interned Term of a new chunk the line rule reads, else None."""
+        plain = _PLAIN_TERM_RE.fullmatch(chunk)
+        name = plain and (plain[1] or tail and plain[3])  # its prefix must be mapped
+        if not name or name.partition(":")[0] not in prefix_map:
+            return None
+        if plain[1]:
+            term = iris[chunk] = Term.iri(chunk)
+            terms.append(term)
+            return term
+        key = plain.group(2, 3)
+        term = literals.get(key)
+        if term is None:  # else read before in an escaped spelling
+            term = literals[key] = Term.literal(*key)
+            terms.append(term)
+        written[chunk] = term
+        return term
+
     def read_statements(start: int, stop: int, final: bool) -> bool:
         """Scan lines ``start`` to ``stop`` and read their statements; False,
         reading nothing, when they end inside a statement that a later line
@@ -547,9 +578,13 @@ def parse(text: str) -> Graph:
                 start = None
             if (
                 start is None
-                and (head := iris.get(chunks[0]))
-                and (relation := iris.get(chunks[1]))
-                and (tail := iris.get(chunks[2]) or written.get(chunks[2]))
+                and (head := iris.get(chunks[0]) or new_plain_term(chunks[0], False))
+                and (relation := iris.get(chunks[1]) or new_plain_term(chunks[1], False))
+                and (
+                    tail := iris.get(chunks[2])
+                    or written.get(chunks[2])
+                    or new_plain_term(chunks[2], True)
+                )
             ):
                 triples.append(Triple(head, relation, tail))
                 continue
@@ -601,7 +636,7 @@ class Vocab:
         """Ascending ids of the entities that are not literals: the terms that
         can stand in subject position. Read-only, built on first use."""
         ids = np.array(
-            [i for i, t in enumerate(self.entities) if t.kind is not TermKind.LITERAL],
+            [i for i, t in enumerate(self.entities) if t.kind is not _LITERAL],
             dtype=np.int64,
         )
         ids.flags.writeable = False
@@ -659,7 +694,7 @@ class Vocab:
 
 def require_complete(graph: Graph) -> None:
     """VocabError if a term of the graph is a placeholder."""
-    if any(term.kind is TermKind.PLACEHOLDER for term in graph.terms):
+    if any(term.kind is _PLACEHOLDER for term in graph.terms):
         raise VocabError("placeholder term in graph; vocabulary needs a complete graph")
 
 

@@ -36,7 +36,7 @@ from ikge.training import TrainConfig, TrainingDivergedError, split_dataset
 INTENT_PREFIXES = (
     "@prefix icm: <http://intent.example/icm#> .\n"
     "@prefix kpi: <http://intent.example/kpi#> .\n"
-    "@prefix nonmcptt: <http://intent.example/nonmcptt#> .\n"
+    "@prefix nonmcptt: <http://intent.example/service/nonmcptt#> .\n"
     "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
     "@prefix service: <http://intent.example/service#> .\n"
 )
@@ -1400,6 +1400,19 @@ def test_translate_refuses_an_intent_with_no_triple_to_judge(tmp_path, capsys, d
     )
     assert rc == EXIT_CONFIG and stdout == ""
     assert err == "error: config: intent contains no triples the model can classify\n"
+    assert not (tmp_path / "i.ttl").exists() and not (tmp_path / "report.json").exists()
+
+
+def test_translate_refuses_a_blueprint_that_rebinds_an_ikg_prefix(tmp_path, capsys, desk_paths):
+    blueprint = _data_text("blueprint.ttl").replace(
+        "<http://intent.example/icm#>", "<http://other.example/icm#>"
+    )
+    rc, stdout, err = _translate_blueprint(capsys, desk_paths, tmp_path, blueprint)
+    assert rc == EXIT_CONFIG and stdout == ""
+    assert err == (
+        "error: config: blueprint binds prefix 'icm:' to <http://other.example/icm#>,"
+        " the IKG to <http://intent.example/icm#>\n"
+    )
     assert not (tmp_path / "i.ttl").exists() and not (tmp_path / "report.json").exists()
 
 

@@ -235,13 +235,15 @@ def test_merge_hints_dedupes_in_order():
 
 
 def test_build_template_splits_blueprint(toy_ikg):
-    template = build_template([], toy_ikg, parse(TOY_BLUEPRINT_TEXT))
+    # A blueprint may bind the IKG's prefixes as the IKG does, and others freely.
+    blueprint = parse("@prefix ex: <http://e.example/> .\n" + TOY_BLUEPRINT_TEXT)
+    template = build_template([], toy_ikg, blueprint)
     assert template.intent_id == "intent"
     assert len(template.complete) == 1
     assert [s.slot_id for s in template.slotted] == [0, 1, 2]
     assert [s.role for s in template.slotted] == ["service", "resource", "value"]
     assert all(s.position == "tail" for s in template.slotted)
-    assert template.prefixes["icm"] == "http://intent.example/icm#"
+    assert template.prefixes == {**toy_ikg.prefix_map, "ex": "http://e.example/"}
 
 
 def test_build_template_intent_id_from_keywords(toy_ikg, toy_corpus):
@@ -663,6 +665,21 @@ def test_translate_no_slots_blueprint(desk_model, desk_ikg, shipped_corpus):
     # Its one triple is scaffolding the model cannot score: nothing to judge.
     with pytest.raises(ValueError, match="^intent contains no triples the model can classify$"):
         translate("anything", desk_model, desk_ikg, shipped_corpus, blueprint)
+
+
+def test_translate_refuses_a_blueprint_that_rebinds_an_ikg_prefix(
+    desk_model, desk_ikg, shipped_corpus, shipped_blueprint
+):
+    # Terms match by their text, so the rebound icm: terms would still match
+    # the IKG's while the intent declared them in another namespace.
+    prefixes = {**shipped_blueprint.prefix_map, "icm": "http://other.example/icm#"}
+    blueprint = Graph(shipped_blueprint.triples, prefixes)
+    with pytest.raises(BlueprintError) as info:
+        translate("reliable video", desk_model, desk_ikg, shipped_corpus, blueprint)
+    assert str(info.value) == (
+        "blueprint binds prefix 'icm:' to <http://other.example/icm#>,"
+        " the IKG to <http://intent.example/icm#>"
+    )
 
 
 def test_translate_requires_thresholds(desk_ikg, desk_split, shipped_corpus, shipped_blueprint):

@@ -558,6 +558,32 @@ def test_parse_hands_graph_the_terms_it_checked(desk_ikg, monkeypatch):
         Graph(g.triples, {})
 
 
+def _count_scans(monkeypatch) -> list[str]:
+    """Record the text of every ``findall`` pass of ``parse``'s scanner."""
+    scanned = []
+    scanner = rdf._TOKEN_RE
+
+    class Counting:
+        def findall(self, text):
+            scanned.append(text)
+            return scanner.findall(text)
+
+        def __getattr__(self, name):
+            return getattr(scanner, name)
+
+    monkeypatch.setattr(rdf, "_TOKEN_RE", Counting())
+    return scanned
+
+
+def test_parse_scans_the_desk_ikg_only_for_its_prefix_header(desk_ikg, monkeypatch):
+    # The line rule reads every line that first uses a term too, so the token
+    # reader reads only the run that opens at the @prefix header, and the
+    # empty line after the last line break.
+    scanned = _count_scans(monkeypatch)
+    assert parse(serialize(desk_ikg)) == desk_ikg
+    assert len(scanned) == 2 and scanned[0].startswith("@prefix ") and scanned[1] == ""
+
+
 def test_graph_contains_matches_linear_scan():
     rng = np.random.default_rng(7)
     pool = [
@@ -1014,14 +1040,40 @@ def _statement(draw, prefixed: bool):
     return f"{head}{draw(_sep)}{relation}{draw(_sep)}{tail}{draw(_opt_sep)}."
 
 
+# Names and typed strings as ``serialize`` writes them, under the prefixes
+# that ``_document``'s header maps; ``_mutated`` breaks them.
+_plain_name = st.builds(
+    "{}:{}".format,
+    st.sampled_from(["ex", "icm", ""]),
+    st.sampled_from(["n", "m", "B1", "a.b", "x-y"]),
+)
+_plain_literal = st.builds(
+    '"{}"^^{}'.format, st.sampled_from(["v", "", "w", "\\u0076", "a b"]), _plain_name
+)
+
+
+@st.composite
+def _plain_line(draw):
+    """A single-space ``A B C .`` line, whose terms are often new."""
+    tail = draw(st.one_of(_plain_name, _plain_literal, _iriref_tok))
+    return f"{draw(_plain_name)} {draw(_plain_name)} {tail} ."
+
+
 @st.composite
 def _document(draw, prefixed: bool = True):
     parts = []
-    if prefixed and draw(st.booleans()):
+    header = prefixed and draw(st.booleans())
+    if header:
         parts += [f"@prefix {p}: <http://{p or 'base'}.example/> ." for p in ("ex", "icm", "xsd", "")]
     parts += draw(st.lists(_statement(prefixed), max_size=8))
     seps = [draw(_sep) for _ in parts]
-    return draw(_opt_sep) + "".join(p + s for p, s in zip(parts, seps))
+    text = draw(_opt_sep) + "".join(p + s for p, s in zip(parts, seps))
+    if header and draw(st.integers(0, 3)) > 0:  # three times in four
+        # Sixteen line breaks let ``parse`` close the token reader's run, so
+        # the line rule is the first to read these lines.
+        lines = draw(st.lists(_plain_line(), min_size=2, max_size=6))
+        text += "\n" * 16 + "".join(line + "\n" for line in lines)
+    return text
 
 
 # a document and whether it was written as N-Triples
@@ -1142,6 +1194,62 @@ def test_parse_matches_reference_on_valid_document():
 )
 def test_parse_matches_reference_on_each_mutation(text):
     assert assert_same_as_reference(text)[0] == "raised"
+
+
+# Sixteen lines close the token reader's run, so the line after them is one
+# the line rule reads: there it is the first use of ex:n, ex:q and ex:m. The
+# literal is read first in an escaped spelling, which a plain one must share.
+_LEAD = (
+    "@prefix ex: <http://e.example/ns#> .\n"
+    "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+    'ex:a ex:r "\\u0076"^^xsd:string .\n'
+) + "ex:a ex:r ex:b .\n" * 16
+
+
+_NEW_PLAIN_LINES = [
+    "ex:n ex:q ex:m .",
+    "ex:n ex:n ex:n .",
+    'ex:n ex:q "v"^^xsd:string .',
+    'ex:n ex:q "w"^^ex:dt .\r',
+]
+# Lines whose first use the line rule leaves to the token reader, valid or not.
+_FIRST_USE_RUN_LINES = [
+    "zz:n ex:q ex:m .",
+    "ex:n zz:q ex:m .",
+    "ex:n ex:q zz:m .",
+    'ex:n ex:q "v"^^zz:dt .',
+    "ex:n :q ex:m .",
+    '"v"^^xsd:string ex:q ex:m .',
+    'ex:n "v"^^xsd:string ex:m .',
+    "ex:n. ex:q ex:m .",
+    "ex:n ex:q ex:m. .",
+    "<http://e/n> ex:q ex:m .",
+    "ex:n <http://e/q> ex:m .",
+    'ex:n ex:q "v\\u0041"^^xsd:string .',
+    'ex:n ex:q "v\\q"^^xsd:string .',
+    'ex:n ex:q "v" .',
+    "ex:n ex:q ??? .",
+    "ex:n ex:q % .",
+    'ex:n ex:q "v"^^"x" .',
+]
+
+
+@pytest.mark.parametrize(
+    "line,plain",
+    [(line, True) for line in _NEW_PLAIN_LINES]
+    + [(line, False) for line in _FIRST_USE_RUN_LINES],
+)
+def test_line_rule_reads_a_first_use_as_the_token_reader_does(line, plain, monkeypatch):
+    text = _LEAD + line + "\nex:a ex:r ex:b .\n"
+    scanned = _count_scans(monkeypatch)
+    outcome = assert_same_as_reference(text)
+    assert any(line in run for run in scanned) is not plain  # a new plain line needs no scan
+    if outcome[0] == "parsed":
+        g = parse(text)
+        assert list(g.terms) == list(reference_parse(text).terms)
+        # One shared Term per term: each one a triple holds is the one listed.
+        listed = set(map(id, g.terms))
+        assert all(id(term) in listed for t in g for term in (t.head, t.relation, t.tail))
 
 
 # Hypothesis documents hold at most eight statements; these cases put the
