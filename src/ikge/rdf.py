@@ -9,17 +9,17 @@ The three-byte token ``???`` is accepted as a whole term and denotes an
 unfilled slot in an intent template; slot ids are assigned in document
 order starting at 0.
 
-Parsing reads the document a line at a time. No token spans a line:
-strings, ``<...>`` references and comments all stop at a line break. So a line
-that is exactly ``A B C .``, each chunk a token the parse has already read
-and checked or a new plain term that one ``fullmatch`` reads, is read as one
-triple with no scan (the line rule); every other line goes through
-``findall`` passes of the scanner into token strings, whose text tells their
-kind, and the token reader. Within one parse every distinct IRI token and
-every distinct ``(lexical, datatype)`` literal is a single shared Term,
-checked when first read, so the parse hands ``Graph`` terms it has already
-checked. No offsets are kept: a ParseError rescans the document up to its
-token for line and column.
+Parsing reads the document a line at a time, as no token spans a line:
+strings, ``<...>`` references and comments all stop at a line break. While
+no statement is open, a line that is exactly ``A B C .`` of terms the parse
+has read or new plain terms is one triple, read with no scan (the line
+rule). Each other line is scanned alone by one ``findall`` into token
+strings, whose text tells their kind, and the token reader reads them once
+they end a statement, so no line is scanned twice before an error. Within
+one parse every distinct IRI token and every distinct ``(lexical,
+datatype)`` literal is a single shared Term, checked when first read, so
+the parse hands ``Graph`` terms it has already checked. No offsets are
+kept: a ParseError rescans the document up to its token for line and column.
 ``term_from_text`` is the one reader of a stored term, such as a model's
 vocabulary entry: one ``fullmatch`` on the scanner's prefixed-name pattern
 reads a prefixed name or an escape-free string typed by one, and one
@@ -395,25 +395,22 @@ def parse(text: str) -> Graph:
     shared Term; its checks run the first time it is read, which is enough
     because the prefix map only grows.
 
-    The document is read a line at a time, as no token spans a line. A line
-    is one triple, read without a scan, when no statement is open and it is
-    exactly ``A B C .`` (a ``.\\r`` dot too), each chunk a token this parse
-    has read: an IRI token, or for ``C`` also a literal as written, with
-    ``^^`` glued between lexical and datatype. While no run is open, this
-    line rule also reads a new chunk that ``_PLAIN_TERM_RE`` matches whole
-    with a mapped prefix: a prefixed name, or for ``C`` an escape-free string
-    typed by one. Such terms are interned at once, in head, relation, tail
-    order. Any other chunk (an ``<IRI>``, an unmapped prefix, an escape, a
-    literal as ``A`` or ``B``) sends the line to a run, where the token
-    reader finds the terms interned before it as read and raises any error
-    it would alone. Other lines wait in a run, consecutive ones scanned
-    together and read by ``read_statements``, the token reader. A run is
-    read ahead of a line of that shape only where it can pay, since a scan
-    costs more per call than per line: when the line's relation was read or
-    the run is 16 lines long, and the next line has three spaces, as that
-    shape has. The Graph is built from the Terms interned here, which are
-    pairwise unequal, in order of first use and already checked, so no check
-    runs again.
+    The document is read a line at a time, as no token spans a line. While
+    no statement is open, a line is one triple, read without a scan, when it
+    is exactly ``A B C .`` (a ``.\\r`` dot too), each chunk a token this
+    parse has read: an IRI token, or for ``C`` also a literal as written,
+    with ``^^`` glued between lexical and datatype. This line rule also reads
+    a new chunk that ``_PLAIN_TERM_RE`` matches whole with a mapped prefix: a
+    prefixed name, or for ``C`` an escape-free string typed by one. Such
+    terms are interned at once, in head, relation, tail order. Any other
+    chunk (an ``<IRI>``, an unmapped prefix, an escape, a literal as ``A`` or
+    ``B``) sends the line to the token reader, which finds the terms interned
+    before it as read and raises any error it would alone. The token reader
+    takes every other line too, and every line while a statement is open: it
+    scans the line alone, and ``read_statements`` reads the tokens once they
+    end in a '.', which no term can be, or the document ends. The Graph is
+    built from the Terms interned here, which are pairwise unequal, in order
+    of first use and already checked, so no check runs again.
     """
     lines = text.split("\n")
     prefix_map: dict[str, str] = {}
@@ -423,21 +420,21 @@ def parse(text: str) -> Graph:
     terms: list[Term] = []
     triples: list[Triple] = []
     next_slot = 0
-    run = ""  # the lines being read by the token reader, from line ``first``
-    first = 0
+    first = 0  # the line that the open statement's tokens start at
     tokens: list[str] = []
     pos = 0
 
     def error(index: int, message: str) -> ParseError:
-        """``message`` at token ``index`` of the run, unless the document
-        holds a bad character: the first one is reported instead, ahead of
-        any grammar error. Either offset is found again by rescanning."""
+        """``message`` at token ``index`` of the open statements, unless the
+        document holds a bad character: the first one is reported instead,
+        ahead of any grammar error. Either offset is found again by rescanning."""
         scanned = _TOKEN_RE.findall(text)
         bad = next((i for i, token in enumerate(scanned) if _kind(token) == "bad"), None)
         if bad is not None:
             match = next(islice(_TOKEN_RE.finditer(text), bad, None))
             message = f"unexpected character {scanned[bad]!r}"
             return ParseError(message, *_line_col(text, match.start(1)))
+        run = "\n".join(lines[first : number + 1])
         match = next(islice(_TOKEN_RE.finditer(run), index, None))
         line, col = _line_col(run, match.start(1))
         return ParseError(message, first + line, col)
@@ -521,24 +518,19 @@ def parse(text: str) -> Graph:
         written[chunk] = term
         return term
 
-    def read_statements(start: int, stop: int, final: bool) -> bool:
-        """Scan lines ``start`` to ``stop`` and read their statements; False,
-        reading nothing, when they end inside a statement that a later line
-        may close. Every statement ends in a '.' that no term can be, so the
-        run's last token tells."""
-        nonlocal run, first, tokens, pos
-        run = text if start == 0 and stop == len(lines) else "\n".join(lines[start:stop])
-        tokens = _TOKEN_RE.findall(run)
-        end = tokens.index("")
-        if not final and end and tokens[end - 1] != ".":
-            return False
-        first, pos = start, 0
+    def read_statements() -> None:
+        """Read the statements in ``tokens``, which end where one does or at
+        the end of the document, and empty it."""
+        nonlocal pos
+        tokens.append("")
+        pos = 0
         while True:
             token = tokens[pos]
             if (head := iris.get(token)) and (relation := iris.get(tokens[pos + 1])):
                 pos += 2
             elif token == "":
-                return True
+                tokens.clear()
+                return
             elif token == "@prefix":
                 label = tokens[pos + 1]
                 if _kind(label) != "pname" or label.partition(":")[2]:
@@ -563,35 +555,29 @@ def parse(text: str) -> Graph:
             pos += 1
             triples.append(Triple(head, relation, tail))
 
-    start = None  # the first line of the run not read yet
-    last = len(lines) - 1
     for number, line in enumerate(lines):
         chunks = line.split(" ")
-        if len(chunks) == 4 and (chunks[3] == "." or chunks[3] == ".\r"):
-            if (
-                start is not None
-                and (chunks[1] in iris or number - start >= 16)
-                and number < last
-                and lines[number + 1].count(" ") == 3
-                and read_statements(start, number, False)
-            ):
-                start = None
-            if (
-                start is None
-                and (head := iris.get(chunks[0]) or new_plain_term(chunks[0], False))
-                and (relation := iris.get(chunks[1]) or new_plain_term(chunks[1], False))
-                and (
-                    tail := iris.get(chunks[2])
-                    or written.get(chunks[2])
-                    or new_plain_term(chunks[2], True)
-                )
-            ):
-                triples.append(Triple(head, relation, tail))
-                continue
-        if start is None:
-            start = number
-    if start is not None:
-        read_statements(start, len(lines), True)
+        if (
+            not tokens
+            and len(chunks) == 4
+            and (chunks[3] == "." or chunks[3] == ".\r")
+            and (head := iris.get(chunks[0]) or new_plain_term(chunks[0], False))
+            and (relation := iris.get(chunks[1]) or new_plain_term(chunks[1], False))
+            and (
+                tail := iris.get(chunks[2])
+                or written.get(chunks[2])
+                or new_plain_term(chunks[2], True)
+            )
+        ):
+            triples.append(Triple(head, relation, tail))
+            continue
+        if not tokens:
+            first = number
+        tokens += filter(None, _TOKEN_RE.findall(line))  # less the "" end marks
+        if tokens and tokens[-1] == ".":
+            read_statements()
+    if tokens:
+        read_statements()
 
     graph = Graph.__new__(Graph)
     graph._fill(dict.fromkeys(triples), prefix_map, dict.fromkeys(terms).keys())

@@ -576,12 +576,26 @@ def _count_scans(monkeypatch) -> list[str]:
 
 
 def test_parse_scans_the_desk_ikg_only_for_its_prefix_header(desk_ikg, monkeypatch):
-    # The line rule reads every line that first uses a term too, so the token
-    # reader reads only the run that opens at the @prefix header, and the
-    # empty line after the last line break.
+    # The line rule reads every triple line, those that first use a term too,
+    # so the token reader scans only the @prefix lines and the empty ones.
+    text = serialize(desk_ikg)
+    header = text.split("\n\n")[0].split("\n")
     scanned = _count_scans(monkeypatch)
-    assert parse(serialize(desk_ikg)) == desk_ikg
-    assert len(scanned) == 2 and scanned[0].startswith("@prefix ") and scanned[1] == ""
+    assert parse(text) == desk_ikg
+    assert [s for s in scanned if s] == header and len(header) == len(desk_ikg.prefix_map)
+
+
+def test_parse_scans_each_line_at_most_once_before_an_error(monkeypatch):
+    # An open statement keeps every later line in the token reader until a
+    # line ends in '.', so a malformed line is refused when the next one ends
+    # its statement. Only the rescan for the first bad character reads the
+    # whole document again.
+    text = "@prefix ex: <http://e.example/ns#> .\n" + "ex:a ex:r ex:b .\n" * 16
+    text += "ex:a ex:r ex:b ex:c\nex:a ex:r ex:b .\n" * 1000
+    scanned = _count_scans(monkeypatch)
+    with pytest.raises(ParseError, match=r"^line 18, col 16: expected '\.' after triple$"):
+        parse(text)
+    assert sum(map(len, scanned)) <= 2 * len(text)
 
 
 def test_graph_contains_matches_linear_scan():
@@ -1069,8 +1083,8 @@ def _document(draw, prefixed: bool = True):
     seps = [draw(_sep) for _ in parts]
     text = draw(_opt_sep) + "".join(p + s for p, s in zip(parts, seps))
     if header and draw(st.integers(0, 3)) > 0:  # three times in four
-        # Sixteen line breaks let ``parse`` close the token reader's run, so
-        # the line rule is the first to read these lines.
+        # Every statement before these blank lines ends in '.', so none is
+        # open and the line rule is the first to read the lines after them.
         lines = draw(st.lists(_plain_line(), min_size=2, max_size=6))
         text += "\n" * 16 + "".join(line + "\n" for line in lines)
     return text
@@ -1147,11 +1161,11 @@ def test_parse_matches_reference_on_mutated_documents(case):
     assert_same_as_reference(*case)
 
 
-# The line rule reads a line once its terms were read, and ``parse`` reads
-# a run of lines early, so that it can, from the sixteenth line on. The lines
-# after that repeat terms in forms the line rule reads as the token reader
-# does (a CRLF line, a glued typed literal, a plain literal, an <IRI>) or
-# leaves to it (a tab, a doubled space, a trailing comment).
+# The line rule reads a line of plain terms or terms already read while no
+# statement is open. The lines after the second @prefix ex: repeat terms in
+# forms the line rule reads as the token reader does (a CRLF line, a glued
+# typed literal, a plain literal, an <IRI>) or leaves to it (a tab, a doubled
+# space, a trailing comment).
 _VALID = (
     "@prefix ex: <http://e.example/ns#> .\r\n"
     "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
@@ -1196,9 +1210,9 @@ def test_parse_matches_reference_on_each_mutation(text):
     assert assert_same_as_reference(text)[0] == "raised"
 
 
-# Sixteen lines close the token reader's run, so the line after them is one
-# the line rule reads: there it is the first use of ex:n, ex:q and ex:m. The
-# literal is read first in an escaped spelling, which a plain one must share.
+# Every statement of the lead is closed, so the line after it is one the line
+# rule reads: there it is the first use of ex:n, ex:q and ex:m. The literal is
+# read first in an escaped spelling, which a plain one must share.
 _LEAD = (
     "@prefix ex: <http://e.example/ns#> .\n"
     "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
