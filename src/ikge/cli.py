@@ -277,6 +277,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _failed_triples(intent: pipeline.NetworkIntent, model: kg2e.Kg2eModel) -> list[dict]:
+    """The triples judged false in ``intent``, each with score and threshold."""
+    failed = []
+    for triple, verdict in zip(intent.triples, intent.verdicts):
+        if verdict and not verdict[1]:
+            threshold = model.thresholds.lookup(model.vocab.find_ids(triple)[1])
+            failed.append({"triple": str(triple), "score": verdict[0], "threshold": threshold})
+    return failed
+
+
 def _cmd_translate(args) -> int:
     model = _load_model(args.model)
     graph = _load_graph(args.ikg)
@@ -289,7 +299,8 @@ def _cmd_translate(args) -> int:
         intent = pipeline.translate(args.text, model, graph, corpus, blueprint, k=args.k)
     except pipeline.VerificationFailedError as exc:
         if args.report:
-            _write_json(args.report, {"text": args.text, **exc.intent.report_document()})
+            doc = {"text": args.text, **exc.intent.report_document()}
+            _write_json(args.report, {**doc, "failed": _failed_triples(exc.intent, model)})
         raise
     _write_text(args.out, rdf.serialize(intent.to_graph()))
     if args.report:

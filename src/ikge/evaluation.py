@@ -11,11 +11,12 @@ Ranking scores every entity as a replacement for the missing side of a
 test triple and reports the rank of the true entity, averaging positions
 over exact score ties; each distinct query, ``(h, r, ?)`` or ``(?, r, t)``,
 is scored once for all the test rows that ask it, and both protocols rank
-from that one score vector. The filtered protocol drops the query's other
-known completions (never the true entity itself): the ids that a filter
-index, built once per ranking run, lists under ``(h, r)`` (tails) or
-``(r, t)`` (heads). ``rank_triple`` indexes its known graph the same way,
-skipping triples outside the model vocabulary.
+from that one score vector. Blocks of ``RANK_BLOCK`` queries are ranked in
+array passes: each side of a test row counts the scores in its query's row
+above and equal to its true score, less those that the block's boolean
+query-by-entity mask of other known completions (never the true entity
+itself) drops under the filtered protocol. ``rank_triple`` ranks its row
+the same way, skipping known triples outside the model vocabulary.
 Classification applies a per-relation ``model.ThresholdTable`` chosen on
 validation data by maximizing accuracy over midpoints of adjacent scores.
 ``verdicts`` judges an id array with one batch score; ``classify`` judges
@@ -97,46 +98,55 @@ class ClassificationMetrics:
         return asdict(self)
 
 
-def _group_ranks(scores: np.ndarray, trues, drop) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and filtered ranks of the true candidates ``trues`` in one score
-    vector, with the mean-tie policy: b strictly better and m tied scores (the
-    true one included) give the rank b + (m + 1) / 2. The filtered rank leaves
-    out the distinct candidate ids ``drop``, never the true one itself."""
-    trues = np.array(trues, dtype=np.int64)
-    true_scores = scores[trues, None]
-    drop = np.fromiter(drop, dtype=np.int64)
-    # NaN compares false: a member's own id among the dropped ones is kept
-    dropped = np.where(drop == trues[:, None], np.nan, scores[drop])
-    better = (scores > true_scores).sum(axis=1)
-    tied = (scores == true_scores).sum(axis=1)
-    better_kept = better - (dropped > true_scores).sum(axis=1)
-    tied_kept = tied - (dropped == true_scores).sum(axis=1)
-    return better + (tied + 1) / 2.0, better_kept + (tied_kept + 1) / 2.0
-
-
 def _check_ids(model: kg2e.Kg2eModel, ids) -> np.ndarray:
     return kg2e.check_ids(ids, model.vocab.n_entities, model.vocab.n_relations)
 
 
-def _filter_index(known) -> dict[tuple, set[int]]:
-    """Known completions of the id rows ``known`` (a list of ``(h, r, t)``)
-    by query: ``(RIGHT, h, r)`` -> tail ids and ``(LEFT, r, t)`` -> head ids."""
-    index: dict[tuple, set[int]] = {}
-    for h, r, t in known:
-        index.setdefault((RIGHT, h, r), set()).add(t)
-        index.setdefault((LEFT, r, t), set()).add(h)
-    return index
+# Distinct queries ranked per pass, which bounds the memory of a pass.
+RANK_BLOCK = 64
 
 
-def _query_ranks(model: kg2e.Kg2eModel, key: tuple, trues, index) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and filtered ranks of the true ids ``trues`` of the query ``key`` (a
-    filter index key), all from one score vector; ``index`` is a filter index."""
-    side, a, b = key
-    if side == RIGHT:
-        scores = kg2e.score_candidates(model, a, b, 0, position="tail")
-    else:
-        scores = kg2e.score_candidates(model, 0, a, b, position="head")
-    return _group_ranks(scores, trues, index.get(key, ()))
+def _ranks(model: kg2e.Kg2eModel, test: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Raw and filtered ranks, shape ``(2, 2n)``, of the ``n`` checked id rows
+    ``test``: column 2i ranks row i's tail and 2i + 1 its head, b better and
+    m tied scores (the true one included) giving b + (m + 1) / 2. Filtered
+    ranks leave out the query's other completions in the id rows ``known``."""
+    n_e, n_r = model.vocab.n_entities, model.vocab.n_relations
+    tails = n_e * n_r  # query codes: h * R + r for (h, r, ?), then (?, r, t)
+    h, r, t = test.T
+    codes = np.column_stack((h * n_r + r, tails + r * n_e + t)).ravel()
+    trues = np.column_stack((t, h)).ravel()
+    queries, first, of_member = np.unique(codes, return_index=True, return_inverse=True)
+    kh, kr, kt = known.T
+    known_codes = np.concatenate((kh * n_r + kr, tails + kr * n_e + kt))
+    of_known = np.searchsorted(queries, known_codes).clip(max=len(queries) - 1)
+    asked = queries[of_known] == known_codes
+    of_known, completions = of_known[asked], np.concatenate((kt, kh))[asked]
+    rows = test.tolist()
+    ranks = np.empty((2, len(codes)))
+    scores = np.empty((min(RANK_BLOCK, len(queries)), n_e))
+    for lo in range(0, len(queries), RANK_BLOCK):
+        block = first[lo : lo + RANK_BLOCK].tolist()  # a member asking each query
+        for j, m in enumerate(block):
+            position = "head" if m % 2 else "tail"
+            scores[j] = kg2e.score_candidates(model, *rows[m // 2], position=position)
+        hi = lo + len(block)
+        members = np.flatnonzero((of_member >= lo) & (of_member < hi))
+        in_block = (of_known >= lo) & (of_known < hi)
+        drop = np.zeros((len(block), n_e), dtype=bool)
+        drop[of_known[in_block] - lo, completions[in_block]] = True
+        query, own = of_member[members] - lo, (np.arange(len(members)), trues[members])
+        row_scores = scores[query]
+        true_scores = row_scores[own][:, None]
+        # NaN compares false: a NaN score is neither better nor tied.
+        better, tied = row_scores > true_scores, row_scores == true_scores
+        dropped = drop[query]
+        dropped[own] = False
+        for row, kept in enumerate((True, ~dropped)):
+            ranks[row, members] = (better & kept).sum(axis=1) + ((tied & kept).sum(axis=1) + 1) / 2.0
+        # Freed before the next block gathers its own rows.
+        del row_scores, better, tied, dropped
+    return ranks
 
 
 def rank_triple(
@@ -150,10 +160,10 @@ def rank_triple(
     filtered protocol drops the other completions in ``known``."""
     if side not in (RIGHT, LEFT):
         raise ValueError(f"side must be '{RIGHT}' or '{LEFT}', got {side!r}")
-    h, r, t = model.vocab.triple_ids(triple)
-    index = _filter_index(model.vocab.known_ids(known)) if filtered else {}
-    key, true = ((RIGHT, h, r), t) if side == RIGHT else ((LEFT, r, t), h)
-    return float(_query_ranks(model, key, [true], index)[1 if filtered else 0][0])
+    test = np.array([model.vocab.triple_ids(triple)], dtype=np.int64)
+    known_ids = model.vocab.known_ids(known) if filtered else []
+    ranks = _ranks(model, test, np.array(known_ids, dtype=np.int64).reshape(-1, 3))
+    return float(ranks[int(filtered), 0 if side == RIGHT else 1])
 
 
 def evaluate_ranks(
@@ -168,15 +178,7 @@ def evaluate_ranks(
     test, known = _check_ids(model, test), _check_ids(model, known)
     if len(test) == 0:
         raise ValueError("test graph is empty")
-    index = _filter_index(known.tolist()) if filtered else {}
-    groups: dict[tuple, list[tuple[int, int]]] = {}  # query key -> [(rank slot, true id)]
-    for i, (h, r, t) in enumerate(test.tolist()):
-        groups.setdefault((RIGHT, h, r), []).append((2 * i, t))
-        groups.setdefault((LEFT, r, t), []).append((2 * i + 1, h))
-    ranks = np.empty((2, 2 * len(test)))  # raw, filtered
-    for key, members in groups.items():
-        slots, trues = zip(*members)
-        ranks[:, list(slots)] = _query_ranks(model, key, trues, index)
+    ranks = _ranks(model, test, known if filtered else known[:0])
     names = ("raw", "filtered") if filtered else ("raw",)
     return {
         name: RankMetrics(

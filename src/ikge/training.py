@@ -31,11 +31,11 @@ that drawing, scoring and updating pair by pair would:
   a batch is ``batch_size * negatives_per_positive`` consecutive rows.
 * Scores. Training reads and writes the model's own tables, with no
   copy. A batch's b positives and their b negatives form one 2b-row id
-  array, relation ids offset to their rows; the six kernel inputs are
-  gathers of contiguous ``means`` and ``covs`` rows, then one score call
-  and one gradient call on the rows of the active pairs. Both functions
-  are elementwise with per-row reductions, so a row's value does not
-  depend on the rows beside it.
+  array, relation ids offset to their rows; the six kernel inputs are row
+  gathers of ``means`` and ``covs`` by ``ndarray.take``, cheaper per call than
+  indexing, then one score call and one gradient call on the rows of the
+  active pairs. Both functions are elementwise with per-row reductions,
+  so a row's value does not depend on the rows beside it.
 * Updates. Gradients are summed per touched row (the ids of nonzero
   count, ascending), its mean then its covariance, with one ``np.bincount``
   in the order positive heads, positive tails, negative heads, negative
@@ -309,6 +309,9 @@ class NegativeSampler:
         heads, head_pos, known = self.heads, self.head_pos, self.known
         n_e, n_r = self.n_entities, self.n_relations
         head_stride, n_heads = n_r * n_e, len(heads)
+        # Lemire thresholds of the pools: heads less h, heads without h, entities less t.
+        thresholds = {k: (_WORD32 - k) % k for k in (n_heads - 1, n_heads, n_e - 1) if k > 0}
+        attempts = range(MAX_ATTEMPTS)
         out_h: list[int] = []
         out_t: list[int] = []
         try:
@@ -325,11 +328,11 @@ class NegativeSampler:
                     size, skip = n_e, t
                 # Uniform over the pool minus the original entity.
                 k = size - 1 if skip >= 0 else size
-                threshold = (_WORD32 - k) % k
+                threshold = thresholds[k]
                 # Packed key (h * R + r) * E + t with the fixed side folded in.
                 hr, rt = h * n_r + r, r * n_e + t
                 nh, nt = h, t
-                for _ in range(MAX_ATTEMPTS):
+                for _ in attempts:
                     i = 0
                     if k > 1:
                         while True:
@@ -442,10 +445,11 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
         touched = np.flatnonzero(np.bincount(ids))
         flat = (np.searchsorted(touched, ids) * width)[:, None] + columns
         g = np.bincount(flat.ravel(), weights=grads.ravel()).reshape(-1, width) / b
-        s = rho * state[touched] + (1.0 - rho) * g * g
+        s = rho * state.take(touched, axis=0) + (1.0 - rho) * g * g
         state[touched] = s
         step = lr * g / np.sqrt(s + eps)
-        m, c = means[touched] + step[:, :dim], covs[touched] + step[:, dim:]
+        m = means.take(touched, axis=0) + step[:, :dim]
+        c = covs.take(touched, axis=0) + step[:, dim:]
         kg2e.constrain_rows(m, c, model.c_min, model.c_max)
         means[touched], covs[touched] = m, c
 
@@ -463,7 +467,7 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
             # A batch's positives, then their negatives, as one id array.
             h, r, t = np.concatenate((pos[:, lo:hi], neg[:, lo:hi]), axis=1)
             b = len(h) // 2
-            sides = means[h], covs[h], means[r], covs[r], means[t], covs[t]
+            sides = tuple(table.take(col, axis=0) for col in (h, r, t) for table in (means, covs))
             scores = score_fn(*sides)
             losses = np.maximum(0.0, config.margin - scores[:b] + scores[b:])
             loss_sum += float(losses.sum())
@@ -474,8 +478,8 @@ def train(model: kg2e.Kg2eModel, split: DatasetSplit, config: TrainConfig) -> Tr
                 if a < b:
                     # Active pairs: positives, then their negatives.
                     rows = np.concatenate((active, active + b))
-                    h, r, t = h[rows], r[rows], t[rows]
-                    sides = tuple(side[rows] for side in sides)
+                    h, r, t = h.take(rows), r.take(rows), t.take(rows)
+                    sides = tuple(side.take(rows, axis=0) for side in sides)
                 g_mh, g_mr, g_mt, g_ch, g_cr, g_ct = grad_fn(*sides)
                 # Ascent on positives, descent on negatives, summed per row
                 # in the order positive heads, positive tails, negative

@@ -1260,6 +1260,7 @@ def test_translate_then_verify_chain(tmp_path, capsys, desk_paths):
     assert "verified intent intent-reliable-video" in stdout
     report = json.loads(report_path.read_text())
     assert report["verified"] is True
+    assert "failed" not in report  # a verified report keeps its bytes
     assert report["text"] == "reliable video"
     assert len(report["slots"]) == 3
     assert report["slots"][0]["term"] == "nonmcptt:StreamVideo"
@@ -1344,6 +1345,9 @@ def test_translate_verification_failure(tmp_path, capsys, desk_paths):
     assert err.startswith("error: verification-failed:")
     report = json.loads(report_path.read_text())
     assert report["verified"] is False
+    # every judged triple fails the unreachable threshold, and each is named
+    assert [row["triple"] for row in report["failed"]] == [row["triple"] for row in report["slots"]]
+    assert all(row["score"] < row["threshold"] == 1e9 for row in report["failed"])
     assert not (tmp_path / "i.ttl").exists()  # no unverified intent emitted
 
 
@@ -1371,7 +1375,14 @@ def test_translate_judges_a_complete_triple_that_classifies_false(tmp_path, caps
         "error: verification-failed: intent 'intent-reliable-video' failed verification:"
         f" {FALSE_TRIPLE}\n"
     )
-    assert json.loads((tmp_path / "report.json").read_text())["verified"] is False
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["verified"] is False
+    assert all(row["classified"] for row in report["slots"])
+    # the report names the one false triple, with its score and threshold
+    model = load_model(str(desk_paths["model"]))
+    h, r, t = model.vocab.triple_ids(rdf.Triple(*map(rdf.Term.iri, FALSE_TRIPLE.split()[:3])))
+    want = {"triple": FALSE_TRIPLE, "score": score(model, h, r, t), "threshold": model.thresholds.lookup(r)}
+    assert report["failed"] == [want] and want["score"] < want["threshold"]
     assert not (tmp_path / "i.ttl").exists()
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import copy
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +19,7 @@ from ikge.evaluation import (
     LEFT,
     RIGHT,
     ClassificationMetrics,
-    _filter_index,
-    _group_ranks,
+    _ranks,
     best_threshold,
     classify,
     evaluate,
@@ -34,7 +35,7 @@ from ikge.rdf import Graph, Term, Triple, Vocab, VocabError, build_vocab, parse
 
 
 # ---------------------------------------------------------------------------
-# the rank rule: _group_ranks
+# the rank rule: _ranks
 
 
 def reference_rank(scores: np.ndarray, true_index: int, drop=()) -> float:
@@ -48,10 +49,24 @@ def reference_rank(scores: np.ndarray, true_index: int, drop=()) -> float:
     return better + (tied + 1) / 2.0
 
 
+def rule_ranks(scores, trues, drop=()) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and filtered ranks through ``_ranks`` of the true ids ``trues``,
+    each the tail of a test row ``(e0, r, ?)``, the one query whose score
+    vector is ``scores`` and whose known completions are the ids ``drop``.
+    The rows' head sides are scored with the same vector and not read."""
+    scores = np.asarray(scores, dtype=np.float64)
+    vocab = Vocab([Term.iri(f"ex:e{i}") for i in range(len(scores))], [Term.iri("ex:r")])
+    test = np.array([(0, 0, t) for t in trues], dtype=np.int64)
+    known = np.array([(0, 0, d) for d in drop], dtype=np.int64).reshape(-1, 3)
+    with mock.patch.object(kg2e, "score_candidates", lambda *args, **kwargs: scores):
+        raw, filtered = _ranks(init_model(vocab, dim=1), test, known)
+    return raw[::2], filtered[::2]
+
+
 def rank_of(scores, true: int, drop=()) -> float:
-    """The filtered rank of one true candidate through ``_group_ranks``,
-    checked to equal its raw rank when nothing is dropped."""
-    raw, filtered = _group_ranks(np.asarray(scores, dtype=np.float64), [true], drop)
+    """The filtered rank of one true candidate through ``_ranks``, checked to
+    equal its raw rank when nothing is dropped."""
+    raw, filtered = rule_ranks(scores, [true], drop)
     assert drop or raw[0] == filtered[0]
     return float(filtered[0])
 
@@ -108,11 +123,11 @@ def test_rank_invariant_under_positive_affine_transform():
         )
     )
 )
-def test_group_ranks_match_the_reference_rank_per_member(case):
+def test_ranks_match_the_reference_rank_per_member(case):
     # repeated members, exact ties and NaN scores, the members' own ids among
     # the dropped ones: each member ranks as if it were ranked alone
     scores, trues, drop = case
-    raw, filtered = _group_ranks(scores, trues, drop)
+    raw, filtered = rule_ranks(scores, trues, drop)
     assert raw.tolist() == [reference_rank(scores, t) for t in trues]
     assert filtered.tolist() == [reference_rank(scores, t, drop) for t in trues]
 
@@ -680,6 +695,16 @@ def test_id_entry_points_reject_out_of_range_ids(row):
             evaluate_ranks(model, pos_ids, np.concatenate((pos_ids, bad)), filtered=filtered)
 
 
+def filter_index(known) -> dict[tuple, set[int]]:
+    """Known completions of the id rows ``known`` (a list of ``(h, r, t)``)
+    by query: ``(RIGHT, h, r)`` -> tail ids and ``(LEFT, r, t)`` -> head ids."""
+    index: dict[tuple, set[int]] = {}
+    for h, r, t in known:
+        index.setdefault((RIGHT, h, r), set()).add(t)
+        index.setdefault((LEFT, r, t), set()).add(h)
+    return index
+
+
 def oracle_rank(model, h: int, r: int, t: int, side: str, index) -> float:
     """One side of one id row ranked from its own score vector; ``index`` is
     a filter index, empty for the raw protocol."""
@@ -694,7 +719,7 @@ def oracle_rank_document(model, test, known, filtered: bool) -> dict:
     """``evaluate_ranks(...)["filtered"]`` (or ``["raw"]``) as a document,
     computed row by row, right side then left side, each side scored on its
     own."""
-    index = _filter_index(known.tolist()) if filtered else {}
+    index = filter_index(known.tolist()) if filtered else {}
     arr = np.array(
         [oracle_rank(model, h, r, t, side, index) for h, r, t in test.tolist() for side in (RIGHT, LEFT)]
     )
@@ -712,7 +737,7 @@ def test_rank_triple_matches_evaluate_ranks_on_desk_split(desk_model, desk_split
     # per-row oracle over the index of the whole split, and all of them
     # together the ranks that the grouped evaluate_ranks aggregates
     known = desk_split.full_graph()
-    index = _filter_index(desk_model.vocab.known_ids(known))
+    index = filter_index(desk_model.vocab.known_ids(known))
     both = evaluate_ranks(desk_model, desk_split.test_ids, ids_of(desk_model, known), filtered=True)
     for filtered, name in ((False, "raw"), (True, "filtered")):
         ranks = []
@@ -800,6 +825,55 @@ def test_grouped_ranks_match_per_row_oracle(case):
     for filtered, name in ((False, "raw"), (True, "filtered")):
         assert ranks[name].to_document() == oracle_rank_document(model, test, known, filtered)
     assert evaluate_ranks(model, test, known) == {"raw": ranks["raw"]}
+
+
+def random_id_case(n_e: int, n_r: int, n_test: int, dim: int, seed: int):
+    """A model over ``n_e`` entities and ``n_r`` relations, ``n_test`` random
+    test id rows, and as known rows the test rows, one other completion of
+    each test row's tail query and one of its head query, and ``n_test``
+    random rows."""
+    entities = [Term.iri(f"ex:e{i}") for i in range(n_e)]
+    model = init_model(Vocab(entities, [Term.iri(f"ex:r{i}") for i in range(n_r)]), dim=dim, seed=seed)
+    rng = np.random.default_rng(seed)
+    rows = lambda n: np.column_stack(
+        (rng.integers(n_e, size=n), rng.integers(n_r, size=n), rng.integers(n_e, size=n))
+    )
+    test = rows(n_test)
+    other_tails, other_heads = test.copy(), test.copy()
+    other_tails[:, 2] = rng.integers(n_e, size=n_test)
+    other_heads[:, 0] = rng.integers(n_e, size=n_test)
+    return model, test, np.concatenate((test, other_tails, other_heads, rows(n_test)))
+
+
+def test_ranks_across_query_blocks_match_per_row_oracle(monkeypatch):
+    # More distinct queries than one block holds, so a test row's two sides
+    # and a known row's two completions can fall in different blocks: the
+    # ranks match the per-row oracle, and blocks of one or seven queries
+    # rank alike.
+    model, test, known = random_id_case(n_e=30, n_r=2, n_test=50, dim=2, seed=3)
+    rows = test.tolist()
+    n_queries = len({(h, r) for h, r, _ in rows}) + len({(r, t) for _, r, t in rows})
+    assert n_queries > evaluation.RANK_BLOCK
+    ranks = evaluate_ranks(model, test, known, filtered=True)
+    for filtered, name in ((False, "raw"), (True, "filtered")):
+        assert ranks[name].to_document() == oracle_rank_document(model, test, known, filtered)
+    assert ranks["filtered"].mean_rank < ranks["raw"].mean_rank
+    for block in (1, 7):
+        monkeypatch.setattr(evaluation, "RANK_BLOCK", block)
+        assert evaluate_ranks(model, test, known, filtered=True) == ranks
+
+
+def test_evaluate_ranks_memory_is_bounded_by_the_block():
+    # 2,000 distinct queries over 2,000 entities: one float64 score row per
+    # member at once would be 32 MB; a block of them stays below 4 MiB.
+    model, test, known = random_id_case(n_e=2000, n_r=3, n_test=1000, dim=2, seed=4)
+    tracemalloc.start()
+    try:
+        evaluate_ranks(model, test, known, filtered=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_fit_and_evaluate_build_no_graph(monkeypatch, desk_model, desk_ikg):

@@ -15,6 +15,7 @@ from ikge.ikggen import IkgGenSpec, gen_ikg
 from ikge.model import DEFAULT_DIM, EXPECTED_LIKELIHOOD, KL_DIVERGENCE, init_model
 from ikge.rdf import Graph, Term, Triple, VocabError, build_vocab, parse
 from ikge.training import (
+    MAX_ATTEMPTS,
     DatasetSplit,
     NegativeSampler,
     TrainConfig,
@@ -620,6 +621,58 @@ def test_word_decoder_matches_generator_calls(n_entities, calls_before):
         assert rng.integers(2**31 + 1) == ref.integers(2**31 + 1)
         assert rng.integers(7) == ref.integers(7)
         assert rng.permutation(50).tolist() == ref.permutation(50).tolist()
+
+
+class _HeadPositions:
+    """``head_pos`` of the head pool ``range(n)``: an entity's own id inside
+    it, -1 past it."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __getitem__(self, e: int) -> int:
+        return e if e < self.n else -1
+
+
+def _reference_pool_draws(sampler, triples, rng):
+    """What the sampler draws, one ``random``/``integers`` call per draw, for
+    heads inside and outside the head pool."""
+    n_e, n_heads = sampler.n_entities, len(sampler.heads)
+    out = []
+    for h, r, t in triples:
+        pos = sampler.head_pos[h]
+        corrupt_head = rng.random() < 0.5 and n_heads > (pos >= 0)
+        size, skip = (n_heads, pos) if corrupt_head else (n_e, t)
+        nh, nt = h, t
+        for _ in range(MAX_ATTEMPTS):
+            i = int(rng.integers(size - 1 if skip >= 0 else size))
+            if 0 <= skip <= i:
+                i += 1
+            nh, nt = (sampler.heads[i], t) if corrupt_head else (h, i)
+            if sampler.key(nh, r, nt) not in sampler.known:
+                break
+        out.append((nh, nt))
+    return out
+
+
+@pytest.mark.parametrize("n_heads", [2, 2**31 + 2])
+def test_one_sample_many_call_draws_from_every_pool_size(n_heads):
+    # One call meets every pool size: a head in the pool draws from
+    # n_heads - 1 entities (one, with no draw, in a two-entity pool), a head
+    # past it, as a literal is, from n_heads, and a tail from n_entities - 1.
+    # At 2**31 + 1, 2**31 + 2 and 3 * 2**30 Lemire's rejection fires on a
+    # quarter to a half of the draws, so each pool needs its own threshold.
+    n_entities = 3 * 2**30 + 1
+    sampler = _synthetic_sampler(n_entities)
+    sampler.heads, sampler.head_pos = range(n_heads), _HeadPositions(n_heads)
+    pick = np.random.default_rng(n_heads)
+    heads = (0, n_heads - 1, n_heads, n_entities - 1)
+    triples = [(h, 0, int(pick.integers(n_entities))) for _ in range(100) for h in heads]
+    ref, rng = np.random.default_rng(31), np.random.default_rng(31)
+    want = _reference_pool_draws(sampler, triples, ref)
+    got = sampler.sample_many(triples, rng)
+    assert list(zip(got[:, 0].tolist(), got[:, 2].tolist())) == want
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sampler_needs_a_pcg64_generator():
