@@ -115,3 +115,8 @@ ikge predict --model "$out/model.json" --ikg "$out/ikg.ttl" \
   --triple "kpi:latency icm:valueBy ???" -k 10 --out "$out/predict-value.json"
 ikge predict --model "$out/model.json" --ikg "$out/ikg.ttl" \
   --triple '??? icm:valueBy "150ms"^^xsd:string' -k 10 --out "$out/predict-value-head.json"
+# A resource slot's pool at -k 3, and a head slot of a resource.
+ikge predict --model "$out/model.json" --ikg "$out/ikg.ttl" \
+  --triple "icm:Target icm:targetResource ???" -k 3 --out "$out/predict-k3.json"
+ikge predict --model "$out/model.json" --ikg "$out/ikg.ttl" \
+  --triple "??? icm:targetResource service:NonMcpttGBRService" -k 10 --out "$out/predict-head.json"

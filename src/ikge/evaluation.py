@@ -12,11 +12,12 @@ test triple and reports the rank of the true entity, averaging positions
 over exact score ties; each distinct query, ``(h, r, ?)`` or ``(?, r, t)``,
 is scored once for all the test rows that ask it, and both protocols rank
 from that one score vector. Blocks of ``RANK_BLOCK`` queries are ranked in
-array passes: each side of a test row counts the scores in its query's row
-above and equal to its true score, less those that the block's boolean
-query-by-entity mask of other known completions (never the true entity
-itself) drops under the filtered protocol. ``rank_triple`` ranks its row
-the same way, skipping known triples outside the model vocabulary.
+array passes, ``RANK_BLOCK`` of their test-row sides at a time: each side
+of a test row counts the scores in its query's row above and equal to its
+true score, less those that the block's boolean query-by-entity mask of
+other known completions (never the true entity itself) drops under the
+filtered protocol. ``rank_triple`` ranks its row the same way, skipping
+known triples outside the model vocabulary.
 Classification applies a per-relation ``model.ThresholdTable`` chosen on
 validation data by maximizing accuracy over midpoints of adjacent scores.
 ``verdicts`` judges an id array with one batch score; ``classify`` judges
@@ -102,7 +103,8 @@ def _check_ids(model: kg2e.Kg2eModel, ids) -> np.ndarray:
     return kg2e.check_ids(ids, model.vocab.n_entities, model.vocab.n_relations)
 
 
-# Distinct queries ranked per pass, which bounds the memory of a pass.
+# Distinct queries scored per pass, and test-row sides ranked per chunk of a
+# pass, which bounds the memory of a pass.
 RANK_BLOCK = 64
 
 
@@ -135,17 +137,20 @@ def _ranks(model: kg2e.Kg2eModel, test: np.ndarray, known: np.ndarray) -> np.nda
         in_block = (of_known >= lo) & (of_known < hi)
         drop = np.zeros((len(block), n_e), dtype=bool)
         drop[of_known[in_block] - lo, completions[in_block]] = True
-        query, own = of_member[members] - lo, (np.arange(len(members)), trues[members])
-        row_scores = scores[query]
-        true_scores = row_scores[own][:, None]
-        # NaN compares false: a NaN score is neither better nor tied.
-        better, tied = row_scores > true_scores, row_scores == true_scores
-        dropped = drop[query]
-        dropped[own] = False
-        for row, kept in enumerate((True, ~dropped)):
-            ranks[row, members] = (better & kept).sum(axis=1) + ((tied & kept).sum(axis=1) + 1) / 2.0
-        # Freed before the next block gathers its own rows.
-        del row_scores, better, tied, dropped
+        for at in range(0, len(members), RANK_BLOCK):
+            chunk = members[at : at + RANK_BLOCK]
+            query, own = of_member[chunk] - lo, (np.arange(len(chunk)), trues[chunk])
+            row_scores = scores[query]
+            true_scores = row_scores[own][:, None]
+            # NaN compares false: a NaN score is neither better nor tied.
+            better, tied = row_scores > true_scores, row_scores == true_scores
+            dropped = drop[query]
+            dropped[own] = False
+            for row, kept in enumerate((True, ~dropped)):
+                tied_kept = (tied & kept).sum(axis=1)
+                ranks[row, chunk] = (better & kept).sum(axis=1) + (tied_kept + 1) / 2.0
+            # Freed before the next chunk gathers its own rows.
+            del row_scores, better, tied, dropped
     return ranks
 
 

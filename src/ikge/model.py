@@ -281,12 +281,16 @@ def score_triples(model: Kg2eModel, ids) -> np.ndarray:
     return _SCORE_FNS[model.score_kind](m[h], c[h], m[r], c[r], m[t], c[t])
 
 
-def score_candidates(model: Kg2eModel, h: int, r: int, t: int, position: str) -> np.ndarray:
-    """Scores of all entities substituted at ``position`` ('head' or 'tail').
+def score_candidates(
+    model: Kg2eModel, h: int, r: int, t: int, position: str, candidates=None
+) -> np.ndarray:
+    """Scores of the entities substituted at ``position`` ('head' or 'tail'):
+    of the ids ``candidates`` in their order (IndexError for an id outside
+    the table), or of every entity, indexed by id, when it is None.
 
-    The fixed side keeps the given indices; the returned vector is indexed
-    by entity id. Summation order matches the scalar path, so an entry is
-    bit-identical to the corresponding single-triple score.
+    The fixed side keeps the given indices. Each row sums alone, in the
+    scalar path's order, so an entry is bit-identical to the corresponding
+    single-triple score, whichever candidates are scored with it.
     """
     if position not in ("head", "tail"):
         raise ValueError(f"position must be 'head' or 'tail', got {position!r}")
@@ -295,10 +299,17 @@ def score_candidates(model: Kg2eModel, h: int, r: int, t: int, position: str) ->
     fn = _SCORE_FNS[model.score_kind]
     n_e = model.vocab.n_entities
     em, ec = model.means[:n_e], model.covs[:n_e]
+    fixed = h if position == "tail" else t
+    fm, fc = em[fixed], ec[fixed]
+    if candidates is not None:
+        ids = np.asarray(candidates, dtype=np.int64)
+        if len(ids) and (ids.min() < 0 or ids.max() >= n_e):
+            raise IndexError("candidate id out of range")
+        em, ec = em.take(ids, axis=0), ec.take(ids, axis=0)
     rm, rc = model.means[n_e + r], model.covs[n_e + r]
     if position == "tail":
-        return fn(em[h], ec[h], rm, rc, em, ec)
-    return fn(em, ec, rm, rc, em[t], ec[t])
+        return fn(fm, fc, rm, rc, em, ec)
+    return fn(em, ec, rm, rc, fm, fc)
 
 
 def apply_constraints(model: Kg2eModel) -> Kg2eModel:

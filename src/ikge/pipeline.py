@@ -20,6 +20,7 @@ an unpickled graph or a fresh parse builds its own. After it, a value
 slot's membership test is an O(1) dict lookup, the value pool costs one
 vocabulary lookup per observed literal, and every other pool is the
 vocabulary's cached array of non-literal entity ids, which reads no index.
+Link prediction scores only the slot's pool, never the other entities.
 """
 
 from __future__ import annotations
@@ -381,8 +382,10 @@ def predict_candidates(model: kg2e.Kg2eModel, slot: Slot, k: int, ikg: Graph) ->
     A value-role tail slot draws candidates only from the literals observed
     for the slot's relation in the IKG; every other slot, a value-role head
     slot included, draws from all non-literal entities, since a literal is
-    never a subject. Ties order by entity id. Only a value-role tail slot
-    reads the graph's OntologyIndex (``ontology_index``).
+    never a subject. Only the pool is scored, in one ``score_candidates``
+    call, and an empty pool returns ``[]`` unscored; each score is the one a
+    full score vector holds. Ties order by entity id. Only a value-role tail
+    slot reads the graph's OntologyIndex (``ontology_index``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -390,11 +393,9 @@ def predict_candidates(model: kg2e.Kg2eModel, slot: Slot, k: int, ikg: Graph) ->
     triple = slot.triple
     r = vocab.relation_id(triple.relation)
     if slot.position == "tail":
-        h = vocab.entity_id(triple.head)
-        scores = kg2e.score_candidates(model, h, r, 0, position="tail")
+        h, t = vocab.entity_id(triple.head), 0
     else:
-        t = vocab.entity_id(triple.tail)
-        scores = kg2e.score_candidates(model, 0, r, t, position="head")
+        h, t = 0, vocab.entity_id(triple.tail)
 
     if slot.role == ROLE_VALUE and slot.position == "tail":
         pool = []
@@ -408,7 +409,7 @@ def predict_candidates(model: kg2e.Kg2eModel, slot: Slot, k: int, ikg: Graph) ->
         pool = vocab.non_literal_ids
     if len(pool) == 0:
         return []
-    pool_scores = scores[pool]
+    pool_scores = kg2e.score_candidates(model, h, r, t, slot.position, candidates=pool)
     order = np.lexsort((pool, -pool_scores))
     top = order[:k]
     return [

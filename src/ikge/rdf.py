@@ -555,6 +555,7 @@ def parse(text: str) -> Graph:
             pos += 1
             triples.append(Triple(head, relation, tail))
 
+    new_triple = object.__new__
     for number, line in enumerate(lines):
         chunks = line.split(" ")
         if (
@@ -569,7 +570,13 @@ def parse(text: str) -> Graph:
                 or new_plain_term(chunks[2], True)
             )
         ):
-            triples.append(Triple(head, relation, tail))
+            # Head and relation are IRIs here, so Triple's checks cannot fail.
+            triple = new_triple(Triple)
+            _set_head(triple, head)
+            _set_relation(triple, relation)
+            _set_tail(triple, tail)
+            _set_hash(triple, hash((head._hash, relation._hash, tail._hash)))
+            triples.append(triple)
             continue
         if not tokens:
             first = number

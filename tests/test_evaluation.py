@@ -876,6 +876,27 @@ def test_evaluate_ranks_memory_is_bounded_by_the_block():
     assert peak < 4 * 2**20, peak
 
 
+def test_evaluate_ranks_memory_is_bounded_when_rows_share_a_query():
+    # 1,000 test rows asking one (h, r, ?) query over 2,000 entities: a score
+    # row per member of its block would be 17 MB; chunks of the block's
+    # members stay below 4 MiB, and each row keeps its rank.
+    entities = [Term.iri(f"ex:e{i}") for i in range(2000)]
+    model = init_model(Vocab(entities, [Term.iri("ex:r0"), Term.iri("ex:r1")]), dim=2, seed=5)
+    tails = np.random.default_rng(5).permutation(2000)[:1000]
+    test = np.column_stack((np.full(1000, 7), np.full(1000, 1), tails))
+    tracemalloc.start()
+    try:
+        ranks = _ranks(model, test, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    scores = kg2e.score_candidates(model, 7, 1, 0, position="tail")
+    for i in (0, 1, 500, 999):
+        assert ranks[0, 2 * i] == reference_rank(scores, tails[i])
+        assert ranks[1, 2 * i] == reference_rank(scores, tails[i], drop=tails)
+
+
 def test_fit_and_evaluate_build_no_graph(monkeypatch, desk_model, desk_ikg):
     # Both read the split's id arrays; neither builds a Term-level part.
     built = []

@@ -418,6 +418,40 @@ def test_score_candidates_bit_identical_to_scalar():
                 assert heads[e] == score(m, e, r, 2)
 
 
+def test_score_candidates_of_given_ids_bit_identical_to_the_full_vector(desk_model):
+    # A pool's scores, in the pool's order, are the full vector's entries
+    # bit for bit, repeated and unsorted ids and an empty pool included.
+    n_e = desk_model.vocab.n_entities
+    pools = [
+        np.array([5, 3, 5, 0, n_e - 1, 3], dtype=np.int64),
+        desk_model.vocab.non_literal_ids,
+        np.random.default_rng(2).permutation(n_e),
+        np.empty(0, dtype=np.int64),
+    ]
+    for kind in (EXPECTED_LIKELIHOOD, KL_DIVERGENCE):
+        model = copy.deepcopy(desk_model)
+        model.score_kind = kind
+        for e, r in [(0, 0), (n_e - 1, model.vocab.n_relations - 1), (17, 2)]:
+            for h, t, position in [(e, 0, "tail"), (0, e, "head")]:
+                full = score_candidates(model, h, r, t, position)
+                for pool in pools:
+                    got = score_candidates(model, h, r, t, position, candidates=pool)
+                    assert got.shape == pool.shape
+                    assert got.tobytes() == full[pool].tobytes()
+                got = score_candidates(model, h, r, t, position, candidates=[2, 1])
+                assert got.tobytes() == full[[2, 1]].tobytes()
+
+
+@pytest.mark.parametrize("position", ["tail", "head"])
+def test_score_candidates_rejects_candidate_ids_outside_the_table(position):
+    # ``take`` would wrap -1 to the last entity; the range check refuses it.
+    m = init_model(small_vocab(4, 2), dim=3, seed=0)
+    for bad in ([-1], [0, 4], [4], [1, -1, 2]):
+        with pytest.raises(IndexError, match="^candidate id out of range$"):
+            score_candidates(m, 1, 0, 1, position, candidates=np.array(bad))
+    assert score_candidates(m, 1, 0, 1, position, candidates=[0, 3]).shape == (2,)
+
+
 def test_score_triples_bit_identical_to_scalar():
     v = small_vocab(12, 3)
     rng = np.random.default_rng(4)

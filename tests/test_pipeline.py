@@ -895,6 +895,42 @@ def test_candidate_pools_match_reference(any_ikg):
     assert value_slots > 0
 
 
+def test_predict_candidates_scores_only_the_pool(desk_model, desk_ikg, monkeypatch):
+    # A tail and a head slot of each role's relation, at k = 1, 10 and past
+    # the pool: the predictions are the full-vector reference's, from one
+    # score_candidates call per slot that scores the pool alone.
+    calls = []
+    full = pipeline.kg2e.score_candidates
+
+    def counting(*args, candidates=None, **kwargs):
+        calls.append(None if candidates is None else len(candidates))
+        return full(*args, candidates=candidates, **kwargs)
+
+    monkeypatch.setattr(pipeline.kg2e, "score_candidates", counting)
+    oracle = _ReferenceIndex(desk_ikg)
+    vocab = desk_model.vocab
+    slots = []
+    for text, role in ROLE_BY_RELATION.items():
+        t = next(t for t in desk_ikg.triples if t.relation.text == text)
+        slots += [
+            Slot(Triple(t.head, t.relation, Term.placeholder(0)), 0, role, "tail"),
+            Slot(Triple(Term.placeholder(0), t.relation, t.tail), 0, role, "head"),
+        ]
+    for slot in slots:
+        reference_slot = slot
+        if slot.role == ROLE_VALUE and slot.position == "head":
+            # It draws from the non-literal entities, as the reference's
+            # other roles do.
+            reference_slot = Slot(slot.triple, 0, ROLE_SERVICE, "head")
+        pool = len(_reference_predict(desk_model, reference_slot, vocab.n_entities, desk_ikg))
+        assert pool == len(vocab.non_literal_ids) or reference_slot.role == ROLE_VALUE
+        for k in (1, 10, pool + 5):
+            calls.clear()
+            got = predict_candidates(desk_model, slot, k, desk_ikg)
+            assert got == _reference_predict(desk_model, reference_slot, k, desk_ikg, oracle)
+            assert len(got) == min(k, pool) and calls == [pool]
+
+
 # The six slots the intent-requests benchmark predicts, one per role and
 # position it serves.
 _BENCH_PREDICT_SLOTS = (

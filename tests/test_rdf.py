@@ -585,6 +585,31 @@ def test_parse_scans_the_desk_ikg_only_for_its_prefix_header(desk_ikg, monkeypat
     assert [s for s in scanned if s] == header and len(header) == len(desk_ikg.prefix_map)
 
 
+def test_line_rule_triples_equal_checked_ones(desk_ikg, monkeypatch):
+    # The line rule builds its triples without Triple.__init__, whose checks
+    # cannot fail there: each equals, and hashes as, the checked Triple of its
+    # terms. Every other caller's Triple() keeps both checks.
+    built = []
+    init = Triple.__init__
+
+    def counting(self, *terms):
+        built.append(terms)
+        init(self, *terms)
+
+    monkeypatch.setattr(Triple, "__init__", counting)
+    g = parse(serialize(desk_ikg))
+    assert built == [] and g == desk_ikg
+    monkeypatch.undo()
+    for t in g.triples:
+        checked = Triple(t.head, t.relation, t.tail)
+        assert type(t) is Triple and t == checked and hash(t) == hash(checked)
+    a, r = g.triples[0].head, g.triples[0].relation
+    with pytest.raises(ValueError, match="^literal not allowed in subject position$"):
+        Triple(Term.literal("v"), r, a)
+    with pytest.raises(ValueError, match="^relation must be an IRI term$"):
+        Triple(a, Term.literal("v"), a)
+
+
 def test_parse_scans_each_line_at_most_once_before_an_error(monkeypatch):
     # An open statement keeps every later line in the token reader until a
     # line ends in '.', so a malformed line is refused when the next one ends
